@@ -31,10 +31,11 @@
 //	                          status 1 on NL-errors.
 //	balsabm hazver [file...]  synthesize CH control netlists and run the
 //	                          hazver static hazard verification: every
-//	                          specified input burst of every mapped
-//	                          controller is checked for clean monotonic
-//	                          transitions by ternary (0/1/X) analysis of
-//	                          the merged circuit. Files use the arm named
+//	                          specified input burst of every shipped
+//	                          synthesized controller is checked for clean
+//	                          monotonic transitions by ternary (0/1/X)
+//	                          analysis of the merged circuit; hand-library
+//	                          circuits are reported skipped. Files use the arm named
 //	                          by -mode (default opt); no files: verify
 //	                          every built-in design, both arms. Exit
 //	                          status 1 on HZ-errors.

@@ -339,8 +339,11 @@ type MetricsJSON struct {
 	// canonical controller shapes served from the controller-grain
 	// artifact cache vs. synthesized afresh (also exported as
 	// balsabmd_incremental_controllers_total{outcome=...}).
+	// ControllersCorrupt counts cached controller blobs that failed to
+	// decode and were resynthesized instead.
 	ControllersReused        int64 `json:"controllersReused"`
 	ControllersResynthesized int64 `json:"controllersResynthesized"`
+	ControllersCorrupt       int64 `json:"controllersCorrupt"`
 	// Store summarizes the artifact cache on disk; present only when the
 	// daemon runs with a data directory.
 	Store *StoreStatsJSON `json:"store,omitempty"`

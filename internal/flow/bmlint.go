@@ -117,8 +117,8 @@ func bmlintClassify(design, arm string, results []bmlint.Result, met *Metrics) e
 	return nil
 }
 
-// bmlintGate is the post-compile gate inside runDesign: before an
-// arm's components are synthesized, every compiled spec is audited.
+// bmlintGate is the post-compile gate of checkedArm: before an arm's
+// components are synthesized, every compiled spec is audited.
 // It runs sequentially over the netlist (the specs are cheap to
 // compile), so recorded findings are in deterministic netlist order
 // at any worker count.

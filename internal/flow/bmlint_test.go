@@ -152,7 +152,10 @@ func TestBmlintGateTimed(t *testing.T) {
 
 // TestAuditSixCheckerStack: the audit summary names all six checkers
 // with per-checker counts, and the paper designs pass clean at the
-// spec tier and the static hazard tier.
+// spec tier and the static hazard tier. hazver checks the netlists the
+// flow ships: the baseline arm ships hand-library circuits only, which
+// carry no burst provenance, so its report skips every controller
+// (simulation covers them) and the optimized arm's verifies bursts.
 func TestAuditSixCheckerStack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full design audit")
@@ -178,8 +181,13 @@ func TestAuditSixCheckerStack(t *testing.T) {
 		if hazver.HasErrors(h.Diags) {
 			t.Errorf("%s: paper-design arm has static hazards:\n%s", h.Name, hazver.Format(h.Diags, h.Name))
 		}
-		if h.Stats.Bursts == 0 {
-			t.Errorf("%s: hazver verified no bursts: %+v", h.Name, h.Stats)
+	}
+	if len(a.Hazver) == 2 {
+		if st := a.Hazver[0].Stats; st.Units != 0 || st.Skipped == 0 || st.Bursts != 0 {
+			t.Errorf("%s: want every hand-library controller skipped: %+v", a.Hazver[0].Name, st)
+		}
+		if st := a.Hazver[1].Stats; st.Units == 0 || st.Skipped != 0 || st.Bursts == 0 {
+			t.Errorf("%s: want synthesized controllers verified: %+v", a.Hazver[1].Name, st)
 		}
 	}
 	for _, s := range a.Specs {

@@ -32,7 +32,9 @@ import (
 	"balsabm/internal/designs"
 	"balsabm/internal/dpath"
 	"balsabm/internal/gates"
+	"balsabm/internal/hazver"
 	"balsabm/internal/hclib"
+	"balsabm/internal/hfmin"
 	"balsabm/internal/minimalist"
 	"balsabm/internal/netlint"
 	"balsabm/internal/parallel"
@@ -162,9 +164,13 @@ type Metrics struct {
 	// Incremental resynthesis counters, bumped only when the run has a
 	// ControllerCache attached, once per distinct canonical shape (the
 	// in-run memo folds repeats): controllers spliced in from the cache
-	// vs. synthesized afresh (and written back).
+	// vs. synthesized afresh (and written back). ControllersCorrupt
+	// counts cached blobs that failed to decode — missing or
+	// inconsistent verification provenance included — and were
+	// resynthesized instead (those also count as resynthesized).
 	ControllersReused        parallel.Counter
 	ControllersResynthesized parallel.Counter
+	ControllersCorrupt       parallel.Counter
 
 	lintMu     sync.Mutex
 	lint       []LintFinding
@@ -319,8 +325,12 @@ func (m *Metrics) String() string {
 			m.CheckpointSaves.Load(), m.CheckpointLoads.Load())
 	}
 	if n := m.ControllersReused.Load() + m.ControllersResynthesized.Load(); n > 0 {
-		s += fmt.Sprintf("incremental: %d controllers reused, %d resynthesized\n",
+		s += fmt.Sprintf("incremental: %d controllers reused, %d resynthesized",
 			m.ControllersReused.Load(), m.ControllersResynthesized.Load())
+		if c := m.ControllersCorrupt.Load(); c > 0 {
+			s += fmt.Sprintf(", %d corrupt", c)
+		}
+		s += "\n"
 	}
 	if t := m.Timings.String(); t != "" {
 		s += t
@@ -399,13 +409,18 @@ func (o *Options) withDefaults() Options {
 }
 
 // synthEntry is one cached synthesis: the seeding component's wires in
-// canonical channel order, its mapped netlist, and its report. Entries
-// are immutable once published; reuse goes through Netlist.Rename,
-// which deep-copies.
+// canonical channel order, its mapped netlist, its report, and the
+// burst provenance hazver verifies the netlist against. Entries are
+// immutable once published; reuse goes through Netlist.Rename, which
+// deep-copies.
 type synthEntry struct {
 	wires   []string
 	netlist *gates.Netlist
 	res     ControllerResult
+	// unit is the netlist's hazver unit (its Netlist is the entry's
+	// own); a hand-library circuit has no burst provenance, so its unit
+	// is the zero Unit, which hazver.Audit counts as skipped.
+	unit hazver.Unit
 }
 
 // runner carries the shared state of one flow invocation: the
@@ -435,11 +450,13 @@ func newRunner(ctx context.Context, opt *Options) *runner {
 
 // synthesize runs the full per-controller pipeline (compile, two-level
 // synthesis or hand-library lookup, mapping, audit) with no caching.
-// It is a composite task: the compile/hclib and map/audit stages each
-// take one pool slot, and the per-function minimizations inside
-// minimalist.SynthesizeOpt are individually pool-admitted leaves — no
-// slot is ever held while waiting for another.
-func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*gates.Netlist, ControllerResult, error) {
+// It is the flow's only synthesis of a controller: the returned entry
+// carries the hazver unit of the netlist it ships. It is a composite
+// task: the compile/hclib and map/audit stages each take one pool slot,
+// and the per-function minimizations inside minimalist.SynthesizeOpt
+// are individually pool-admitted leaves — no slot is ever held while
+// waiting for another.
+func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*synthEntry, error) {
 	tm := &r.met.Timings
 	var sp *bm.Spec
 	var hclibNl *gates.Netlist
@@ -462,23 +479,23 @@ func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*gates.Netlist
 		return nil
 	})
 	if err != nil {
-		return nil, ControllerResult{}, err
+		return nil, err
 	}
 	if hclibNl != nil {
-		return hclibNl, ControllerResult{
+		return &synthEntry{netlist: hclibNl, res: ControllerResult{
 			Name:     comp.Name,
 			States:   sp.NStates,
 			Cells:    len(hclibNl.Instances),
 			Area:     hclibNl.Area(r.opt.Lib),
 			Critical: hclibNl.CriticalDelay(r.opt.Lib),
 			Exact:    true, // hand-designed circuit: nothing minimized
-		}, nil
+		}, unit: hazver.Unit{Name: comp.Name}}, nil
 	}
 	start := time.Now()
 	ctrl, err := minimalist.SynthesizeOpt(sp, minimalist.Options{Pool: r.pool, Ctx: r.ctx})
 	tm.Observe("synthesize", time.Since(start))
 	if err != nil {
-		return nil, ControllerResult{}, fmt.Errorf("flow: %s: %w", comp.Name, err)
+		return nil, fmt.Errorf("flow: %s: %w", comp.Name, err)
 	}
 	st := ctrl.Stats
 	r.met.MinimizeExact.Add(int64(st.ExactFunctions))
@@ -497,7 +514,7 @@ func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*gates.Netlist
 		return nil
 	})
 	if err != nil {
-		return nil, ControllerResult{}, err
+		return nil, err
 	}
 	if mode == techmap.SpeedSplit && !r.opt.SkipAudit {
 		// The audit is a composite: its compiled point batches are the
@@ -508,10 +525,10 @@ func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*gates.Netlist
 		err := techmap.CheckMappedOpt(ctrl, nl, r.opt.Lib, techmap.CheckOptions{Pool: r.pool, Ctx: r.ctx})
 		tm.Observe("audit", time.Since(start))
 		if err != nil {
-			return nil, ControllerResult{}, fmt.Errorf("flow: hazard audit: %w", err)
+			return nil, fmt.Errorf("flow: hazard audit: %w", err)
 		}
 	}
-	return nl, ControllerResult{
+	return &synthEntry{netlist: nl, res: ControllerResult{
 		Name:      comp.Name,
 		States:    sp.NStates,
 		StateBits: ctrl.StateBits,
@@ -520,7 +537,25 @@ func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*gates.Netlist
 		Area:      nl.Area(r.opt.Lib),
 		Critical:  nl.CriticalDelay(r.opt.Lib),
 		Exact:     st.Exact(),
-	}, nil
+	}, unit: hazver.Unit{
+		Name:        comp.Name,
+		Vars:        ctrl.Vars,
+		Outputs:     ctrl.Spec.Outputs,
+		StateBits:   ctrl.StateBits,
+		Transitions: ctrl.Transitions,
+		Netlist:     nl,
+	}}, nil
+}
+
+// shipped is one component's controller as the flow emits it: the
+// netlist and hazver unit renamed onto the component's wires, and its
+// report. shape is the canonical memo key; rename-isomorphic
+// components share it.
+type shipped struct {
+	nl    *gates.Netlist
+	res   ControllerResult
+	unit  hazver.Unit
+	shape string
 }
 
 // synthOne synthesizes one controller through the canonical-form
@@ -528,10 +563,14 @@ func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*gates.Netlist
 // ch.Canonicalize) synthesize once; later occurrences reuse the cached
 // netlist with their own wire names substituted in. Components the
 // canonicalizer rejects (verb channels) synthesize directly.
-func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (*gates.Netlist, ControllerResult, error) {
+func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (shipped, error) {
 	canon, ok := ch.CanonicalizeProgram(comp)
 	if !ok {
-		return r.synthesize(comp, mode)
+		e, err := r.synthesize(comp, mode)
+		if err != nil {
+			return shipped{}, err
+		}
+		return shipped{nl: e.netlist, res: e.res, unit: e.unit, shape: "raw|" + comp.Name}, nil
 	}
 	key := fmt.Sprintf("%s|audit=%t|%s", mode, !r.opt.SkipAudit, canon.Key)
 	entry, hit, err := r.cache.Do(key, func() (*synthEntry, error) {
@@ -545,19 +584,21 @@ func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (*gates.Netlist, 
 		if ctl != nil {
 			ctlKey = ControllerKey(mode, !r.opt.SkipAudit, canon.Digest())
 			if blob, ok := ctl.GetController(ctlKey); ok {
-				if e, err := decodeController(blob); err == nil {
+				e, err := decodeController(blob)
+				if err == nil && len(e.wires) == len(canon.Wires) {
 					r.met.ControllersReused.Add(1)
 					return e, nil
 				}
-				// A corrupt blob falls through to resynthesis, which
-				// overwrites it.
+				// A blob that fails to decode, or whose wires cannot
+				// rename onto this shape, is counted and resynthesized.
+				r.met.ControllersCorrupt.Add(1)
 			}
 		}
-		nl, res, err := r.synthesize(comp, mode)
+		e, err := r.synthesize(comp, mode)
 		if err != nil {
 			return nil, err
 		}
-		e := &synthEntry{wires: canon.Wires, netlist: nl, res: res}
+		e.wires = canon.Wires
 		if ctl != nil {
 			r.met.ControllersResynthesized.Add(1)
 			if blob, err := encodeController(e); err == nil {
@@ -572,7 +613,7 @@ func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (*gates.Netlist, 
 		r.met.CacheMisses.Add(1)
 	}
 	if err != nil {
-		return nil, ControllerResult{}, err
+		return shipped{}, err
 	}
 	sub := make(map[string]string, len(entry.wires))
 	for i, w := range entry.wires {
@@ -590,36 +631,78 @@ func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (*gates.Netlist, 
 	nl := entry.netlist.Rename(comp.Name, sub)
 	res := entry.res
 	res.Name = comp.Name
-	return nl, res, nil
+	return shipped{nl: nl, res: res, unit: renameUnit(entry.unit, comp.Name, sub, nl), shape: key}, nil
+}
+
+// renameUnit renames a hazver unit onto a component's wires the way
+// its netlist was renamed — variables, outputs and transition keys go
+// through sub — and points it at nl, the renamed netlist. The
+// transitions themselves index Vars, so they carry over unchanged. A
+// hand-library unit stays without provenance.
+func renameUnit(u hazver.Unit, name string, sub map[string]string, nl *gates.Netlist) hazver.Unit {
+	if u.Netlist == nil {
+		return hazver.Unit{Name: name}
+	}
+	out := u
+	out.Name, out.Netlist = name, nl
+	if len(sub) == 0 {
+		return out
+	}
+	rn := func(s string) string {
+		if t, ok := sub[s]; ok {
+			return t
+		}
+		return s
+	}
+	out.Vars = make([]string, len(u.Vars))
+	for i, v := range u.Vars {
+		out.Vars[i] = rn(v)
+	}
+	out.Outputs = make([]string, len(u.Outputs))
+	for i, o := range u.Outputs {
+		out.Outputs[i] = rn(o)
+	}
+	out.Transitions = make(map[string][]hfmin.Transition, len(u.Transitions))
+	for f, ts := range u.Transitions {
+		out.Transitions[rn(f)] = ts
+	}
+	return out
+}
+
+// synthesis is one arm's controllers as shipped, in component order,
+// plus hazver's verification units: one per distinct canonical shape
+// (rename-isomorphic components verify identically), each the shape's
+// first occurrence.
+type synthesis struct {
+	mapped []*gates.Netlist
+	ctrls  []ControllerResult
+	units  []hazver.Unit
 }
 
 // synthesizeNetlist fans the components of a control netlist out as
 // composite tasks (their compile, per-function minimization and
-// map/audit stages are the pool-admitted leaves), returning mapped
-// netlists and reports in component order with sequential first-error
-// semantics.
-func (r *runner) synthesizeNetlist(n *core.Netlist, mode techmap.Mode) ([]*gates.Netlist, []ControllerResult, error) {
-	type synthOut struct {
-		nl  *gates.Netlist
-		res ControllerResult
-	}
-	outs, err := parallel.MapAllCtx(r.ctx, len(n.Components), func(i int) (synthOut, error) {
-		nl, res, err := r.synthOne(n.Components[i], mode)
-		if err != nil {
-			return synthOut{}, err
-		}
-		return synthOut{nl: nl, res: res}, nil
+// map/audit stages are the pool-admitted leaves), returning what they
+// ship in component order with sequential first-error semantics.
+func (r *runner) synthesizeNetlist(n *core.Netlist, mode techmap.Mode) (*synthesis, error) {
+	outs, err := parallel.MapAllCtx(r.ctx, len(n.Components), func(i int) (shipped, error) {
+		return r.synthOne(n.Components[i], mode)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	mapped := make([]*gates.Netlist, len(outs))
-	results := make([]ControllerResult, len(outs))
+	s := &synthesis{
+		mapped: make([]*gates.Netlist, len(outs)),
+		ctrls:  make([]ControllerResult, len(outs)),
+	}
+	seen := map[string]bool{}
 	for i, o := range outs {
-		mapped[i] = o.nl
-		results[i] = o.res
+		s.mapped[i], s.ctrls[i] = o.nl, o.res
+		if !seen[o.shape] {
+			seen[o.shape] = true
+			s.units = append(s.units, o.unit)
+		}
 	}
-	return mapped, results, nil
+	return s, nil
 }
 
 // SynthesizeNetlist compiles, synthesizes and maps every component of a
@@ -639,7 +722,55 @@ func SynthesizeNetlist(n *core.Netlist, mode techmap.Mode, opt *Options) ([]*gat
 // component syntheses still waiting for a worker slot when ctx is
 // cancelled are abandoned and the call returns the context's error.
 func SynthesizeNetlistCtx(ctx context.Context, n *core.Netlist, mode techmap.Mode, opt *Options) ([]*gates.Netlist, []ControllerResult, error) {
-	return newRunner(ctx, opt).synthesizeNetlist(n, mode)
+	s, err := newRunner(ctx, opt).synthesizeNetlist(n, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.mapped, s.ctrls, nil
+}
+
+// CheckedArm is one arm synthesized once and passed through every
+// checker gate: the mapped controllers and their reports in component
+// order, the netlint report of the merged circuit, and the hazver
+// report of the netlists the synthesis shipped.
+type CheckedArm struct {
+	Mapped      []*gates.Netlist
+	Controllers []ControllerResult
+	Netlint     netlint.Result
+	Hazver      hazver.Result
+}
+
+// checkedArm is the gated synthesis of one arm, shared by both arms of
+// runDesign and the daemon's synth executor: the bmlint gate on the
+// compiled specs, synthesis of every controller, the netlint gate on
+// the merged circuit, and the hazver gate on the shipped netlists.
+// Gate errors abort as *BmlintError, *NetlintError or *HazverError,
+// unwrapped; non-error findings land on the metrics sink in gate order.
+func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mode) (*CheckedArm, error) {
+	if err := r.bmlintGate(design, arm, n); err != nil {
+		return nil, err
+	}
+	s, err := r.synthesizeNetlist(n, mode)
+	if err != nil {
+		return nil, err
+	}
+	c := &CheckedArm{Mapped: s.mapped, Controllers: s.ctrls}
+	if c.Netlint, err = NetlintGate(design, arm, s.mapped, r.opt.Lib, r.met); err != nil {
+		return nil, err
+	}
+	if c.Hazver, err = r.hazverGate(design, arm, s.units); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// SynthesizeCheckedCtx runs one arm's gated synthesis the way the
+// flow's runDesign does, for callers outside a flow run (the daemon's
+// synth executor): bmlint, synthesis, netlint and hazver, with every
+// controller synthesized once and the checkers verifying what that
+// synthesis shipped.
+func SynthesizeCheckedCtx(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) (*CheckedArm, error) {
+	return newRunner(ctx, opt).checkedArm(design, arm, n, mode)
 }
 
 // simulate runs one design arm: mapped controllers + datapath + bench.
@@ -701,25 +832,15 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 			res.Unopt, res.Bench = cp.Arm, cp.Bench
 			return nil
 		}
-		if err := r.bmlintGate(d.Name, "unopt", d.Control()); err != nil {
-			return fmt.Errorf("unoptimized arm: %w", err)
-		}
-		mapped, ctrls, err := r.synthesizeNetlist(d.Control(), techmap.AreaShared)
+		c, err := r.checkedArm(d.Name, "unopt", d.Control(), techmap.AreaShared)
 		if err != nil {
 			return fmt.Errorf("unoptimized arm: %w", err)
 		}
-		res.Unopt.Controllers = ctrls
-		for _, c := range ctrls {
-			res.Unopt.ControlArea += c.Area
+		res.Unopt.Controllers, res.Unopt.Static = c.Controllers, c.Netlint.Stats
+		for _, ctl := range c.Controllers {
+			res.Unopt.ControlArea += ctl.Area
 		}
-		res.Unopt.Static, err = r.netlintGate(d.Name, "unopt", mapped)
-		if err != nil {
-			return fmt.Errorf("unoptimized arm: %w", err)
-		}
-		if _, err := r.hazverGate(d.Name, "unopt", d.Control(), techmap.AreaShared); err != nil {
-			return fmt.Errorf("unoptimized arm: %w", err)
-		}
-		t, dpArea, events, benchDesc, err := r.simulate(d, mapped)
+		t, dpArea, events, benchDesc, err := r.simulate(d, c.Mapped)
 		if err != nil {
 			return fmt.Errorf("unoptimized arm: %w", err)
 		}
@@ -752,25 +873,15 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 			ck.saveCluster(optNetlist, report)
 		}
 		res.Report = report
-		if err := r.bmlintGate(d.Name, "opt", optNetlist); err != nil {
-			return fmt.Errorf("optimized arm: %w", err)
-		}
-		mapped, ctrls, err := r.synthesizeNetlist(optNetlist, techmap.SpeedSplit)
+		c, err := r.checkedArm(d.Name, "opt", optNetlist, techmap.SpeedSplit)
 		if err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}
-		res.Opt.Controllers = ctrls
-		for _, c := range ctrls {
-			res.Opt.ControlArea += c.Area
+		res.Opt.Controllers, res.Opt.Static = c.Controllers, c.Netlint.Stats
+		for _, ctl := range c.Controllers {
+			res.Opt.ControlArea += ctl.Area
 		}
-		res.Opt.Static, err = r.netlintGate(d.Name, "opt", mapped)
-		if err != nil {
-			return fmt.Errorf("optimized arm: %w", err)
-		}
-		if _, err := r.hazverGate(d.Name, "opt", optNetlist, techmap.SpeedSplit); err != nil {
-			return fmt.Errorf("optimized arm: %w", err)
-		}
-		t, dpArea, events, _, err := r.simulate(d, mapped)
+		t, dpArea, events, _, err := r.simulate(d, c.Mapped)
 		if err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}

@@ -2,15 +2,11 @@ package flow
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"time"
 
-	"balsabm/internal/ch"
-	"balsabm/internal/chtobm"
 	"balsabm/internal/core"
 	"balsabm/internal/hazver"
-	"balsabm/internal/minimalist"
 	"balsabm/internal/techmap"
 )
 
@@ -56,89 +52,43 @@ type HazverFinding struct {
 // Circuit names the verified circuit, e.g. "stack.opt".
 func (f HazverFinding) Circuit() string { return f.Design + "." + f.Arm }
 
-// hazverUnits derives the verification units of one arm: one unit per
-// distinct canonical controller shape (rename-isomorphic components
-// verify identically, so each shape is proved once on a
-// representative), synthesized and technology mapped in the arm's
-// mode. The baseline arm verifies the synthesized AreaShared circuit
-// even for shapes the flow itself would emit from the hand library —
-// hclib circuits use internal state the Burst-Mode specification does
-// not name, so their hazard freedom is established dynamically by the
-// benchmark simulations instead.
-func (r *runner) hazverUnits(n *core.Netlist, mode techmap.Mode) ([]hazver.Unit, error) {
-	seen := map[string]bool{}
-	var units []hazver.Unit
-	for _, comp := range n.Components {
-		if err := r.ctx.Err(); err != nil {
-			return nil, err
-		}
-		key := "raw|" + comp.Name
-		if canon, ok := ch.CanonicalizeProgram(comp); ok {
-			key = canon.Key
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		sp, err := chtobm.Compile(comp)
-		if err != nil {
-			return nil, fmt.Errorf("hazver: %s: %w", comp.Name, err)
-		}
-		ctrl, err := minimalist.SynthesizeOpt(sp, minimalist.Options{Pool: r.pool, Ctx: r.ctx})
-		if err != nil {
-			return nil, fmt.Errorf("hazver: %s: %w", comp.Name, err)
-		}
-		nl, err := techmap.MapController(ctrl, mode, r.opt.Lib)
-		if err != nil {
-			return nil, fmt.Errorf("hazver: %s: %w", comp.Name, err)
-		}
-		units = append(units, hazver.Unit{
-			Name:        comp.Name,
-			Vars:        ctrl.Vars,
-			Outputs:     ctrl.Spec.Outputs,
-			StateBits:   ctrl.StateBits,
-			Transitions: ctrl.Transitions,
-			Netlist:     nl,
-		})
-	}
-	return units, nil
-}
-
 // HazverNetlist statically verifies every controller of a control
-// netlist for hazard freedom on its specified input bursts: each
-// distinct canonical shape is synthesized, mapped in the given mode,
-// and its merged mapped logic checked by two-pass ternary evaluation
-// (hazver.Audit). Unlike the flow gate, error findings do not abort:
-// the report is the product. Callers wanting the optimized arm cluster
-// the netlist first (core.OptimizeOpt) and pass techmap.SpeedSplit.
+// netlist for hazard freedom on its specified input bursts: the netlist
+// is synthesized and mapped in the given mode, and the merged mapped
+// logic of each distinct canonical shape's shipped netlist is checked
+// by two-pass ternary evaluation (hazver.Audit). Hand-library circuits
+// carry no burst provenance; they are counted as skipped and rest on
+// simulation. Unlike the flow gate, error findings do not abort: the
+// report is the product. Callers wanting the optimized arm cluster the
+// netlist first (core.OptimizeOpt) and pass techmap.SpeedSplit.
 func HazverNetlist(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) (hazver.Result, error) {
 	r := newRunner(ctx, opt)
-	units, err := r.hazverUnits(n, mode)
+	s, err := r.synthesizeNetlist(n, mode)
 	if err != nil {
 		return hazver.Result{}, err
 	}
+	return r.hazverAudit(design, arm, s.units), nil
+}
+
+// hazverAudit verifies an arm's units, one per distinct controller
+// shape as synthesizeNetlist shipped them, and times the audit.
+func (r *runner) hazverAudit(design, arm string, units []hazver.Unit) hazver.Result {
 	start := time.Now()
 	res := hazver.Audit(design+"."+arm, units, r.opt.Lib, hazver.Options{Pool: r.pool, Ctx: r.ctx})
 	r.met.Timings.Observe("hazver", time.Since(start))
-	return res, nil
+	return res
 }
 
-// hazverGate is the post-mapping gate inside runDesign: after an arm's
-// controllers are mapped and the merged circuit passes netlint, every
-// controller shape's mapped logic is statically verified hazard-free
-// on its specified bursts. Error findings abort the arm as a
+// hazverGate is the post-mapping gate of checkedArm: after an arm's
+// controllers are mapped and the merged circuit passes netlint, the
+// netlists the synthesis shipped are statically verified hazard-free
+// on their specified bursts. Error findings abort the arm as a
 // *HazverError; warnings and the HZ200 static report land on the
 // metrics sink (shown by -stats, streamed on the daemon's "lint" SSE
 // stage) and never block. The full audit result is returned either way
 // so callers can report it.
-func (r *runner) hazverGate(design, arm string, n *core.Netlist, mode techmap.Mode) (hazver.Result, error) {
-	units, err := r.hazverUnits(n, mode)
-	if err != nil {
-		return hazver.Result{}, err
-	}
-	start := time.Now()
-	res := hazver.Audit(design+"."+arm, units, r.opt.Lib, hazver.Options{Pool: r.pool, Ctx: r.ctx})
-	r.met.Timings.Observe("hazver", time.Since(start))
+func (r *runner) hazverGate(design, arm string, units []hazver.Unit) (hazver.Result, error) {
+	res := r.hazverAudit(design, arm, units)
 	var errs []hazver.Diag
 	for _, d := range res.Diags {
 		if d.Severity == hazver.SevError {
@@ -153,10 +103,17 @@ func (r *runner) hazverGate(design, arm string, n *core.Netlist, mode techmap.Mo
 	return res, nil
 }
 
-// HazverGate runs the post-mapping static hazard gate the way the
-// flow's runDesign does, for callers outside a flow run (the daemon's
-// synth executor): error findings abort as a *HazverError; warnings
-// and the HZ200 report land on opt.Metrics and never block.
+// HazverGate runs the post-mapping static hazard gate on its own: the
+// netlist is synthesized in the given mode and its shipped netlists
+// verified as the flow's gate does. Error findings abort as a
+// *HazverError; warnings and the HZ200 report land on opt.Metrics and
+// never block. Callers that also need the mapped netlists use
+// SynthesizeCheckedCtx, which synthesizes once for every gate.
 func HazverGate(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) (hazver.Result, error) {
-	return newRunner(ctx, opt).hazverGate(design, arm, n, mode)
+	r := newRunner(ctx, opt)
+	s, err := r.synthesizeNetlist(n, mode)
+	if err != nil {
+		return hazver.Result{}, err
+	}
+	return r.hazverGate(design, arm, s.units)
 }

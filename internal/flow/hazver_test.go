@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,9 +89,10 @@ type synthUnit struct {
 	unit hazver.Unit
 }
 
-// synthHazverUnits mirrors runner.hazverUnits but keeps the
-// intermediate controllers, so tests can tamper with netlists and
-// cross-check techmap.CheckMapped on the same synthesis products.
+// synthHazverUnits synthesizes and maps each distinct canonical shape
+// of a netlist directly, keeping the intermediate controllers next to
+// the hazver units, so tests can tamper with netlists and cross-check
+// techmap.CheckMapped on the same synthesis products.
 func synthHazverUnits(t testing.TB, n *core.Netlist, mode techmap.Mode) []synthUnit {
 	t.Helper()
 	lib := cell.AMS035()
@@ -129,6 +131,47 @@ func synthHazverUnits(t testing.TB, n *core.Netlist, mode techmap.Mode) []synthU
 	return out
 }
 
+// stableBurst finds a specified burst of a unit that holds some output
+// stable at 1 while at least one input changes — the shape the mux
+// tamper of injectMuxHazard glitches — returning the output, the
+// burst ordinal and the changing input.
+func stableBurst(u hazver.Unit) (fn string, tr int, s string, ok bool) {
+	for _, out := range u.Outputs {
+		for i, t := range u.Transitions[out] {
+			ch := t.Changed()
+			if t.From && t.To && len(ch) > 0 && u.Netlist.HasNet(out) && u.Netlist.HasNet(u.Vars[ch[0]]) {
+				return out, i, u.Vars[ch[0]], true
+			}
+		}
+	}
+	return "", -1, "", false
+}
+
+// injectMuxHazard retargets output fn's driver to a fresh net, then
+// rebuilds fn through the classic glitching mux decomposition
+// fn = NAND(NAND(s, old), NAND(!s, old)) over the burst input s. The
+// netlist stays functionally identical at every binary point.
+func injectMuxHazard(t testing.TB, nl *gates.Netlist, fn, sVar string) {
+	t.Helper()
+	z, s := nl.Net(fn), nl.Net(sVar)
+	di := -1
+	for i := range nl.Instances {
+		if nl.Instances[i].Output == z {
+			di = i
+		}
+	}
+	if di < 0 {
+		t.Fatalf("output %q has no driver", fn)
+	}
+	old := nl.Net("hz_old")
+	nl.Instances[di].Output = old
+	sInv, aN, bN := nl.Net("hz_sn"), nl.Net("hz_a"), nl.Net("hz_b")
+	nl.AddInstance("INV", []int{s}, sInv, 0)
+	nl.AddInstance("NAND2", []int{s, old}, aN, 0)
+	nl.AddInstance("NAND2", []int{sInv, old}, bN, 0)
+	nl.AddInstance("NAND2", []int{aN, bN}, z, 0)
+}
+
 // TestHazverInjectedHazard is the acceptance-criterion differential:
 // replace one output's hazard-free driver with the classic glitching
 // mux decomposition z = NAND(NAND(s, old), NAND(!s, old)) over a burst
@@ -145,50 +188,24 @@ func TestHazverInjectedHazard(t *testing.T) {
 	}
 	units := synthHazverUnits(t, d.Control(), techmap.SpeedSplit)
 
-	// Find a specified burst that holds some output stable at 1 while
-	// at least one input changes — the shape the mux tamper glitches.
+	// Find a burst the mux tamper glitches.
 	var (
 		tu     synthUnit
 		fnName string
 		ti     = -1
 		sVar   string
 	)
-search:
 	for _, u := range units {
-		for _, out := range u.ctrl.Spec.Outputs {
-			for i, tr := range u.ctrl.Transitions[out] {
-				ch := tr.Changed()
-				if tr.From && tr.To && len(ch) > 0 && u.nl.HasNet(out) && u.nl.HasNet(u.ctrl.Vars[ch[0]]) {
-					tu, fnName, ti, sVar = u, out, i, u.ctrl.Vars[ch[0]]
-					break search
-				}
-			}
+		if fn, i, sv, ok := stableBurst(u.unit); ok {
+			tu, fnName, ti, sVar = u, fn, i, sv
+			break
 		}
 	}
 	if ti < 0 {
 		t.Fatal("no stable-at-1 burst with a changing input found to tamper")
 	}
-
-	// Tamper: retarget z's driver to a fresh net, then rebuild z
-	// through the glitching decomposition.
 	nl := tu.nl
-	z, s := nl.Net(fnName), nl.Net(sVar)
-	di := -1
-	for i := range nl.Instances {
-		if nl.Instances[i].Output == z {
-			di = i
-		}
-	}
-	if di < 0 {
-		t.Fatalf("output %q has no driver", fnName)
-	}
-	old := nl.Net("hz_old")
-	nl.Instances[di].Output = old
-	sInv, aN, bN := nl.Net("hz_sn"), nl.Net("hz_a"), nl.Net("hz_b")
-	nl.AddInstance("INV", []int{s}, sInv, 0)
-	nl.AddInstance("NAND2", []int{s, old}, aN, 0)
-	nl.AddInstance("NAND2", []int{sInv, old}, bN, 0)
-	nl.AddInstance("NAND2", []int{aN, bN}, z, 0)
+	injectMuxHazard(t, nl, fnName, sVar)
 
 	// The sampling audit is blind to the tamper: every binary point
 	// still computes the specified value.
@@ -228,6 +245,80 @@ search:
 	he := &HazverError{Design: "tamper", Arm: "opt", Diags: errDiags}
 	if he.Circuit() != "tamper.opt" || !strings.Contains(he.Error(), "HZ001") {
 		t.Errorf("HazverError misses the finding: %s", he.Error())
+	}
+}
+
+// TestHazverCatchesTamperedCachedBlob: hazver verifies the netlists the
+// flow ships, not a second synthesis of them. A cached controller blob
+// that decodes cleanly but whose netlist carries the glitching mux of
+// TestHazverInjectedHazard is spliced in without synthesis (so without
+// the sampling audit either), and the hazver gate must fail the arm,
+// naming the function, the burst and the offending net on the wires of
+// the component that ships it.
+func TestHazverCatchesTamperedCachedBlob(t *testing.T) {
+	ctx := context.Background()
+	d, err := designs.ByName("systolic-counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _, err := core.OptimizeOpt(d.Control(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := NewMemoryControllerCache()
+	if _, err := SynthesizeCheckedCtx(ctx, d.Name, "opt", n, techmap.SpeedSplit, &Options{Controllers: ctl}); err != nil {
+		t.Fatalf("seeding run: %v", err)
+	}
+
+	comp := n.Components[0]
+	canon, ok := ch.CanonicalizeProgram(comp)
+	if !ok {
+		t.Fatalf("%s failed to canonicalize", comp.Name)
+	}
+	key := ControllerKey(techmap.SpeedSplit, true, canon.Digest())
+	blob, ok := ctl.GetController(key)
+	if !ok {
+		t.Fatal("seeding run cached no blob for the first component")
+	}
+	e, err := decodeController(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fnName, ti, sVar, ok := stableBurst(e.unit)
+	if !ok {
+		t.Fatal("no stable-at-1 burst with a changing input found to tamper")
+	}
+	injectMuxHazard(t, e.netlist, fnName, sVar)
+	if blob, err = encodeController(e); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeController(blob); err != nil {
+		t.Fatalf("tampered blob must decode cleanly: %v", err)
+	}
+	ctl.PutController(key, blob)
+
+	met := &Metrics{}
+	_, err = SynthesizeCheckedCtx(ctx, d.Name, "opt", n, techmap.SpeedSplit, &Options{Controllers: ctl, Metrics: met})
+	if met.ControllersReused.Load() == 0 || met.ControllersCorrupt.Load() != 0 {
+		t.Fatalf("tampered blob not spliced in: %d reused, %d corrupt", met.ControllersReused.Load(), met.ControllersCorrupt.Load())
+	}
+	var he *HazverError
+	if !errors.As(err, &he) {
+		t.Fatalf("want *HazverError from the tampered blob, got %T: %v", err, err)
+	}
+	rn := map[string]string{}
+	for i, w := range e.wires {
+		rn[w] = canon.Wires[i]
+	}
+	found := false
+	for _, dg := range he.Diags {
+		if dg.Code == "HZ001" && dg.Loc.Fn == rn[fnName] && dg.Loc.Tr == ti &&
+			strings.Contains(dg.Loc.Burst, rn[sVar]) && strings.Contains(dg.Message, "hz_") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no HZ001 at fn %q burst %d naming %q and a tamper net:\n%s", rn[fnName], ti, rn[sVar], he.Error())
 	}
 }
 

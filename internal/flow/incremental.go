@@ -18,6 +18,8 @@ import (
 	"balsabm/internal/ch"
 	"balsabm/internal/core"
 	"balsabm/internal/gates"
+	"balsabm/internal/hazver"
+	"balsabm/internal/hfmin"
 	"balsabm/internal/techmap"
 )
 
@@ -74,22 +76,74 @@ func (c *MemoryControllerCache) Len() int {
 // ControllerKey is the cache key of one controller synthesis: the
 // canonical subtree digest qualified by everything else that affects
 // the synthesized netlist — the mapping mode and whether the hazard
-// audit gates the result. Wire names are deliberately absent: they
-// are exactly what Rename substitutes on reuse, which is how a cached
-// controller crosses designs.
+// audit gates the result — and by the blob format version, so blobs
+// of an older format are misses rather than decode failures. Wire
+// names are deliberately absent: they are exactly what Rename
+// substitutes on reuse, which is how a cached controller crosses
+// designs.
 func ControllerKey(mode techmap.Mode, audit bool, digest string) string {
-	return fmt.Sprintf("ctl|%s|audit=%t|%s", mode, audit, digest)
+	return fmt.Sprintf("ctl|%s|%s|audit=%t|%s", controllerBlobVersion, mode, audit, digest)
 }
+
+// controllerBlobVersion tags the controllerBlob format inside
+// ControllerKey. v2 added the verification provenance.
+const controllerBlobVersion = "v2"
 
 // controllerBlob is the durable form of one synthesized controller:
 // the seeding component's wires in canonical channel order (what
-// WireRenames maps from), its report, and its mapped netlist. The
-// encoding is deterministic, so identical syntheses dedupe in the
-// content-addressed store.
+// WireRenames maps from), its report, its mapped netlist, and the
+// burst provenance hazver verifies that netlist against — so a
+// controller spliced in from the cache is checked exactly as a fresh
+// synthesis would be. A hand-library circuit has no provenance and
+// says so explicitly. The encoding is deterministic (JSON sorts map
+// keys), so identical syntheses dedupe in the content-addressed store.
 type controllerBlob struct {
-	Wires   []string         `json:"wires"`
-	Result  ControllerResult `json:"result"`
-	Netlist json.RawMessage  `json:"netlist"`
+	Wires       []string                    `json:"wires"`
+	Result      ControllerResult            `json:"result"`
+	Netlist     json.RawMessage             `json:"netlist"`
+	HandLibrary bool                        `json:"handLibrary,omitempty"`
+	Vars        []string                    `json:"vars,omitempty"`
+	Outputs     []string                    `json:"outputs,omitempty"`
+	StateBits   int                         `json:"stateBits,omitempty"`
+	Transitions map[string][]blobTransition `json:"transitions,omitempty"`
+}
+
+// blobTransition is one hfmin.Transition with its minterms written as
+// '0'/'1' strings over the controller's Vars.
+type blobTransition struct {
+	Start string `json:"start"`
+	End   string `json:"end"`
+	From  bool   `json:"from"`
+	To    bool   `json:"to"`
+}
+
+func bitString(bits []bool) string {
+	b := make([]byte, len(bits))
+	for i, v := range bits {
+		b[i] = '0'
+		if v {
+			b[i] = '1'
+		}
+	}
+	return string(b)
+}
+
+// parseBits reads a '0'/'1' string of exactly n bits.
+func parseBits(s string, n int) ([]bool, error) {
+	if len(s) != n {
+		return nil, fmt.Errorf("minterm %q has %d bits, want %d", s, len(s), n)
+	}
+	out := make([]bool, n)
+	for i := 0; i < n; i++ {
+		switch s[i] {
+		case '0':
+		case '1':
+			out[i] = true
+		default:
+			return nil, fmt.Errorf("minterm %q is not binary", s)
+		}
+	}
+	return out, nil
 }
 
 // encodeController serializes a cache entry.
@@ -98,12 +152,30 @@ func encodeController(e *synthEntry) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(controllerBlob{Wires: e.wires, Result: e.res, Netlist: nl})
+	b := controllerBlob{Wires: e.wires, Result: e.res, Netlist: nl}
+	u := e.unit
+	if u.Netlist == nil {
+		b.HandLibrary = true
+	} else {
+		b.Vars, b.Outputs, b.StateBits = u.Vars, u.Outputs, u.StateBits
+		b.Transitions = make(map[string][]blobTransition, len(u.Transitions))
+		for fn, trs := range u.Transitions {
+			bt := make([]blobTransition, len(trs))
+			for i, t := range trs {
+				bt[i] = blobTransition{Start: bitString(t.Start), End: bitString(t.End), From: t.From, To: t.To}
+			}
+			b.Transitions[fn] = bt
+		}
+	}
+	return json.Marshal(b)
 }
 
-// decodeController rebuilds a cache entry from its blob. Wire count
-// must match the netlist decode's own validation; a blob that fails
-// either check is treated as a miss by the caller.
+// decodeController rebuilds a cache entry from its blob. Besides the
+// netlist decode's own validation, a minimized controller's blob must
+// carry its verification provenance: variables, and transitions for
+// exactly the functions Outputs + y0..y(StateBits-1), every minterm
+// over all the variables. A blob failing any check is an error; the
+// caller counts it as corrupt and resynthesizes.
 func decodeController(data []byte) (*synthEntry, error) {
 	var b controllerBlob
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -113,7 +185,53 @@ func decodeController(data []byte) (*synthEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &synthEntry{wires: b.Wires, netlist: nl, res: b.Result}, nil
+	e := &synthEntry{wires: b.Wires, netlist: nl, res: b.Result}
+	if b.HandLibrary {
+		if len(b.Vars)+len(b.Outputs)+b.StateBits+len(b.Transitions) > 0 {
+			return nil, fmt.Errorf("flow: decode controller: hand-library blob carries burst provenance")
+		}
+		return e, nil
+	}
+	if len(b.Vars) == 0 {
+		return nil, fmt.Errorf("flow: decode controller: minimized controller lacks its verification provenance")
+	}
+	fns := make(map[string]bool, len(b.Outputs)+b.StateBits)
+	for _, o := range b.Outputs {
+		fns[o] = true
+	}
+	for i := 0; i < b.StateBits; i++ {
+		fns[fmt.Sprintf("y%d", i)] = true
+	}
+	if len(fns) != len(b.Outputs)+b.StateBits || len(b.Transitions) != len(fns) {
+		return nil, fmt.Errorf("flow: decode controller: transitions cover %d functions, want %d outputs + %d state bits",
+			len(b.Transitions), len(b.Outputs), b.StateBits)
+	}
+	trs := make(map[string][]hfmin.Transition, len(b.Transitions))
+	for fn, bts := range b.Transitions {
+		if !fns[fn] {
+			return nil, fmt.Errorf("flow: decode controller: transitions for unknown function %q", fn)
+		}
+		ts := make([]hfmin.Transition, len(bts))
+		for i, bt := range bts {
+			ts[i] = hfmin.Transition{From: bt.From, To: bt.To}
+			if ts[i].Start, err = parseBits(bt.Start, len(b.Vars)); err == nil {
+				ts[i].End, err = parseBits(bt.End, len(b.Vars))
+			}
+			if err != nil {
+				return nil, fmt.Errorf("flow: decode controller: %s: %w", fn, err)
+			}
+		}
+		trs[fn] = ts
+	}
+	e.unit = hazver.Unit{
+		Name:        nl.Name,
+		Vars:        b.Vars,
+		Outputs:     b.Outputs,
+		StateBits:   b.StateBits,
+		Transitions: trs,
+		Netlist:     nl,
+	}
+	return e, nil
 }
 
 // addDerivedRenames extends a wire substitution to the synthesis

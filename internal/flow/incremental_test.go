@@ -2,6 +2,8 @@ package flow
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -188,6 +190,12 @@ func TestIncrementalCorruptBlobFallsThrough(t *testing.T) {
 	if got := met.ControllersResynthesized.Load(); got != 2 {
 		t.Fatalf("resynthesized %d, want 2", got)
 	}
+	if got := met.ControllersCorrupt.Load(); got != 1 {
+		t.Fatalf("corrupt blobs counted %d, want 1", got)
+	}
+	if !strings.Contains(met.String(), "incremental: 0 controllers reused, 2 resynthesized, 1 corrupt\n") {
+		t.Fatalf("-stats misses the corrupt count:\n%s", met.String())
+	}
 	for i := range scratch {
 		if !bytes.Equal(scratch[i], incr[i]) {
 			t.Fatalf("controller %d differs after corrupt-blob fallthrough", i)
@@ -199,6 +207,124 @@ func TestIncrementalCorruptBlobFallsThrough(t *testing.T) {
 	}
 	if _, err := decodeController(blob); err != nil {
 		t.Fatalf("overwritten blob still corrupt: %v", err)
+	}
+}
+
+// A blob that decodes as JSON but does not carry a minimized
+// controller's complete verification provenance is rejected, so the
+// flow counts it as corrupt instead of splicing in a netlist hazver
+// could not check.
+func TestControllerBlobRequiresProvenance(t *testing.T) {
+	ctl := NewMemoryControllerCache()
+	synthAll(t, incrSource, ctl, 0)
+	n := parseIncr(t, incrSource)
+	canon, ok := ch.CanonicalizeProgram(n.Components[0])
+	if !ok {
+		t.Fatal("stage1 failed to canonicalize")
+	}
+	key := ControllerKey(techmap.SpeedSplit, true, canon.Digest())
+	good, _ := ctl.GetController(key)
+	e, err := decodeController(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.unit.Netlist != e.netlist || len(e.unit.Vars) == 0 || len(e.unit.Transitions) != len(e.unit.Outputs)+e.unit.StateBits {
+		t.Fatalf("decoded unit incomplete: %+v", e.unit)
+	}
+	tamper := func(edit func(b map[string]any)) []byte {
+		var b map[string]any
+		if err := json.Unmarshal(good, &b); err != nil {
+			t.Fatal(err)
+		}
+		edit(b)
+		out, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	firstOutput := e.unit.Outputs[0]
+	for name, blob := range map[string][]byte{
+		"no provenance": tamper(func(b map[string]any) {
+			delete(b, "vars")
+			delete(b, "outputs")
+			delete(b, "stateBits")
+			delete(b, "transitions")
+		}),
+		"missing function": tamper(func(b map[string]any) {
+			delete(b["transitions"].(map[string]any), firstOutput)
+		}),
+		"extra state bit":              tamper(func(b map[string]any) { b["stateBits"] = e.unit.StateBits + 1 }),
+		"short minterm":                tamper(func(b map[string]any) { b["vars"] = append(b["vars"].([]any), "extra") }),
+		"hand library with provenance": tamper(func(b map[string]any) { b["handLibrary"] = true }),
+	} {
+		if _, err := decodeController(blob); err == nil {
+			t.Errorf("%s: decode accepted the blob", name)
+		}
+	}
+
+	// Through the flow: a cached blob without provenance is counted as
+	// corrupt and resynthesized, with byte-identical output.
+	ctl.PutController(key, tamper(func(b map[string]any) { delete(b, "transitions") }))
+	scratch, _, _ := synthAll(t, incrSource, nil, 0)
+	incr, _, met := synthAll(t, incrSource, ctl, 0)
+	if met.ControllersCorrupt.Load() != 1 || met.ControllersReused.Load() != 1 || met.ControllersResynthesized.Load() != 1 {
+		t.Fatalf("counters: %d corrupt, %d reused, %d resynthesized; want 1/1/1",
+			met.ControllersCorrupt.Load(), met.ControllersReused.Load(), met.ControllersResynthesized.Load())
+	}
+	for i := range scratch {
+		if !bytes.Equal(scratch[i], incr[i]) {
+			t.Fatalf("controller %d differs after the provenance-less blob", i)
+		}
+	}
+}
+
+// A hand-library controller's blob says so explicitly and carries no
+// provenance; it round-trips to a unit hazver counts as skipped.
+func TestControllerBlobHandLibrary(t *testing.T) {
+	n := parseIncr(t, incrSource)
+	ctl := NewMemoryControllerCache()
+	if _, _, err := SynthesizeNetlist(n, techmap.AreaShared, &Options{Controllers: ctl}); err != nil {
+		t.Fatal(err)
+	}
+	canon, ok := ch.CanonicalizeProgram(n.Components[0])
+	if !ok {
+		t.Fatal("stage1 failed to canonicalize")
+	}
+	blob, ok := ctl.GetController(ControllerKey(techmap.AreaShared, true, canon.Digest()))
+	if !ok {
+		t.Fatal("no baseline blob for stage1")
+	}
+	if !bytes.Contains(blob, []byte(`"handLibrary":true`)) || bytes.Contains(blob, []byte(`"transitions"`)) {
+		t.Fatalf("stage1 is a hand-library sequencer; blob: %s", blob)
+	}
+	e, err := decodeController(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.unit.Netlist != nil {
+		t.Fatalf("hand-library unit carries a netlist to verify: %+v", e.unit)
+	}
+}
+
+// Blobs written under the previous key format (no blob version tag)
+// are never looked up: an old ctlrefs/ entry is a miss, not a decode
+// failure.
+func TestControllerKeyVersionedMiss(t *testing.T) {
+	n := parseIncr(t, incrSource)
+	ctl := NewMemoryControllerCache()
+	for _, comp := range n.Components {
+		canon, ok := ch.CanonicalizeProgram(comp)
+		if !ok {
+			t.Fatalf("%s failed to canonicalize", comp.Name)
+		}
+		oldKey := fmt.Sprintf("ctl|%s|audit=%t|%s", techmap.SpeedSplit, true, canon.Digest())
+		ctl.PutController(oldKey, []byte(`{"wires":[],"result":{},"netlist":{}}`))
+	}
+	_, _, met := synthAll(t, incrSource, ctl, 0)
+	if met.ControllersCorrupt.Load() != 0 || met.ControllersReused.Load() != 0 || met.ControllersResynthesized.Load() != 2 {
+		t.Fatalf("counters: %d corrupt, %d reused, %d resynthesized; want 0/0/2",
+			met.ControllersCorrupt.Load(), met.ControllersReused.Load(), met.ControllersResynthesized.Load())
 	}
 }
 

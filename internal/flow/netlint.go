@@ -86,17 +86,6 @@ func NetlintGate(design, arm string, mapped []*gates.Netlist, lib *cell.Library,
 	return res, nil
 }
 
-// netlintGate is the post-merge gate inside runDesign: after an arm's
-// controllers are mapped, the merged circuit is audited before the
-// (far more expensive) benchmark simulation runs.
-func (r *runner) netlintGate(design, arm string, mapped []*gates.Netlist) (netlint.Stats, error) {
-	res, err := NetlintGate(design, arm, mapped, r.opt.Lib, r.met)
-	if err != nil {
-		return netlint.Stats{}, err
-	}
-	return res.Stats, nil
-}
-
 // NetlintNetlist maps every component of a control netlist (no
 // simulation, no benchmark) and audits each mapped controller plus the
 // merged circuit, naming them "<design>.<arm>.<controller>" and
@@ -105,10 +94,11 @@ func (r *runner) netlintGate(design, arm string, mapped []*gates.Netlist) (netli
 // the netlist first (core.OptimizeOpt) and pass techmap.SpeedSplit.
 func NetlintNetlist(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) ([]netlint.Result, netlint.Result, error) {
 	r := newRunner(ctx, opt)
-	mapped, _, err := r.synthesizeNetlist(n, mode)
+	s, err := r.synthesizeNetlist(n, mode)
 	if err != nil {
 		return nil, netlint.Result{}, err
 	}
+	mapped := s.mapped
 	start := time.Now()
 	ctrls := make([]netlint.Result, 0, len(mapped))
 	for _, nl := range mapped {

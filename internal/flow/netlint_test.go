@@ -122,7 +122,7 @@ func TestNetlintGateAborts(t *testing.T) {
 	nl.AddInstance("BUF", []int{in}, out, 0) // second driver
 
 	r := newRunner(nil, nil)
-	_, err := r.netlintGate("fake", "unopt", []*gates.Netlist{nl})
+	_, err := NetlintGate("fake", "unopt", []*gates.Netlist{nl}, r.opt.Lib, r.met)
 	if err == nil {
 		t.Fatal("want gate error for multiply-driven net")
 	}
@@ -168,10 +168,11 @@ func TestNetlintGateRecordsFindings(t *testing.T) {
 	var streamed []NetlintFinding
 	met.NotifyNetlint(func(f NetlintFinding) { streamed = append(streamed, f) })
 	r := newRunner(nil, &Options{Metrics: met})
-	st, err := r.netlintGate("fake", "opt", []*gates.Netlist{nl})
+	res, err := NetlintGate("fake", "opt", []*gates.Netlist{nl}, r.opt.Lib, r.met)
 	if err != nil {
 		t.Fatalf("warnings must not abort: %v", err)
 	}
+	st := res.Stats
 	if st.Cells != 2 || st.Depth != 1 {
 		t.Errorf("static stats = %+v, want 2 cells depth 1", st)
 	}

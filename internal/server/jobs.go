@@ -212,6 +212,7 @@ type Manager struct {
 	// as balsabmd_incremental_controllers_total{outcome=...}.
 	ctlReused  parallel.Counter
 	ctlResynth parallel.Counter
+	ctlCorrupt parallel.Counter
 }
 
 // NewManager starts a manager with cfg.Workers executor goroutines.
@@ -475,6 +476,7 @@ func (m *Manager) run(j *Job) {
 		m.ckptLoads.Add(j.met.CheckpointLoads.Load())
 		m.ctlReused.Add(j.met.ControllersReused.Load())
 		m.ctlResynth.Add(j.met.ControllersResynthesized.Load())
+		m.ctlCorrupt.Add(j.met.ControllersCorrupt.Load())
 		m.countNetlint(j.met.NetlintFindings(), err)
 		m.countBmlint(j.met.BmlintFindings(), err)
 		m.countHazver(j.met.HazverFindings(), err)
@@ -623,6 +625,7 @@ func (m *Manager) Metrics() *api.MetricsJSON {
 
 		ControllersReused:        m.ctlReused.Load(),
 		ControllersResynthesized: m.ctlResynth.Load(),
+		ControllersCorrupt:       m.ctlCorrupt.Load(),
 	}
 	if m.store != nil {
 		if st, err := m.store.Stats(); err == nil {
@@ -814,16 +817,17 @@ func runSynth(ctx context.Context, n *core.Netlist, mode string, cfg api.FlowCon
 			}
 		}
 	}
-	// Post-compile bmlint gate, mirroring the flow's runDesign: an
-	// ill-formed Burst-Mode spec fails the job before the minimizer
-	// sees it; warnings and the BM200 reports stream to subscribers
-	// and count toward the daemon's per-code totals.
-	if _, err := flow.BmlintGate("synth", mode, n, met); err != nil {
-		return nil, err
-	}
+	// The flow's checked arm: the bmlint gate fails the job on an
+	// ill-formed Burst-Mode spec before the minimizer sees it; every
+	// controller then synthesizes once; the netlint gate fails it on a
+	// miswired merged circuit and the hazver gate on a statically
+	// detectable hazard in the shipped netlists, before any Verilog
+	// ships. Warnings and the BM200/NL200/HZ200 reports stream to
+	// subscribers and count toward the daemon's per-code totals; the
+	// netlint and hazver reports ride on the result.
 	opts := cfg.Options(met)
 	opts.Controllers = ctl
-	mapped, ctrls, err := flow.SynthesizeNetlistCtx(ctx, n, tmMode, opts)
+	c, err := flow.SynthesizeCheckedCtx(ctx, "synth", mode, n, tmMode, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -831,30 +835,11 @@ func runSynth(ctx context.Context, n *core.Netlist, mode string, cfg api.FlowCon
 	if lib == nil {
 		lib = cell.AMS035()
 	}
-	// Post-merge netlint gate, mirroring the flow's runDesign: error
-	// findings fail the job before any Verilog ships; warnings stream
-	// to subscribers and count toward the daemon's per-code totals; the
-	// merged-circuit report (static area/depth included) rides on the
-	// result.
-	nlres, err := flow.NetlintGate("synth", mode, mapped, lib, met)
-	if err != nil {
-		return nil, err
-	}
-	rep := api.NetlintReport(nlres)
-	out.Netlint = &rep
-	// Post-mapping hazver gate, mirroring the flow's runDesign: a
-	// statically detectable hazard on a specified burst fails the job;
-	// warnings stream to subscribers and count toward the daemon's
-	// per-code totals; the verification report rides on the result.
-	hzres, err := flow.HazverGate(ctx, "synth", mode, n, tmMode, opts)
-	if err != nil {
-		return nil, err
-	}
-	hz := api.HazverReport(hzres)
-	out.Hazver = &hz
-	for i, nl := range mapped {
+	nlRep, hzRep := api.NetlintReport(c.Netlint), api.HazverReport(c.Hazver)
+	out.Netlint, out.Hazver = &nlRep, &hzRep
+	for i, nl := range c.Mapped {
 		out.Controllers = append(out.Controllers, api.SynthControllerJSON{
-			Controller: api.FromControllerResult(ctrls[i]),
+			Controller: api.FromControllerResult(c.Controllers[i]),
 			Verilog:    techmap.VerilogModules(nl, lib),
 		})
 	}
@@ -919,10 +904,11 @@ func RunNetlint(ctx context.Context, req api.NetlintRequest) (*api.NetlintResult
 	return api.NetlintResult(mode, ctrls, merged), nil
 }
 
-// RunHazver synthesizes a submitted design without simulation, maps
-// each distinct controller shape in the requested arm's mode, and
-// statically verifies the mapped logic hazard-free on every specified
-// burst by two-pass ternary evaluation. Unlike the job-queue gate,
+// RunHazver synthesizes a submitted design without simulation in the
+// requested arm's mode and statically verifies the shipped logic of
+// each distinct controller shape hazard-free on every specified burst
+// by two-pass ternary evaluation (hand-library circuits are reported
+// skipped). Unlike the job-queue gate,
 // error findings do not fail the request — the report is the product.
 // Both the POST /api/v1/hazver handler and the local `balsabm hazver`
 // path call this one function, so the two answer byte-identical

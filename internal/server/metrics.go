@@ -53,10 +53,11 @@ func PrometheusText(m *api.MetricsJSON) string {
 	line("# TYPE balsabmd_store_misses_total counter")
 	line("balsabmd_store_misses_total %d", m.StoreMisses)
 
-	line("# HELP balsabmd_incremental_controllers_total Controller syntheses by outcome (reused = spliced from the controller-grain artifact cache, resynthesized = computed afresh and written back).")
+	line("# HELP balsabmd_incremental_controllers_total Controller syntheses by outcome (reused = spliced from the controller-grain artifact cache, resynthesized = computed afresh and written back, corrupt = a cached blob that failed to decode and was resynthesized).")
 	line("# TYPE balsabmd_incremental_controllers_total counter")
 	line("balsabmd_incremental_controllers_total{outcome=%q} %d", "resynthesized", m.ControllersResynthesized)
 	line("balsabmd_incremental_controllers_total{outcome=%q} %d", "reused", m.ControllersReused)
+	line("balsabmd_incremental_controllers_total{outcome=%q} %d", "corrupt", m.ControllersCorrupt)
 
 	line("# HELP balsabmd_jobs_resumed_total Jobs re-enqueued from the journal at boot.")
 	line("# TYPE balsabmd_jobs_resumed_total counter")

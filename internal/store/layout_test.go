@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -114,6 +116,49 @@ func TestControllerCorruptionHealsToMiss(t *testing.T) {
 	s.PutController("ctl|k", blob)
 	if got, ok := s.GetController("ctl|k"); !ok || !bytes.Equal(got, blob) {
 		t.Fatalf("after re-put: %q/%v", got, ok)
+	}
+}
+
+// Concurrent puts of byte-different blobs under one controller key —
+// two jobs that missed the same shape, seeded by differently named
+// wires — leave exactly one artifact: the first writer wins and no
+// blob is orphaned. A ref whose blob is gone is still overwritten.
+func TestPutControllerFirstWriterWins(t *testing.T) {
+	s := openTemp(t, 0)
+	const writers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s.PutController("ctl|shared", []byte(fmt.Sprintf("seeded by writer %d\n", i)))
+		}(i)
+	}
+	wg.Wait()
+	first, ok := s.GetController("ctl|shared")
+	if !ok {
+		t.Fatal("no blob under the shared key")
+	}
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Artifacts != 1 || st.ControllerRefs != 1 {
+		t.Fatalf("stats = %+v, want 1 artifact / 1 controller ref (no orphaned blobs)", st)
+	}
+	s.PutController("ctl|shared", []byte("late writer\n"))
+	if got, _ := s.GetController("ctl|shared"); !bytes.Equal(got, first) {
+		t.Fatalf("late put replaced the first blob: %q", got)
+	}
+
+	// Dangling ref: its blob vanished without a GC pass.
+	if err := os.Remove(s.blobPath(contentHash(first))); err != nil {
+		t.Fatal(err)
+	}
+	repl := []byte("replacement\n")
+	s.PutController("ctl|shared", repl)
+	if got, ok := s.GetController("ctl|shared"); !ok || !bytes.Equal(got, repl) {
+		t.Fatalf("dangling ref not overwritten: %q/%v", got, ok)
 	}
 }
 

@@ -60,6 +60,11 @@ type Store struct {
 	blobSize int64       // running total of artifact bytes
 
 	corrupt int64 // artifacts that failed read-back verification
+
+	// ctlMu serializes PutController's check-then-write, so the first
+	// writer of a controller key wins. It is separate from mu because
+	// a put may run GC, which takes mu.
+	ctlMu sync.Mutex
 }
 
 // LayoutVersion is the on-disk format number the package reads and
@@ -292,12 +297,27 @@ func (s *Store) GetResult(key string) ([]byte, error) {
 }
 
 // PutController stores one synthesized controller blob under its
-// canonical subtree key (see flow.ControllerKey). Best-effort, like a
-// checkpoint save: a failed write costs one resynthesis on the next
-// run, never correctness — so errors are swallowed and the signature
-// satisfies flow.ControllerCache directly.
+// canonical subtree key (see flow.ControllerKey). The first writer
+// wins: when the key's ref already resolves to a present blob the put
+// is skipped. Two jobs that miss the same key concurrently synthesize
+// equivalent controllers whose blobs still differ byte for byte (the
+// seeding component's wire names differ), and a second ref write would
+// orphan the first blob. A dangling ref is overwritten. Best-effort,
+// like a checkpoint save: a failed write costs one resynthesis on the
+// next run, never correctness — so errors are swallowed and the
+// signature satisfies flow.ControllerCache directly.
 func (s *Store) PutController(key string, blob []byte) {
-	_, _ = s.putBlob(s.ctlRefPath(key), blob)
+	s.ctlMu.Lock()
+	defer s.ctlMu.Unlock()
+	refPath := s.ctlRefPath(key)
+	if ref, err := os.ReadFile(refPath); err == nil {
+		if ch := strings.TrimSpace(string(ref)); len(ch) == sha256.Size*2 {
+			if _, err := os.Stat(s.blobPath(ch)); err == nil {
+				return
+			}
+		}
+	}
+	_, _ = s.putBlob(refPath, blob)
 }
 
 // GetController looks a canonical controller subtree key up in the
