@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -60,24 +61,43 @@ func TestTable3Shape(t *testing.T) {
 // engine: with cheap enumeration nodes and the lifted budget, every
 // controller of every Table 3 design minimizes through the exact
 // covering path — no greedy fallback anywhere in the published rows.
+// It also pins the minimizer's work at two worker counts: the prime
+// enumeration's node total changes with any change to its traversal,
+// and the covering step never needs to branch.
 func TestTable3Exact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full four-design flow")
 	}
-	results, err := RunAll(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		for _, arm := range []struct {
-			name string
-			res  ArmResult
-		}{{"unopt", r.Unopt}, {"opt", r.Opt}} {
-			for _, c := range arm.res.Controllers {
-				if !c.Exact {
-					t.Errorf("%s/%s: controller %s fell back to greedy minimization",
-						r.Design, arm.name, c.Name)
+	for _, workers := range []int{1, 4} {
+		var m Metrics
+		results, err := RunAllCtx(context.Background(), &Options{Workers: workers, Metrics: &m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			for _, arm := range []struct {
+				name string
+				res  ArmResult
+			}{{"unopt", r.Unopt}, {"opt", r.Opt}} {
+				for _, c := range arm.res.Controllers {
+					if !c.Exact {
+						t.Errorf("-j %d: %s/%s: controller %s fell back to greedy minimization",
+							workers, r.Design, arm.name, c.Name)
+					}
 				}
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"EnumNodes", m.EnumNodes.Load(), 160781},
+			{"MinimizeExact", m.MinimizeExact.Load(), 104},
+			{"MinimizeGreedy", m.MinimizeGreedy.Load(), 0},
+			{"BranchNodes", m.BranchNodes.Load(), 0},
+		} {
+			if c.got != c.want {
+				t.Errorf("-j %d: %s = %d, want %d", workers, c.name, c.got, c.want)
 			}
 		}
 	}

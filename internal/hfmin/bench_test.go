@@ -28,20 +28,30 @@ func benchProblem(n int) *Problem {
 }
 
 // BenchmarkDHFPrimes measures the prime enumeration alone: every
-// required cube of the instance expanded to its maximal dhf-implicants.
+// required cube of the instance expanded to its maximal dhf-implicants,
+// on the synthetic sequencer chains and on the Table 3 function whose
+// seed yields the most enumeration leaves.
 func BenchmarkDHFPrimes(b *testing.B) {
+	type benchCase struct {
+		name string
+		p    *Problem
+	}
+	var cases []benchCase
 	for _, n := range []int{10, 14, 18} {
-		p := benchProblem(n)
-		_, off, required, priv, err := p.sets()
+		cases = append(cases, benchCase{fmt.Sprintf("vars%d", n), benchProblem(n)})
+	}
+	cases = append(cases, benchCase{"stack-most-leaves", loadProblem(b, "stack-most-leaves.hfp")})
+	for _, c := range cases {
+		_, off, required, priv, err := c.p.sets()
 		if err != nil {
 			b.Fatal(err)
 		}
-		mat := newProblemMat(p.Vars, off, priv)
+		mat := newProblemMat(c.p.Vars, off, priv)
 		seeds := make([]logic.PackedCube, len(required))
 		for i, r := range required {
 			seeds[i] = mat.sp.Pack(r)
 		}
-		b.Run(fmt.Sprintf("vars%d", n), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, s := range seeds {

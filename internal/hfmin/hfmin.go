@@ -28,6 +28,7 @@ package hfmin
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -163,11 +164,26 @@ type packedPriv struct {
 }
 
 // problemMat is the packed OFF-set / privileged-cube matrix every
-// dhf-implicant test scans.
+// dhf-implicant test scans, plus the mask enumeration's scratch state.
+// A problemMat belongs to one Minimize call, which enumerates its seeds
+// one after another on one goroutine, so the scratch is never shared.
 type problemMat struct {
 	sp   *logic.Space
 	off  []logic.PackedCube
 	priv []packedPriv
+	enum maskScratch
+}
+
+// maskScratch is the per-seed state of dhfPrimesMask, reset for each
+// seed so one Minimize allocates it once.
+type maskScratch struct {
+	offConf, privConf, privDist []uint64
+	seen                        maskSet
+	leaves                      []uint64
+	// Scratch of maximalMasks.
+	order []int32
+	kept  []uint64
+	keep  []bool
 }
 
 func newProblemMat(vars int, off logic.Cover, priv []privileged) *problemMat {
@@ -177,6 +193,9 @@ func newProblemMat(vars int, off logic.Cover, priv []privileged) *problemMat {
 	for i, pv := range priv {
 		m.priv[i] = packedPriv{cube: sp.Pack(pv.cube), start: sp.PointWords(pv.start)}
 	}
+	m.enum.offConf = make([]uint64, len(off))
+	m.enum.privConf = make([]uint64, len(priv))
+	m.enum.privDist = make([]uint64, len(priv))
 	return m
 }
 
@@ -244,12 +263,13 @@ func (m *problemMat) dhfPrimes(seed logic.PackedCube) (out []logic.PackedCube, n
 // OFF conflict, conf ⊄ S since S is feasible; for a privileged pair,
 // D ⊆ S would contradict D ⊄ U, hence P ⊄ S), so the branch set is
 // complete and every dhf-prime surfaces as a leaf. Leaves are feasible
-// by construction and filtered for pairwise maximality at the end;
+// by construction and filtered for maximality at the end (maximalMasks);
 // the tree size tracks the number of primes, not the subset count.
 func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []logic.PackedCube, nodes int64, exact bool) {
 	k := len(spec)
-	offConf := make([]uint64, 0, len(m.off))
-	for _, o := range m.off {
+	sc := &m.enum
+	offConf, privConf, privDist := sc.offConf, sc.privConf, sc.privDist
+	for oi, o := range m.off {
 		var conf uint64
 		for i, v := range spec {
 			ol := o.Lit(v)
@@ -257,10 +277,10 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 				conf |= 1 << uint(i)
 			}
 		}
-		offConf = append(offConf, conf)
+		offConf[oi] = conf
 	}
-	privConf := make([]uint64, len(m.priv))
-	privDist := make([]uint64, len(m.priv))
+	clear(privConf)
+	clear(privDist)
 	for pi := range m.priv {
 		for i, v := range spec {
 			pl := m.priv[pi].cube.Lit(v)
@@ -291,22 +311,19 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 	if k < 64 {
 		full = 1<<uint(k) - 1
 	}
-	var leaves []uint64
-	seen := map[uint64]struct{}{}
+	leaves := sc.leaves[:0]
+	seen := &sc.seen
+	seen.reset()
 	overflow := false
 	var walk func(ex uint64)
 	walk = func(ex uint64) {
-		if overflow {
-			return
-		}
-		if _, dup := seen[ex]; dup {
+		if overflow || !seen.add(ex) {
 			return
 		}
 		if nodes++; nodes > EnumBudget {
 			overflow = true
 			return
 		}
-		seen[ex] = struct{}{}
 		// A constraint is violated at the candidate U = full∖ex when
 		// its conflict set avoids ex entirely (conf ⊆ U) and, for a
 		// privileged pair, a start-distance literal is pinned (D ⊄ U).
@@ -364,19 +381,10 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 			}
 		}
 	}
+	sc.leaves = leaves
 	// Distinct exclusion sets can close on nested candidates; keep only
 	// the maximal masks (the true dhf-primes).
-	for _, s := range leaves {
-		maximal := true
-		for _, t := range leaves {
-			if s != t && s&^t == 0 {
-				maximal = false
-				break
-			}
-		}
-		if !maximal {
-			continue
-		}
+	for _, s := range sc.maximalMasks(leaves) {
 		c := seed.Clone()
 		for i := 0; i < k; i++ {
 			if s>>uint(i)&1 != 0 {
@@ -386,6 +394,123 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 		out = append(out, c)
 	}
 	return out, nodes, !overflow
+}
+
+// maximalMasks keeps the masks no other mask strictly contains, in
+// their original order, compacting masks in place. The masks must be
+// distinct, so a strict superset has a larger popcount: visiting the
+// masks from the largest popcount down (a counting sort), a mask is
+// dropped iff an already-kept mask of larger popcount contains it — a
+// dropped container lies inside a kept one. That is O(L·P) for L masks
+// and P maximal ones, instead of the all-pairs O(L²).
+func (sc *maskScratch) maximalMasks(masks []uint64) []uint64 {
+	// Bucket b holds popcount 64-b, so ascending buckets run from the
+	// largest popcount down; start[b] is where bucket b begins.
+	var start [66]int32
+	for _, s := range masks {
+		start[64-bits.OnesCount64(s)+1]++
+	}
+	for p := 1; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	if cap(sc.order) < len(masks) {
+		sc.order = make([]int32, len(masks))
+		sc.keep = make([]bool, len(masks))
+	}
+	order, keep := sc.order[:len(masks)], sc.keep[:len(masks)]
+	for i, s := range masks {
+		b := 64 - bits.OnesCount64(s)
+		order[start[b]] = int32(i)
+		start[b]++
+	}
+	kept := sc.kept[:0]
+	larger, prevPop := 0, -1
+	for _, i := range order {
+		s := masks[i]
+		if pop := bits.OnesCount64(s); pop != prevPop {
+			larger, prevPop = len(kept), pop
+		}
+		keep[i] = true
+		for _, t := range kept[:larger] {
+			if s&^t == 0 {
+				keep[i] = false
+				break
+			}
+		}
+		if keep[i] {
+			kept = append(kept, s)
+		}
+	}
+	sc.kept = kept
+	out := masks[:0]
+	for i, s := range masks {
+		if keep[i] {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// maskSet is a set of uint64 masks: open addressing with linear
+// probing over a power-of-two table of keys, where 0 marks an empty
+// slot and key 0 itself is a flag. reset empties it but keeps the
+// table.
+type maskSet struct {
+	slots   []uint64
+	shift   uint // 64 - log2(len(slots))
+	n       int  // nonzero keys stored
+	hasZero bool
+}
+
+// reset empties the set.
+func (s *maskSet) reset() {
+	if s.n > 0 {
+		clear(s.slots)
+	}
+	s.n, s.hasZero = 0, false
+}
+
+// add inserts k and reports whether it was absent.
+func (s *maskSet) add(k uint64) bool {
+	if k == 0 {
+		added := !s.hasZero
+		s.hasZero = true
+		return added
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := s.slot(k); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return false
+		case 0:
+			s.slots[i] = k
+			s.n++
+			return true
+		}
+	}
+}
+
+// slot is k's home slot: Fibonacci hashing, taking the product's top
+// bits, so masks differing only in high bits still spread.
+func (s *maskSet) slot(k uint64) uint64 {
+	return k * 0x9e3779b97f4a7c15 >> s.shift
+}
+
+// grow doubles the table (to 64 slots at first) and reinserts the keys.
+func (s *maskSet) grow() {
+	old := s.slots
+	size := max(64, 2*len(old))
+	s.slots = make([]uint64, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.n = 0
+	for _, k := range old {
+		if k != 0 {
+			s.add(k)
+		}
+	}
 }
 
 // dhfPrimesWide is the generic path for seeds with more than 64

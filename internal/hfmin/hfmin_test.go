@@ -1,7 +1,15 @@
 package hfmin
 
 import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"balsabm/internal/logic"
@@ -230,15 +238,7 @@ func TestResultExactAndCounters(t *testing.T) {
 // maximal ones, and require the constraint-branching enumeration to
 // return exactly that set.
 func TestDHFPrimesOracle(t *testing.T) {
-	problems := []*Problem{
-		benchProblem(10),
-		benchProblem(12),
-		{Vars: 3, Transitions: []Transition{
-			{Start: pt(1, 1, 1), End: pt(0, 0, 1), From: true, To: false},
-			{Start: pt(0, 0, 0), End: pt(1, 1, 0), From: false, To: false},
-		}},
-	}
-	for pi, p := range problems {
+	for pi, p := range oracleProblems() {
 		_, off, required, priv, err := p.sets()
 		if err != nil {
 			t.Fatal(err)
@@ -309,6 +309,19 @@ func TestDHFPrimesOracle(t *testing.T) {
 	}
 }
 
+// oracleProblems are the instances small enough for the brute-force
+// oracle of TestDHFPrimesOracle.
+func oracleProblems() []*Problem {
+	return []*Problem{
+		benchProblem(10),
+		benchProblem(12),
+		{Vars: 3, Transitions: []Transition{
+			{Start: pt(1, 1, 1), End: pt(0, 0, 1), From: true, To: false},
+			{Start: pt(0, 0, 0), End: pt(1, 1, 0), From: false, To: false},
+		}},
+	}
+}
+
 func TestFormatPLA(t *testing.T) {
 	out := FormatPLA("f", []string{"a", "b"}, logic.Cover{mustCube(t, "1-")})
 	for _, want := range []string{".ob f", ".i 2", ".ilb a b", ".p 1", "1- 1", ".e"} {
@@ -325,4 +338,436 @@ func mustCube(t *testing.T, s string) logic.Cube {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// loadProblem reads a Problem frozen as text under testdata/: '#'
+// comment lines, a "vars N" line, an optional "names ..." line, then
+// one transition per line as "<start> <end> <from><to>" in 0/1 digits.
+func loadProblem(tb testing.TB, name string) *Problem {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bitsOf := func(s string) []bool {
+		out := make([]bool, len(s))
+		for i := range s {
+			out[i] = s[i] == '1'
+		}
+		return out
+	}
+	p := &Problem{}
+	for ln, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0 || strings.HasPrefix(f[0], "#"):
+		case f[0] == "vars" && len(f) == 2:
+			if p.Vars, err = strconv.Atoi(f[1]); err != nil {
+				tb.Fatalf("%s:%d: %v", name, ln+1, err)
+			}
+		case f[0] == "names":
+			p.Names = f[1:]
+		case len(f) == 3 && len(f[2]) == 2:
+			p.Transitions = append(p.Transitions, Transition{
+				Start: bitsOf(f[0]), End: bitsOf(f[1]), From: f[2][0] == '1', To: f[2][1] == '1'})
+		default:
+			tb.Fatalf("%s:%d: malformed line %q", name, ln+1, line)
+		}
+	}
+	return p
+}
+
+// randomProblems returns n seeded random instances that pass the
+// specification consistency check: short bursts between random points,
+// with random start and end values.
+func randomProblems(seed int64, n int) []*Problem {
+	rng := rand.New(rand.NewSource(seed))
+	var out []*Problem
+	for len(out) < n {
+		vars := 3 + rng.Intn(14)
+		if rng.Intn(25) == 0 {
+			vars = 64
+		}
+		p := &Problem{Vars: vars}
+		for i := 1 + rng.Intn(8); i > 0; i-- {
+			a := make([]bool, vars)
+			for v := range a {
+				a[v] = rng.Intn(2) == 0
+			}
+			b := append([]bool(nil), a...)
+			for j := 1 + rng.Intn(3); j > 0; j-- {
+				v := rng.Intn(vars)
+				b[v] = !b[v]
+			}
+			p.Transitions = append(p.Transitions, Transition{
+				Start: a, End: b, From: rng.Intn(2) == 0, To: rng.Intn(2) == 0})
+		}
+		if _, _, required, _, err := p.sets(); err == nil && len(required) > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// dhfPrimesMask must return exactly what the original map-memoized,
+// quadratically filtered enumeration (dhfPrimesMaskRef) returned: the
+// same primes in the same order, the same node count and the same
+// exactness, seed by seed. The flow's byte-identity rests on the order,
+// which TestDHFPrimesOracle (a set comparison) does not pin.
+func TestDHFPrimesMaskMatchesReference(t *testing.T) {
+	type named struct {
+		name string
+		p    *Problem
+	}
+	var problems []named
+	for n := 10; n <= 18; n++ {
+		problems = append(problems, named{fmt.Sprintf("benchProblem(%d)", n), benchProblem(n)})
+	}
+	for i, p := range oracleProblems() {
+		problems = append(problems, named{fmt.Sprintf("oracle %d", i), p})
+	}
+	for _, f := range []string{"stack-most-leaves.hfp", "corpus-over-budget.hfp"} {
+		problems = append(problems, named{f, loadProblem(t, f)})
+	}
+	for i, p := range randomProblems(1, 100) {
+		problems = append(problems, named{fmt.Sprintf("random %d", i), p})
+	}
+	// A 64-literal seed with no constraint: the root is a leaf, and its
+	// mask is ^uint64(0).
+	x := make([]bool, 64)
+	problems = append(problems, named{"unconstrained 64-literal point", &Problem{Vars: 64,
+		Transitions: []Transition{{Start: x, End: x, From: true, To: true}}}})
+
+	seeds, overBudget := 0, map[string]int{}
+	for _, np := range problems {
+		_, off, required, priv, err := np.p.sets()
+		if err != nil {
+			t.Fatalf("%s: %v", np.name, err)
+		}
+		mat := newProblemMat(np.p.Vars, off, priv)
+		for _, r := range required {
+			seed := mat.sp.Pack(r)
+			var spec []int
+			for v := 0; v < np.p.Vars; v++ {
+				if r[v] != logic.DC {
+					spec = append(spec, v)
+				}
+			}
+			want, wantNodes, wantExact := mat.dhfPrimesMaskRef(seed, spec)
+			got, gotNodes, gotExact := mat.dhfPrimesMask(seed, spec)
+			seeds++
+			if !wantExact {
+				overBudget[np.name]++
+			}
+			if gotNodes != wantNodes || gotExact != wantExact {
+				t.Errorf("%s seed %s: nodes/exact %d/%v, reference %d/%v",
+					np.name, r, gotNodes, gotExact, wantNodes, wantExact)
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s seed %s: %d primes, reference %d", np.name, r, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Errorf("%s seed %s: prime %d is %s, reference %s",
+						np.name, r, i, mat.sp.Unpack(got[i]), mat.sp.Unpack(want[i]))
+					break
+				}
+			}
+		}
+	}
+	if overBudget["corpus-over-budget.hfp"] == 0 {
+		t.Error("no seed of corpus-over-budget.hfp overran EnumBudget; the greedy fallback went untested")
+	}
+	t.Logf("%d seeds, over budget: %v", seeds, overBudget)
+}
+
+// maskSet agrees with a map on random inserts across several resizes,
+// including keys 0 and ^0, and starts empty again after reset.
+func TestMaskSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pool := []uint64{0, ^uint64(0), 1, 1 << 63}
+	for i := 0; i < 6000; i++ {
+		switch i % 3 {
+		case 0:
+			pool = append(pool, rng.Uint64())
+		case 1:
+			pool = append(pool, uint64(rng.Intn(1<<12))) // low bits only
+		default:
+			pool = append(pool, uint64(rng.Intn(1<<12))<<52) // high bits only
+		}
+	}
+	var s maskSet
+	for round, inserts := range []int{30000, 50, 8000} {
+		s.reset()
+		ref := map[uint64]bool{}
+		for i := 0; i < inserts; i++ {
+			k := pool[rng.Intn(len(pool))]
+			if got, want := s.add(k), !ref[k]; got != want {
+				t.Fatalf("round %d: add(%#x) = %v, map says %v", round, k, got, want)
+			}
+			ref[k] = true
+		}
+		for k := range ref {
+			if s.add(k) {
+				t.Fatalf("round %d: %#x lost", round, k)
+			}
+		}
+		size := s.n
+		if s.hasZero {
+			size++
+		}
+		if size != len(ref) {
+			t.Fatalf("round %d: set holds %d keys, map %d", round, size, len(ref))
+		}
+	}
+}
+
+// maximalMasksRef is the all-pairs maximality filter maximalMasks
+// replaced.
+func maximalMasksRef(masks []uint64) []uint64 {
+	var out []uint64
+	for _, s := range masks {
+		maximal := true
+		for _, t := range masks {
+			if s != t && s&^t == 0 {
+				maximal = false
+				break
+			}
+		}
+		if maximal {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// maximalMasks agrees with the quadratic filter, order included, on
+// random distinct mask sets, nested chains and many-way popcount ties.
+func TestMaximalMasksMatchesQuadratic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var sc maskScratch
+	check := func(name string, masks []uint64) {
+		t.Helper()
+		seen := map[uint64]bool{}
+		distinct := masks[:0]
+		for _, s := range masks {
+			if !seen[s] {
+				seen[s] = true
+				distinct = append(distinct, s)
+			}
+		}
+		rng.Shuffle(len(distinct), func(i, j int) { distinct[i], distinct[j] = distinct[j], distinct[i] })
+		want := maximalMasksRef(distinct)
+		got := sc.maximalMasks(append([]uint64(nil), distinct...))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: got %x, want %x", name, got, want)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		width := []uint{4, 8, 16, 64}[trial%4]
+		var random []uint64
+		for i := rng.Intn(300); i > 0; i-- {
+			s := rng.Uint64()
+			if width < 64 {
+				s &= 1<<width - 1
+			}
+			random = append(random, s)
+		}
+		check(fmt.Sprintf("random width %d", width), random)
+
+		// Nested chains: each mask sets one more random bit.
+		var chains []uint64
+		for c := rng.Intn(5); c >= 0; c-- {
+			var s uint64
+			for i := rng.Intn(64); i > 0; i-- {
+				s |= 1 << uint(rng.Intn(64))
+				chains = append(chains, s)
+			}
+		}
+		check("nested chains", chains)
+	}
+	// Many-way ties: all 70 four-bit subsets of 8 bits are maximal;
+	// their two-bit subsets and the empty mask are not.
+	var ties []uint64
+	for s := uint64(0); s < 256; s++ {
+		if n := bits.OnesCount64(s); n == 4 || n == 2 || n == 0 {
+			ties = append(ties, s)
+		}
+	}
+	check("ties", ties)
+	check("full and empty", []uint64{0, ^uint64(0), 1 << 63})
+	check("empty set", nil)
+}
+
+// Minimize keeps its enumeration scratch on a problemMat private to
+// the call, so concurrent calls on one shared Problem must each return
+// the serial result. Run under -race.
+func TestMinimizeConcurrent(t *testing.T) {
+	for _, p := range []*Problem{loadProblem(t, "stack-most-leaves.hfp"), benchProblem(14)} {
+		want, err := p.Minimize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := p.Minimize()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent Minimize: %+v, serial %+v", got, want)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// dhfPrimesMaskRef is the original dhfPrimesMask, kept verbatim as the
+// reference TestDHFPrimesMaskMatchesReference pins the rewrite to.
+func (m *problemMat) dhfPrimesMaskRef(seed logic.PackedCube, spec []int) (out []logic.PackedCube, nodes int64, exact bool) {
+	k := len(spec)
+	offConf := make([]uint64, 0, len(m.off))
+	for _, o := range m.off {
+		var conf uint64
+		for i, v := range spec {
+			ol := o.Lit(v)
+			if ol != logic.DC && ol != seed.Lit(v) {
+				conf |= 1 << uint(i)
+			}
+		}
+		offConf = append(offConf, conf)
+	}
+	privConf := make([]uint64, len(m.priv))
+	privDist := make([]uint64, len(m.priv))
+	for pi := range m.priv {
+		for i, v := range spec {
+			pl := m.priv[pi].cube.Lit(v)
+			if pl != logic.DC && pl != seed.Lit(v) {
+				privConf[pi] |= 1 << uint(i)
+			}
+			startOne := m.priv[pi].start[v>>6]>>uint(v&63)&1 != 0
+			if (seed.Lit(v) == logic.One) != startOne {
+				privDist[pi] |= 1 << uint(i)
+			}
+		}
+	}
+	feasible := func(s uint64) bool {
+		for _, conf := range offConf {
+			if conf&^s == 0 {
+				return false
+			}
+		}
+		for i := range privConf {
+			if privConf[i]&^s == 0 && privDist[i]&^s != 0 {
+				return false
+			}
+		}
+		return true
+	}
+
+	full := ^uint64(0)
+	if k < 64 {
+		full = 1<<uint(k) - 1
+	}
+	var leaves []uint64
+	seen := map[uint64]struct{}{}
+	overflow := false
+	var walk func(ex uint64)
+	walk = func(ex uint64) {
+		if overflow {
+			return
+		}
+		if _, dup := seen[ex]; dup {
+			return
+		}
+		if nodes++; nodes > EnumBudget {
+			overflow = true
+			return
+		}
+		seen[ex] = struct{}{}
+		// A constraint is violated at the candidate U = full∖ex when
+		// its conflict set avoids ex entirely (conf ⊆ U) and, for a
+		// privileged pair, a start-distance literal is pinned (D ⊄ U).
+		// Branch on the first violation; an empty witness set (conf or
+		// P already empty) prunes the node — no feasible set survives.
+		for _, conf := range offConf {
+			if conf&ex == 0 {
+				for b := conf; b != 0; b &= b - 1 {
+					walk(ex | b&-b)
+				}
+				return
+			}
+		}
+		for i := range privConf {
+			if privConf[i]&ex == 0 && privDist[i]&ex != 0 {
+				for b := privConf[i]; b != 0; b &= b - 1 {
+					walk(ex | b&-b)
+				}
+				return
+			}
+		}
+		leaves = append(leaves, full&^ex)
+	}
+	walk(0)
+	if overflow {
+		// Greedy maximal expansions guarantee candidates even when the
+		// exact enumeration is truncated.
+		for _, dir := range []int{1, -1} {
+			var s uint64
+			for changed := true; changed; {
+				changed = false
+				for j := 0; j < k; j++ {
+					i := j
+					if dir < 0 {
+						i = k - 1 - j
+					}
+					if s>>uint(i)&1 != 0 {
+						continue
+					}
+					if feasible(s | 1<<uint(i)) {
+						s |= 1 << uint(i)
+						changed = true
+					}
+				}
+			}
+			dup := false
+			for _, u := range leaves {
+				if u == s {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				leaves = append(leaves, s)
+			}
+		}
+	}
+	// Distinct exclusion sets can close on nested candidates; keep only
+	// the maximal masks (the true dhf-primes).
+	for _, s := range leaves {
+		maximal := true
+		for _, t := range leaves {
+			if s != t && s&^t == 0 {
+				maximal = false
+				break
+			}
+		}
+		if !maximal {
+			continue
+		}
+		c := seed.Clone()
+		for i := 0; i < k; i++ {
+			if s>>uint(i)&1 != 0 {
+				c.FreeLit(spec[i])
+			}
+		}
+		out = append(out, c)
+	}
+	return out, nodes, !overflow
 }
