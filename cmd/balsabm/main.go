@@ -13,8 +13,7 @@
 //	balsabm verify            Section 4.3 conformance experiment
 //	balsabm flow <design>     detailed per-controller flow report
 //	balsabm lint [file...]    run the chlint analyzer on CH source files
-//	                          (no files: lint every built-in design);
-//	                          -lint is an equivalent flag spelling.
+//	                          (no files: lint every built-in design).
 //	                          Exit status 1 when errors are reported.
 //	balsabm bmlint [file...]  compile CH control netlists to Burst-Mode
 //	                          specifications and run the bmlint analyzer
@@ -22,12 +21,12 @@
 //	                          directly as specs); no files: audit every
 //	                          built-in design, both arms. Exit status 1
 //	                          on BM-errors.
-//	balsabm netlint [file...] synthesize CH control netlists (optimized
-//	                          arm, no simulation) and run the netlint
+//	balsabm netlint [file...] synthesize CH control netlists (no
+//	                          simulation) in the arm named by -mode
+//	                          (default opt) and run the netlint
 //	                          structural audit on every mapped controller
 //	                          plus the merged circuit; no files: audit
-//	                          every built-in design, both arms. -netlint
-//	                          is an equivalent flag spelling. Exit
+//	                          every built-in design, both arms. Exit
 //	                          status 1 on NL-errors.
 //	balsabm hazver [file...]  synthesize CH control netlists and run the
 //	                          hazver static hazard verification: every
@@ -45,8 +44,7 @@
 //	                          netlint, hazver) on built-in designs; one
 //	                          summary line per design (-json: the
 //	                          api.AuditResultJSON wire form with
-//	                          per-checker counts). -audit is an
-//	                          equivalent flag spelling. Exit status 1 on
+//	                          per-checker counts). Exit status 1 on
 //	                          failures.
 //	balsabm synth <file.ch>   synthesize a CH control netlist (no
 //	                          simulation): clustering + speed-split
@@ -81,12 +79,20 @@
 //	          identical at any setting.
 //	-stats    after flow runs, print synthesis-cache hit/miss counts
 //	          and per-stage wall-clock totals to stderr
-//	-json     emit machine-readable JSON instead of tables (table3,
-//	          flow); the encoding is byte-identical to the balsabmd
-//	          server responses (shared internal/api encoder)
+//	-json     emit the machine-readable JSON wire form instead of text
+//	          (table3, flow, synth, cache and the checker commands lint
+//	          through audit); the encoding is byte-identical to the
+//	          balsabmd server responses (shared internal/api encoder)
 //	-server URL
-//	          thin-client mode: run table3/flow on a balsabmd daemon
-//	          at URL instead of in process
+//	          thin-client mode: run table3, flow, synth and the file
+//	          forms of lint, bmlint, netlint and hazver on a balsabmd
+//	          daemon at URL instead of in process. The built-in-design
+//	          forms of the checkers and audit run in process only and
+//	          reject -server.
+//	-mode opt|unopt
+//	          the arm synth, netlint and hazver synthesize files in:
+//	          opt (clustering + speed-split mapping, the default) or
+//	          unopt (the baseline)
 //	-incremental
 //	          attach the controller-grain synthesis cache to flow runs
 //	          (synth, table3, flow, audit): controllers whose canonical
@@ -114,6 +120,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -143,11 +150,8 @@ import (
 var (
 	workersFlag = flag.Int("j", 0, "parallel workers (0 = all CPU cores)")
 	statsFlag   = flag.Bool("stats", false, "print cache and timing statistics after flow runs")
-	jsonFlag    = flag.Bool("json", false, "emit JSON results (table3, flow, lint)")
-	serverFlag  = flag.String("server", "", "run table3/flow/lint on a balsabmd daemon at this URL")
-	lintFlag    = flag.Bool("lint", false, "lint CH source files (same as the lint subcommand)")
-	netlintFlag = flag.Bool("netlint", false, "structurally audit synthesized netlists (same as the netlint subcommand)")
-	auditFlag   = flag.Bool("audit", false, "run the full static audit stack (same as the audit subcommand)")
+	jsonFlag    = flag.Bool("json", false, "emit the JSON wire form instead of text")
+	serverFlag  = flag.String("server", "", "run table3, flow, synth and file checks on a balsabmd daemon at this URL")
 	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile  = flag.String("memprofile", "", "write an allocation profile (taken at exit) to this file")
 
@@ -250,7 +254,7 @@ func printStats(met *flow.Metrics) {
 func main() {
 	flag.Usage = usage
 	flag.Parse()
-	if flag.NArg() < 1 && !*lintFlag && !*netlintFlag && !*auditFlag {
+	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
 	}
@@ -262,14 +266,6 @@ func main() {
 	defer stop()
 	cmd := flag.Arg(0)
 	args := flag.Args()[1:]
-	switch {
-	case *lintFlag:
-		cmd, args = "lint", flag.Args()
-	case *netlintFlag:
-		cmd, args = "netlint", flag.Args()
-	case *auditFlag:
-		cmd, args = "audit", flag.Args()
-	}
 	var err error
 	switch cmd {
 	case "table1":
@@ -428,9 +424,9 @@ func synthCmd(ctx context.Context, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: balsabm synth <file.ch>")
 	}
-	mode := *modeFlag
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return fmt.Errorf("synth: unknown mode %q (want opt or unopt)", mode)
+	mode, err := armMode("synth")
+	if err != nil {
+		return err
 	}
 	data, err := os.ReadFile(args[0])
 	if err != nil {
@@ -507,58 +503,76 @@ func emitSynth(s *api.SynthResultJSON) error {
 	return nil
 }
 
-// errLintFindings reports that lint printed error diagnostics; main
-// exits 1 without the generic error banner.
+// errLintFindings reports that a checker printed error diagnostics;
+// main exits 1 without the generic error banner.
 var errLintFindings = errors.New("lint found errors")
 
-// lintCmd runs the chlint analyzer. With file arguments it lints each
-// CH source file; with none it lints the control netlists of every
-// built-in design. -json emits the api wire form (one object for a
-// single file — byte-identical to POST /api/v1/lint — or a list);
-// -server delegates the analysis to a balsabmd daemon. Exit status is
-// 1 when any error-severity diagnostic is reported.
-func lintCmd(ctx context.Context, args []string) error {
-	var results []*api.LintResultJSON
+// checkResult is one checker's answer for one input as the check
+// commands print it: the api result of a tier, or an auditReport.
+type checkResult interface {
+	// Failed reports an error-severity finding.
+	Failed() bool
+	// Text renders the result for the terminal, one diagnostic per line.
+	Text() string
+}
+
+// checkCmd is the one path behind the lint, bmlint, netlint and hazver
+// subcommands. Each file argument becomes a request (see request) for
+// the tier's server.Checker, answered in process by the function behind
+// the daemon endpoint or, with -server, by the daemon — so -json output
+// is byte-identical either way. With no arguments builtin checks the
+// built-in designs, in process only: -server is then a usage error.
+func checkCmd[Req any, Res checkResult](ctx context.Context, c server.Checker[Req, Res], args []string, request func(file, src string) Req, builtin func() ([]checkResult, error)) error {
 	if len(args) == 0 {
-		for _, d := range designs.All() {
-			results = append(results, api.LintResult(d.Name, analysis.Analyze(d.Control())))
+		if *serverFlag != "" {
+			return fmt.Errorf("usage: balsabm -server URL %s <file>... (the built-in designs are checked in process only)", c.Name)
 		}
+		results, err := builtin()
+		if err != nil {
+			return err
+		}
+		return emitChecks(results)
 	}
+	var results []checkResult
 	for _, file := range args {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			return err
 		}
-		var res *api.LintResultJSON
+		req := request(file, string(data))
+		var res Res
 		if *serverFlag != "" {
-			res, err = server.NewClient(*serverFlag).Lint(ctx, api.LintRequest{Source: string(data), File: file})
-			if err != nil {
-				return err
-			}
+			res, err = c.Call(ctx, server.NewClient(*serverFlag), req)
 		} else {
-			res = api.LintResult(file, analysis.LintSource(string(data)))
+			res, err = c.Run(ctx, req)
+		}
+		if err != nil {
+			return err
 		}
 		results = append(results, res)
 	}
+	return emitChecks(results)
+}
+
+// emitChecks prints checker results — -json: the wire form, one object
+// for a single result and a list otherwise; text: each result's lines —
+// and returns errLintFindings when any result failed.
+func emitChecks(results []checkResult) error {
 	failed := false
 	for _, res := range results {
-		if res.Errors > 0 {
-			failed = true
-		}
+		failed = failed || res.Failed()
 	}
 	if *jsonFlag {
+		var v any = results
 		if len(results) == 1 {
-			if err := emitJSON(results[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(results); err != nil {
+			v = results[0]
+		}
+		if err := emitJSON(v); err != nil {
 			return err
 		}
 	} else {
 		for _, res := range results {
-			for _, d := range res.Diags {
-				fmt.Println(renderDiagJSON(res.File, d))
-			}
+			fmt.Print(res.Text())
 		}
 	}
 	if failed {
@@ -567,449 +581,153 @@ func lintCmd(ctx context.Context, args []string) error {
 	return nil
 }
 
-// renderDiagJSON renders a wire-form diagnostic in the analyzer's
-// vet-style text form (remote results arrive as JSON, so the text
-// renderer on analysis.Diag is out of reach).
-func renderDiagJSON(file string, d api.DiagJSON) string {
-	var sb strings.Builder
-	if file != "" {
-		sb.WriteString(file)
-		sb.WriteString(":")
+// designArms checks both arms of every built-in design, unopt and then
+// opt (clustered), through check: the no-argument form of bmlint,
+// netlint and hazver.
+func designArms(ctx context.Context, check func(design, arm string, n *core.Netlist, mode techmap.Mode) (checkResult, error)) ([]checkResult, error) {
+	var results []checkResult
+	for _, d := range designs.All() {
+		for _, arm := range []string{api.ModeUnopt, api.ModeOpt} {
+			n, mode, err := flow.PrepareArm(ctx, d.Control(), arm, core.Options{Workers: *workersFlag})
+			if err != nil {
+				return nil, err
+			}
+			res, err := check(d.Name, arm, n, mode)
+			if err != nil {
+				return nil, err
+			}
+			results = append(results, res)
+		}
 	}
-	if d.Line > 0 {
-		fmt.Fprintf(&sb, "%d:%d:", d.Line, d.Col)
+	return results, nil
+}
+
+// armMode validates -mode for the commands that synthesize one arm.
+func armMode(cmd string) (string, error) {
+	if m := *modeFlag; m != api.ModeOpt && m != api.ModeUnopt {
+		return "", fmt.Errorf("%s: unknown mode %q (want opt or unopt)", cmd, m)
 	}
-	if sb.Len() > 0 {
-		sb.WriteString(" ")
-	}
-	fmt.Fprintf(&sb, "%s: %s: %s", d.Severity, d.Code, d.Message)
-	for _, n := range d.Notes {
-		sb.WriteString("\n\t")
-		sb.WriteString(n)
-	}
-	return sb.String()
+	return *modeFlag, nil
+}
+
+// fileDesign names a design after its source file: "dir/pair.ch" is
+// "pair".
+func fileDesign(file string) string {
+	return strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
+}
+
+// lintCmd runs the chlint analyzer on CH source files, or on the
+// control netlists of every built-in design.
+func lintCmd(ctx context.Context, args []string) error {
+	return checkCmd(ctx, server.Lint, args,
+		func(file, src string) api.LintRequest { return api.LintRequest{Source: src, File: file} },
+		func() ([]checkResult, error) {
+			var results []checkResult
+			for _, d := range designs.All() {
+				results = append(results, api.LintResult(d.Name, analysis.Analyze(d.Control())))
+			}
+			return results, nil
+		})
 }
 
 // bmlintCmd compiles CH control netlists to Burst-Mode specifications
 // and runs the bmlint analyzer on each component spec; files ending in
-// .bms are linted directly as specs. Local runs call the same
-// server.RunBmlint the daemon's POST /api/v1/bmlint handler uses, and
-// -server delegates to a daemon, so -json output is byte-identical
-// either way. With no arguments it audits every built-in design, both
-// arms. Exit status is 1 when any error-severity BMxxx finding is
-// reported.
+// .bms are linted directly as specs. With no arguments it audits every
+// built-in design, both arms.
 func bmlintCmd(ctx context.Context, args []string) error {
-	if len(args) == 0 {
-		return bmlintDesigns(ctx)
-	}
-	var results []*api.BmlintResultJSON
-	for _, file := range args {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		name := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		req := api.BmlintRequest{Source: string(data), Name: name}
-		if filepath.Ext(file) == ".bms" {
-			req.Format = api.FormatBMS
-		}
-		var res *api.BmlintResultJSON
-		if *serverFlag != "" {
-			res, err = server.NewClient(*serverFlag).Bmlint(ctx, req)
-		} else {
-			res, err = server.RunBmlint(ctx, req)
-		}
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-	}
-	return emitBmlint(results)
-}
-
-// bmlintDesigns audits the built-in designs, both arms, locally.
-func bmlintDesigns(ctx context.Context) error {
-	var results []*api.BmlintResultJSON
-	for _, d := range designs.All() {
-		for _, arm := range []string{"unopt", "opt"} {
-			n := d.Control()
-			if arm == "opt" {
-				var err error
-				n, _, err = core.OptimizeOpt(n, core.Options{Workers: *workersFlag, Ctx: ctx})
+	return checkCmd(ctx, server.Bmlint, args,
+		func(file, src string) api.BmlintRequest {
+			req := api.BmlintRequest{Source: src, Name: fileDesign(file)}
+			if filepath.Ext(file) == ".bms" {
+				req.Format = api.FormatBMS
+			}
+			return req
+		},
+		func() ([]checkResult, error) {
+			return designArms(ctx, func(design, arm string, n *core.Netlist, _ techmap.Mode) (checkResult, error) {
+				specs, err := flow.BmlintNetlist(n)
 				if err != nil {
-					return err
+					return nil, err
 				}
-			}
-			specs, err := flow.BmlintNetlist(n)
-			if err != nil {
-				return err
-			}
-			res := api.BmlintResult(specs)
-			res.Design, res.Mode = d.Name, arm
-			results = append(results, res)
-		}
-	}
-	return emitBmlint(results)
+				res := api.BmlintResult(specs)
+				res.Design, res.Mode = design, arm
+				return res, nil
+			})
+		})
 }
 
-// emitBmlint prints bmlint results (-json: the wire form; otherwise
-// vet-style diagnostics) and returns errLintFindings on BM-errors.
-func emitBmlint(results []*api.BmlintResultJSON) error {
-	failed := false
-	for _, res := range results {
-		for _, rep := range res.Specs {
-			if rep.Errors > 0 {
-				failed = true
-			}
-		}
-	}
-	if *jsonFlag {
-		if len(results) == 1 {
-			if err := emitJSON(results[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(results); err != nil {
-			return err
-		}
-	} else {
-		for _, res := range results {
-			for _, rep := range res.Specs {
-				unit := rep.Spec
-				if res.Design != "" {
-					unit = res.Design + "." + res.Mode + "." + rep.Spec
-				}
-				for _, d := range rep.Diags {
-					fmt.Println(renderBmlintDiagJSON(unit, d))
-				}
-			}
-		}
-	}
-	if failed {
-		return errLintFindings
-	}
-	return nil
-}
-
-// renderBmlintDiagJSON renders a wire-form spec diagnostic in bmlint's
-// vet-style text form (remote results arrive as JSON, so the text
-// renderer on bmlint.Diag is out of reach).
-func renderBmlintDiagJSON(spec string, d api.BmlintDiagJSON) string {
-	var sb strings.Builder
-	if spec != "" {
-		sb.WriteString(spec)
-		sb.WriteString(":")
-	}
-	var loc []string
-	if d.Arc >= 0 {
-		loc = append(loc, fmt.Sprintf("arc %d (%s)", d.Arc, d.ArcText))
-	} else if d.State >= 0 {
-		loc = append(loc, fmt.Sprintf("state %d", d.State))
-	}
-	if d.Sig != "" {
-		loc = append(loc, fmt.Sprintf("signal %q", d.Sig))
-	}
-	if len(loc) > 0 {
-		if sb.Len() > 0 {
-			sb.WriteString(" ")
-		}
-		sb.WriteString(strings.Join(loc, " "))
-		sb.WriteString(":")
-	}
-	if sb.Len() > 0 {
-		sb.WriteString(" ")
-	}
-	fmt.Fprintf(&sb, "%s: %s: %s", d.Severity, d.Code, d.Message)
-	for _, n := range d.Notes {
-		sb.WriteString("\n\t")
-		sb.WriteString(n)
-	}
-	return sb.String()
-}
-
-// netlintCmd synthesizes designs (no simulation) and runs the netlint
-// structural audit. With file arguments each file is a CH control
-// netlist, synthesized through the optimized arm (clustering +
-// speed-split mapping, matching the POST /api/v1/netlint default) —
-// locally via the same server.RunNetlint the daemon uses, or remotely
-// with -server, so -json output is byte-identical either way. With no
-// arguments it audits every built-in design, both arms. Exit status is
-// 1 when any error-severity NLxxx finding is reported.
+// netlintCmd synthesizes CH control netlists (no simulation) in the arm
+// -mode names and runs the netlint structural audit on every mapped
+// controller plus the merged circuit. With no arguments it audits every
+// built-in design, both arms.
 func netlintCmd(ctx context.Context, args []string) error {
-	if len(args) == 0 {
-		return netlintDesigns(ctx)
+	mode, err := armMode("netlint")
+	if err != nil {
+		return err
 	}
-	var results []*api.NetlintResultJSON
-	for _, file := range args {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		name := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		req := api.NetlintRequest{
-			Source: string(data), Name: name,
-			Config: api.FlowConfig{Workers: *workersFlag},
-		}
-		var res *api.NetlintResultJSON
-		if *serverFlag != "" {
-			res, err = server.NewClient(*serverFlag).Netlint(ctx, req)
-		} else {
-			res, err = server.RunNetlint(ctx, req)
-		}
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-	}
-	return emitNetlint(results)
-}
-
-// netlintDesigns audits the built-in designs, both arms, locally.
-func netlintDesigns(ctx context.Context) error {
-	opt, met := flowOptions()
-	defer printStats(met)
-	var results []*api.NetlintResultJSON
-	for _, d := range designs.All() {
-		for _, arm := range []string{"unopt", "opt"} {
-			n := d.Control()
-			mode := techmap.AreaShared
-			if arm == "opt" {
-				var err error
-				n, _, err = core.OptimizeOpt(n, core.Options{Workers: *workersFlag, Ctx: ctx})
+	return checkCmd(ctx, server.Netlint, args,
+		func(file, src string) api.NetlintRequest {
+			return api.NetlintRequest{Source: src, Name: fileDesign(file), Mode: mode, Config: api.FlowConfig{Workers: *workersFlag}}
+		},
+		func() ([]checkResult, error) {
+			opt, met := flowOptions()
+			defer printStats(met)
+			return designArms(ctx, func(design, arm string, n *core.Netlist, tm techmap.Mode) (checkResult, error) {
+				ctrls, merged, err := flow.NetlintNetlist(ctx, design, arm, n, tm, opt)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				mode = techmap.SpeedSplit
-			}
-			ctrls, merged, err := flow.NetlintNetlist(ctx, d.Name, arm, n, mode, opt)
-			if err != nil {
-				return err
-			}
-			results = append(results, api.NetlintResult(arm, ctrls, merged))
-		}
-	}
-	return emitNetlint(results)
+				return api.NetlintResult(arm, ctrls, merged), nil
+			})
+		})
 }
 
-// emitNetlint prints netlint results (-json: the wire form; otherwise
-// vet-style diagnostics) and returns errLintFindings on NL-errors.
-func emitNetlint(results []*api.NetlintResultJSON) error {
-	failed := false
-	for _, res := range results {
-		reports := append(append([]api.NetlintReportJSON{}, res.Controllers...), res.Merged)
-		for _, rep := range reports {
-			if rep.Errors > 0 {
-				failed = true
-			}
-		}
-	}
-	if *jsonFlag {
-		if len(results) == 1 {
-			if err := emitJSON(results[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(results); err != nil {
-			return err
-		}
-	} else {
-		for _, res := range results {
-			for _, rep := range append(append([]api.NetlintReportJSON{}, res.Controllers...), res.Merged) {
-				for _, d := range rep.Diags {
-					fmt.Println(renderNetlintDiagJSON(rep.Circuit, d))
-				}
-			}
-		}
-	}
-	if failed {
-		return errLintFindings
-	}
-	return nil
-}
-
-// renderNetlintDiagJSON renders a wire-form netlist diagnostic in
-// netlint's vet-style text form (remote results arrive as JSON, so the
-// text renderer on netlint.Diag is out of reach).
-func renderNetlintDiagJSON(circuit string, d api.NetlintDiagJSON) string {
-	var sb strings.Builder
-	if circuit != "" {
-		sb.WriteString(circuit)
-		sb.WriteString(":")
-	}
-	var loc []string
-	if d.Inst >= 0 {
-		loc = append(loc, fmt.Sprintf("g%d(%s)", d.Inst, d.Cell))
-	}
-	if d.Net >= 0 {
-		loc = append(loc, fmt.Sprintf("net %q", d.Name))
-	}
-	if len(loc) > 0 {
-		if sb.Len() > 0 {
-			sb.WriteString(" ")
-		}
-		sb.WriteString(strings.Join(loc, " "))
-		sb.WriteString(":")
-	}
-	if sb.Len() > 0 {
-		sb.WriteString(" ")
-	}
-	fmt.Fprintf(&sb, "%s: %s: %s", d.Severity, d.Code, d.Message)
-	for _, n := range d.Notes {
-		sb.WriteString("\n\t")
-		sb.WriteString(n)
-	}
-	return sb.String()
-}
-
-// hazverCmd synthesizes designs (no simulation) and runs the hazver
-// static hazard verification on the merged mapped circuits. With file
-// arguments each file is a CH control netlist, verified through the
-// arm named by -mode (default opt: clustering + speed-split mapping,
-// matching the POST /api/v1/hazver default) — locally via the same
-// server.RunHazver the daemon uses, or remotely with -server, so
-// -json output is byte-identical either way. With no arguments it
-// verifies every built-in design, both arms. Exit status is 1 when
-// any error-severity HZxxx finding is reported.
+// hazverCmd synthesizes CH control netlists (no simulation) in the arm
+// -mode names and statically verifies every specified input burst of
+// every shipped synthesized controller by ternary analysis of the
+// merged circuit. With no arguments it verifies every built-in design,
+// both arms.
 func hazverCmd(ctx context.Context, args []string) error {
-	if len(args) == 0 {
-		return hazverDesigns(ctx)
+	mode, err := armMode("hazver")
+	if err != nil {
+		return err
 	}
-	mode := *modeFlag
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return fmt.Errorf("hazver: unknown mode %q (want opt or unopt)", mode)
-	}
-	var results []*api.HazverResultJSON
-	for _, file := range args {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		name := strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
-		req := api.HazverRequest{
-			Source: string(data), Name: name, Mode: mode,
-			Config: api.FlowConfig{Workers: *workersFlag},
-		}
-		var res *api.HazverResultJSON
-		if *serverFlag != "" {
-			res, err = server.NewClient(*serverFlag).Hazver(ctx, req)
-		} else {
-			res, err = server.RunHazver(ctx, req)
-		}
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-	}
-	return emitHazver(results)
-}
-
-// hazverDesigns verifies the built-in designs, both arms, locally.
-func hazverDesigns(ctx context.Context) error {
-	opt, met := flowOptions()
-	defer printStats(met)
-	var results []*api.HazverResultJSON
-	for _, d := range designs.All() {
-		for _, arm := range []string{"unopt", "opt"} {
-			n := d.Control()
-			mode := techmap.AreaShared
-			if arm == "opt" {
-				var err error
-				n, _, err = core.OptimizeOpt(n, core.Options{Workers: *workersFlag, Ctx: ctx})
+	return checkCmd(ctx, server.Hazver, args,
+		func(file, src string) api.HazverRequest {
+			return api.HazverRequest{Source: src, Name: fileDesign(file), Mode: mode, Config: api.FlowConfig{Workers: *workersFlag}}
+		},
+		func() ([]checkResult, error) {
+			opt, met := flowOptions()
+			defer printStats(met)
+			return designArms(ctx, func(design, arm string, n *core.Netlist, tm techmap.Mode) (checkResult, error) {
+				res, err := flow.HazverNetlist(ctx, design, arm, n, tm, opt)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				mode = techmap.SpeedSplit
-			}
-			res, err := flow.HazverNetlist(ctx, d.Name, arm, n, mode, opt)
-			if err != nil {
-				return err
-			}
-			results = append(results, api.HazverResult(arm, res))
-		}
-	}
-	return emitHazver(results)
-}
-
-// emitHazver prints hazver results (-json: the wire form; otherwise
-// vet-style diagnostics plus one stats line per circuit) and returns
-// errLintFindings on HZ-errors.
-func emitHazver(results []*api.HazverResultJSON) error {
-	failed := false
-	for _, res := range results {
-		if res.Report.Errors > 0 {
-			failed = true
-		}
-	}
-	if *jsonFlag {
-		if len(results) == 1 {
-			if err := emitJSON(results[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(results); err != nil {
-			return err
-		}
-	} else {
-		for _, res := range results {
-			for _, d := range res.Report.Diags {
-				fmt.Println(renderHazverDiagJSON(res.Report.Circuit, d))
-			}
-		}
-	}
-	if failed {
-		return errLintFindings
-	}
-	return nil
-}
-
-// renderHazverDiagJSON renders a wire-form hazard diagnostic in
-// hazver's vet-style text form (remote results arrive as JSON, so the
-// text renderer on hazver.Diag is out of reach).
-func renderHazverDiagJSON(circuit string, d api.HazverDiagJSON) string {
-	var sb strings.Builder
-	if circuit != "" {
-		sb.WriteString(circuit)
-		sb.WriteString(":")
-	}
-	if d.Fn != "" {
-		if sb.Len() > 0 {
-			sb.WriteString(" ")
-		}
-		if d.Tr < 0 {
-			fmt.Fprintf(&sb, "fn %q:", d.Fn)
-		} else {
-			fmt.Fprintf(&sb, "fn %q burst %d (%s):", d.Fn, d.Tr, d.Burst)
-		}
-	}
-	if sb.Len() > 0 {
-		sb.WriteString(" ")
-	}
-	fmt.Fprintf(&sb, "%s: %s: %s", d.Severity, d.Code, d.Message)
-	for _, n := range d.Notes {
-		sb.WriteString("\n\t")
-		sb.WriteString(n)
-	}
-	return sb.String()
+				return api.HazverResult(arm, res), nil
+			})
+		})
 }
 
 // auditCmd runs the unified static audit stack on built-in designs
-// (all of them, or the named ones): chlint, Burst-Mode spec checks,
-// hazard-free cover re-verification, the speed-split mapped-logic
-// audit, netlint on every controller and merged circuit, and the
-// hazver static hazard verification of every specified burst. One
-// summary line per design; failing designs additionally print their
-// error and warning findings. -json instead emits one
-// api.AuditResultJSON per design with machine-readable per-checker
-// error/warning/checked counts.
+// (all of them, or the named ones), in process only: chlint,
+// Burst-Mode spec checks, hazard-free cover re-verification, the
+// speed-split mapped-logic audit, netlint on every controller and
+// merged circuit, and hazver on every specified burst.
 func auditCmd(ctx context.Context, args []string) error {
-	all := args
-	if len(all) == 0 {
+	if *serverFlag != "" {
+		return fmt.Errorf("usage: balsabm audit [design...] (audits run in process only; drop -server)")
+	}
+	names := args
+	if len(names) == 0 {
 		for _, d := range designs.All() {
-			all = append(all, d.Name)
+			names = append(names, d.Name)
 		}
 	}
 	opt, met := flowOptions()
 	defer printStats(met)
-	failed := false
-	var audits []*api.AuditResultJSON
-	for _, name := range all {
+	var results []checkResult
+	for _, name := range names {
 		d, err := designs.ByName(name)
 		if err != nil {
 			return err
@@ -1018,31 +736,27 @@ func auditCmd(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if *jsonFlag {
-			audits = append(audits, api.FromAuditResult(a))
-		} else {
-			fmt.Println(a.Summary())
-			if !a.OK() {
-				fmt.Print(a.Details())
-			}
-		}
-		if !a.OK() {
-			failed = true
-		}
+		results = append(results, auditReport{a})
 	}
-	if *jsonFlag {
-		if len(audits) == 1 {
-			if err := emitJSON(audits[0]); err != nil {
-				return err
-			}
-		} else if err := emitJSON(audits); err != nil {
-			return err
-		}
+	return emitChecks(results)
+}
+
+// auditReport puts a design audit on the check emit path: its text is
+// the summary line, followed by the error and warning findings of a
+// failing audit; its JSON is the api.AuditResultJSON wire form.
+type auditReport struct{ *flow.AuditResult }
+
+func (a auditReport) Failed() bool { return !a.OK() }
+
+func (a auditReport) Text() string {
+	if a.OK() {
+		return a.Summary() + "\n"
 	}
-	if failed {
-		return errLintFindings
-	}
-	return nil
+	return a.Summary() + "\n" + a.Details()
+}
+
+func (a auditReport) MarshalJSON() ([]byte, error) {
+	return json.Marshal(api.FromAuditResult(a.AuditResult))
 }
 
 func table1() error {

@@ -1,0 +1,179 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"balsabm/internal/server"
+)
+
+var update = flag.Bool("update", false, "rewrite the goldens in testdata/ from the current binary")
+
+// balsabm is the command under test, built once by TestMain.
+var balsabm string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	dir, err := os.MkdirTemp("", "balsabm-cli")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	balsabm = filepath.Join(dir, "balsabm")
+	if out, err := exec.Command("go", "build", "-o", balsabm, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building balsabm: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// run executes the command from the repository root, so file arguments
+// read as they do in the README, and returns its stdout, stderr and
+// exit status.
+func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(balsabm, args...)
+	cmd.Dir = filepath.Join("..", "..")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			t.Fatalf("balsabm %s: %v", strings.Join(args, " "), err)
+		}
+		code = ee.ExitCode()
+	}
+	return out.String(), errOut.String(), code
+}
+
+// TestGoldens pins the stdout and exit status of the checker commands:
+// the built-in designs as text and -json, and one file per tier.
+func TestGoldens(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+		code   int
+	}{
+		{"lint", []string{"lint"}, 0},
+		{"lint-json", []string{"-json", "lint"}, 0},
+		{"bmlint", []string{"bmlint"}, 0},
+		{"bmlint-json", []string{"-json", "bmlint"}, 0},
+		{"netlint", []string{"netlint"}, 0},
+		{"netlint-json", []string{"-json", "netlint"}, 0},
+		{"hazver", []string{"hazver"}, 0},
+		{"hazver-json", []string{"-json", "hazver"}, 0},
+		{"audit", []string{"audit"}, 0},
+		{"audit-json", []string{"-json", "audit"}, 0},
+		{"lint-table1", []string{"lint", "examples/lint/table1.ch"}, 1},
+		{"lint-table1-json", []string{"-json", "lint", "examples/lint/table1.ch"}, 1},
+		{"bmlint-bms", []string{"bmlint", "cmd/balsabm/testdata/pulse.bms"}, 0},
+		{"bmlint-bms-json", []string{"-json", "bmlint", "cmd/balsabm/testdata/pulse.bms"}, 0},
+		{"netlint-file", []string{"netlint", "cmd/balsabm/testdata/pair.ch"}, 0},
+		{"netlint-file-json", []string{"-json", "netlint", "cmd/balsabm/testdata/pair.ch"}, 0},
+		{"hazver-file", []string{"hazver", "cmd/balsabm/testdata/pair.ch"}, 0},
+		{"hazver-file-json", []string{"-json", "hazver", "cmd/balsabm/testdata/pair.ch"}, 0},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.golden, func(t *testing.T) {
+			t.Parallel()
+			out, stderr, code := run(t, c.args...)
+			if code != c.code {
+				t.Errorf("exit status %d, want %d; stderr:\n%s", code, c.code, stderr)
+			}
+			path := filepath.Join("testdata", c.golden+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(want) {
+				t.Errorf("stdout differs from %s:\n--- got ---\n%s--- want ---\n%s", path, out, want)
+			}
+		})
+	}
+}
+
+// TestRemoteMatchesLocal: the file form of every checker prints the same
+// bytes and exits the same way against a daemon as in process.
+func TestRemoteMatchesLocal(t *testing.T) {
+	s := server.New(server.Config{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer func() {
+		hs.Close()
+		s.Close()
+	}()
+	for _, args := range [][]string{
+		{"lint", "examples/lint/table1.ch"},
+		{"bmlint", "cmd/balsabm/testdata/pulse.bms", "cmd/balsabm/testdata/pair.ch"},
+		{"netlint", "cmd/balsabm/testdata/pair.ch"},
+		{"-mode", "unopt", "hazver", "cmd/balsabm/testdata/pair.ch"},
+	} {
+		for _, form := range [][]string{nil, {"-json"}} {
+			local := append(append([]string{}, form...), args...)
+			remote := append([]string{"-server", hs.URL}, local...)
+			lout, _, lcode := run(t, local...)
+			rout, rerr, rcode := run(t, remote...)
+			if rout != lout || rcode != lcode {
+				t.Errorf("balsabm %s: remote (exit %d) differs from local (exit %d):\n--- remote ---\n%s%s--- local ---\n%s",
+					strings.Join(local, " "), rcode, lcode, rout, rerr, lout)
+			}
+		}
+	}
+}
+
+// TestServerFlagNeedsFiles: -server runs file checks on a daemon; the
+// built-in-design forms and audit refuse it with a usage error instead
+// of silently running locally.
+func TestServerFlagNeedsFiles(t *testing.T) {
+	for _, args := range [][]string{{"lint"}, {"bmlint"}, {"netlint"}, {"hazver"}, {"audit"}, {"audit", "stack"}} {
+		out, stderr, code := run(t, append([]string{"-server", "http://127.0.0.1:1"}, args...)...)
+		if code != 1 || out != "" || !strings.Contains(stderr, "usage:") {
+			t.Errorf("balsabm -server URL %s: exit %d, stdout %q, stderr %q; want exit 1 with a usage error",
+				strings.Join(args, " "), code, out, stderr)
+		}
+	}
+}
+
+// TestNetlintMode: netlint synthesizes the arm -mode names, as hazver
+// does, and rejects an unknown one.
+func TestNetlintMode(t *testing.T) {
+	out, stderr, code := run(t, "-mode", "unopt", "-json", "netlint", "cmd/balsabm/testdata/pair.ch")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{`"mode": "unopt"`, `"circuit": "pair.unopt"`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %s:\n%s", want, out)
+		}
+	}
+	_, stderr, code = run(t, "-mode", "fastest", "netlint", "cmd/balsabm/testdata/pair.ch")
+	if code != 1 || !strings.Contains(stderr, `unknown mode "fastest"`) {
+		t.Errorf("-mode fastest: exit %d, stderr %q; want exit 1 naming the mode", code, stderr)
+	}
+}
+
+// TestCheckerFlagSpellingsGone: the subcommands are the only spelling of
+// lint, netlint and audit.
+func TestCheckerFlagSpellingsGone(t *testing.T) {
+	for _, f := range []string{"-lint", "-netlint", "-audit"} {
+		if _, _, code := run(t, f, "examples/lint/clean.ch"); code != 2 {
+			t.Errorf("balsabm %s: exit %d, want 2 (undefined flag)", f, code)
+		}
+	}
+}

@@ -12,10 +12,13 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"balsabm/internal/analysis"
 	"balsabm/internal/bmlint"
+	"balsabm/internal/ch"
 	"balsabm/internal/core"
+	"balsabm/internal/diag"
 	"balsabm/internal/flow"
 	"balsabm/internal/hazver"
 	"balsabm/internal/netlint"
@@ -296,6 +299,31 @@ type Event struct {
 	Hazver *HazverDiagJSON `json:"hazver,omitempty"`
 }
 
+// FindingEvent is the "lint" progress event of one checker-gate
+// finding: the tier's wire diagnostic, tagged with the spec or circuit
+// it was found in.
+func FindingEvent(f flow.Finding) Event {
+	ev := Event{Type: "lint"}
+	switch d := f.Diag.(type) {
+	case analysis.Diag:
+		w := FromDiag(d)
+		ev.Lint = &w
+	case bmlint.Diag:
+		w := FromBmlintDiag(d)
+		w.Spec = f.Unit()
+		ev.Bmlint = &w
+	case netlint.Diag:
+		w := FromNetlintDiag(d)
+		w.Circuit = f.Unit()
+		ev.Netlint = &w
+	case hazver.Diag:
+		w := FromHazverDiag(d)
+		w.Circuit = f.Unit()
+		ev.Hazver = &w
+	}
+	return ev
+}
+
 // StageJSON is one pipeline stage's cumulative counters.
 type StageJSON struct {
 	Count       int64 `json:"count"`
@@ -359,6 +387,20 @@ type MetricsJSON struct {
 	// HZxxx code across every flow the daemon ran (also exported as
 	// balsabmd_hazver_diags_total{code=...}).
 	HazverDiags map[string]int64 `json:"hazverDiags,omitempty"`
+}
+
+// TierDiags returns the per-code counter map the snapshot carries for a
+// checker tier, or nil for a tier the daemon does not count (chlint).
+func (m *MetricsJSON) TierDiags(tier string) *map[string]int64 {
+	switch tier {
+	case flow.TierBmlint:
+		return &m.BmlintDiags
+	case flow.TierHazver:
+		return &m.HazverDiags
+	case flow.TierNetlint:
+		return &m.NetlintDiags
+	}
+	return nil
 }
 
 // StoreStatsJSON summarizes the daemon's on-disk artifact store
@@ -490,6 +532,21 @@ func (d *DesignResultJSON) ToFlow() *flow.DesignResult {
 	}
 }
 
+// wireDiag is a wire-form diagnostic that converts back to its tier's
+// Diag.
+type wireDiag[L diag.Loc] interface{ ToDiag() diag.Diag[L] }
+
+// formatDiags renders wire-form diagnostics vet-style, one per line:
+// converted back to the tier's Diag, they print through diag.Format, so
+// a result fetched from a daemon reads exactly like a local one.
+func formatDiags[L diag.Loc, W wireDiag[L]](ds []W, unit string) string {
+	out := make([]diag.Diag[L], len(ds))
+	for i, d := range ds {
+		out[i] = d.ToDiag()
+	}
+	return diag.Format(out, unit)
+}
+
 // LintRequest is the body of POST /api/v1/lint: CH source to analyze
 // (a netlist of (program ...) forms or a single bare expression) and
 // an optional file name echoed into the result for rendering.
@@ -532,6 +589,23 @@ func FromDiag(d analysis.Diag) DiagJSON {
 		Notes:    d.Notes,
 	}
 }
+
+// ToDiag converts the finding back to the analyzer's form.
+func (d DiagJSON) ToDiag() analysis.Diag {
+	return analysis.Diag{
+		Loc:      ch.Pos{Line: d.Line, Col: d.Col},
+		Severity: diag.ParseSeverity(d.Severity),
+		Code:     d.Code,
+		Message:  d.Message,
+		Notes:    d.Notes,
+	}
+}
+
+// Failed reports an error-severity finding.
+func (r *LintResultJSON) Failed() bool { return r.Errors > 0 }
+
+// Text renders the diagnostics vet-style, one per line.
+func (r *LintResultJSON) Text() string { return formatDiags[ch.Pos](r.Diags, r.File) }
 
 // LintResult packages a diagnostic list for the wire. Diags is always
 // non-nil so a clean lint encodes as [] rather than null.
@@ -624,6 +698,17 @@ func FromNetlintDiag(d netlint.Diag) NetlintDiagJSON {
 	}
 }
 
+// ToDiag converts the finding back to netlint's form.
+func (d NetlintDiagJSON) ToDiag() netlint.Diag {
+	return netlint.Diag{
+		Loc:      netlint.Loc{Inst: d.Inst, Cell: d.Cell, Net: d.Net, Name: d.Name},
+		Severity: diag.ParseSeverity(d.Severity),
+		Code:     d.Code,
+		Message:  d.Message,
+		Notes:    d.Notes,
+	}
+}
+
 // NetlintReport packages one audit result for the wire. Diags is
 // always non-nil so a clean audit encodes as [] rather than null.
 func NetlintReport(res netlint.Result) NetlintReportJSON {
@@ -652,6 +737,30 @@ func NetlintResult(mode string, ctrls []netlint.Result, merged netlint.Result) *
 		out.Controllers = append(out.Controllers, NetlintReport(c))
 	}
 	return out
+}
+
+// reports lists the per-controller audits, then the merged circuit's.
+func (r *NetlintResultJSON) reports() []NetlintReportJSON {
+	return append(append([]NetlintReportJSON{}, r.Controllers...), r.Merged)
+}
+
+// Failed reports an error-severity finding in any audited circuit.
+func (r *NetlintResultJSON) Failed() bool {
+	for _, rep := range r.reports() {
+		if rep.Errors > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Text renders every circuit's diagnostics vet-style, one per line.
+func (r *NetlintResultJSON) Text() string {
+	var sb strings.Builder
+	for _, rep := range r.reports() {
+		sb.WriteString(formatDiags[netlint.Loc](rep.Diags, rep.Circuit))
+	}
+	return sb.String()
 }
 
 // BmlintRequest is the body of POST /api/v1/bmlint: either a CH
@@ -740,6 +849,17 @@ func FromBmlintDiag(d bmlint.Diag) BmlintDiagJSON {
 	}
 }
 
+// ToDiag converts the finding back to bmlint's form.
+func (d BmlintDiagJSON) ToDiag() bmlint.Diag {
+	return bmlint.Diag{
+		Loc:      bmlint.Loc{State: d.State, Arc: d.Arc, ArcText: d.ArcText, Sig: d.Sig},
+		Severity: diag.ParseSeverity(d.Severity),
+		Code:     d.Code,
+		Message:  d.Message,
+		Notes:    d.Notes,
+	}
+}
+
 // BmlintReport packages one spec audit for the wire. Diags is always
 // non-nil so a clean audit encodes as [] rather than null.
 func BmlintReport(res bmlint.Result) BmlintReportJSON {
@@ -763,6 +883,31 @@ func BmlintResult(specs []bmlint.Result) *BmlintResultJSON {
 		out.Specs = append(out.Specs, BmlintReport(s))
 	}
 	return out
+}
+
+// Failed reports an error-severity finding in any audited spec.
+func (r *BmlintResultJSON) Failed() bool {
+	for _, rep := range r.Specs {
+		if rep.Errors > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Text renders every spec's diagnostics vet-style, one per line. On the
+// built-in-designs form a spec is named design.mode.spec, as the flow
+// gate names it.
+func (r *BmlintResultJSON) Text() string {
+	var sb strings.Builder
+	for _, rep := range r.Specs {
+		unit := rep.Spec
+		if r.Design != "" {
+			unit = r.Design + "." + r.Mode + "." + rep.Spec
+		}
+		sb.WriteString(formatDiags[bmlint.Loc](rep.Diags, unit))
+	}
+	return sb.String()
 }
 
 // HazverRequest is the body of POST /api/v1/hazver: design source
@@ -839,6 +984,17 @@ func FromHazverDiag(d hazver.Diag) HazverDiagJSON {
 	}
 }
 
+// ToDiag converts the finding back to hazver's form.
+func (d HazverDiagJSON) ToDiag() hazver.Diag {
+	return hazver.Diag{
+		Loc:      hazver.Loc{Fn: d.Fn, Tr: d.Tr, Burst: d.Burst},
+		Severity: diag.ParseSeverity(d.Severity),
+		Code:     d.Code,
+		Message:  d.Message,
+		Notes:    d.Notes,
+	}
+}
+
 // FromHazverStats converts a hazard-verification static report.
 func FromHazverStats(s hazver.Stats) HazverStatsJSON {
 	return HazverStatsJSON{
@@ -868,6 +1024,14 @@ func HazverResult(mode string, res hazver.Result) *HazverResultJSON {
 	return &HazverResultJSON{Mode: mode, Report: HazverReport(res)}
 }
 
+// Failed reports an error-severity finding.
+func (r *HazverResultJSON) Failed() bool { return r.Report.Errors > 0 }
+
+// Text renders the diagnostics vet-style, one per line.
+func (r *HazverResultJSON) Text() string {
+	return formatDiags[hazver.Loc](r.Report.Diags, r.Report.Circuit)
+}
+
 // AuditCheckerJSON is one checker's tally inside an audit: its
 // error/warning counts and how many items it covered (specs, covers,
 // mapped controllers, circuits, bursts — whichever the checker
@@ -893,38 +1057,15 @@ type AuditResultJSON struct {
 
 // FromAuditResult converts one design audit to its wire form.
 func FromAuditResult(a *flow.AuditResult) *AuditResultJSON {
-	le, lw, _ := analysis.Count(a.LintDiags)
-	var be, bw int
-	for _, s := range a.Specs {
-		e, w, _ := bmlint.Count(s.Diags)
-		be += e
-		bw += w
-	}
-	var ne, nw int
-	for _, c := range a.Circuits {
-		e, w, _ := netlint.Count(c.Diags)
-		ne += e
-		nw += w
-	}
-	var he, hw, hb int
-	for _, h := range a.Hazver {
-		e, w, _ := hazver.Count(h.Diags)
-		he += e
-		hw += w
-		hb += h.Stats.Bursts
+	checkers := map[string]AuditCheckerJSON{}
+	for name, c := range a.Checkers() {
+		checkers[name] = AuditCheckerJSON(c)
 	}
 	return &AuditResultJSON{
-		Design:  a.Design,
-		OK:      a.OK(),
-		Summary: a.Summary(),
-		Checkers: map[string]AuditCheckerJSON{
-			"chlint":  {Errors: le, Warnings: lw, Checked: 1},
-			"bmlint":  {Errors: be, Warnings: bw, Checked: a.SpecsChecked},
-			"covers":  {Checked: a.CoversChecked},
-			"mapped":  {Checked: a.MappedChecked},
-			"netlint": {Errors: ne, Warnings: nw, Checked: len(a.Circuits)},
-			"hazver":  {Errors: he, Warnings: hw, Checked: hb},
-		},
+		Design:   a.Design,
+		OK:       a.OK(),
+		Summary:  a.Summary(),
+		Checkers: checkers,
 		Failures: a.Failures,
 		Errors:   a.Errors(),
 		Warnings: a.Warnings(),

@@ -1,7 +1,8 @@
-// Package diag is the shared diagnostics layer of the three-tier lint
-// stack: chlint (internal/analysis, CHxxx codes over CH programs),
-// bmlint (internal/bmlint, BMxxx codes over Burst-Mode specs) and
-// netlint (internal/netlint, NLxxx codes over mapped netlists) all
+// Package diag is the shared diagnostics layer of the four checker
+// tiers: chlint (internal/analysis, CHxxx codes over CH programs),
+// bmlint (internal/bmlint, BMxxx codes over Burst-Mode specs), netlint
+// (internal/netlint, NLxxx codes over mapped netlists) and hazver
+// (internal/hazver, HZxxx codes over the shipped logic's bursts) all
 // emit through the types here. One Severity scale, one Diag shape, one
 // vet-style renderer and one deterministic sort — so the CLI, the
 // daemon's SSE stream, /metrics and the golden corpora agree on the
@@ -9,11 +10,15 @@
 //
 // The only thing that differs between the linters is *where* a finding
 // lives: a source position for CH programs, a state/arc/signal for
-// Burst-Mode specs, a gate/net pair for netlists. That variability is
-// captured by the Loc interface; everything else is generic over it.
-// Each linter instantiates Diag[L]/Reporter[L] with its own location
-// type and re-exports aliases, so existing call sites (and rendered
-// output) are unchanged.
+// Burst-Mode specs, a gate/net pair for netlists, a function and burst
+// for hazard checks. That variability is captured by the Loc
+// interface; everything else is generic over it. Each linter
+// instantiates Diag[L]/Reporter[L] with its own location type and
+// re-exports aliases. Above this layer the tiers share one path too:
+// internal/flow gates every tier through one severity split into one
+// GateError type and one findings sink, internal/server serves every
+// tier through one Checker, and wire-form diagnostics render back
+// through Diag.Render (ParseSeverity inverts Severity.String).
 package diag
 
 import (
@@ -47,6 +52,18 @@ func (s Severity) String() string {
 		return "info"
 	}
 	return fmt.Sprintf("Severity(%d)", int(s))
+}
+
+// ParseSeverity is the inverse of Severity.String, for diagnostics read
+// back from their wire form. An unknown name parses as an out-of-range
+// Severity, which renders as such instead of passing for a known one.
+func ParseSeverity(name string) Severity {
+	for s := SevError; s <= SevInfo; s++ {
+		if s.String() == name {
+			return s
+		}
+	}
+	return Severity(-1)
 }
 
 // Loc is a diagnostic location: where in its artifact a finding lives.

@@ -33,6 +33,14 @@ func TestSeverityString(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("Severity(%d).String() = %q, want %q", int(s), got, want)
 		}
+		if s <= SevInfo {
+			if got := ParseSeverity(want); got != s {
+				t.Errorf("ParseSeverity(%q) = %v, want %v", want, got, s)
+			}
+		}
+	}
+	if got := ParseSeverity("fatal"); got.String() != "Severity(-1)" {
+		t.Errorf("ParseSeverity of an unknown name = %v, want an out-of-range severity", got)
 	}
 }
 

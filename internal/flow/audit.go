@@ -13,6 +13,7 @@ import (
 	"balsabm/internal/chtobm"
 	"balsabm/internal/core"
 	"balsabm/internal/designs"
+	"balsabm/internal/diag"
 	"balsabm/internal/hazver"
 	"balsabm/internal/hfmin"
 	"balsabm/internal/minimalist"
@@ -64,55 +65,66 @@ func (a *AuditResult) fail(format string, args ...any) {
 	a.Failures = append(a.Failures, fmt.Sprintf(format, args...))
 }
 
-// bmCount tallies the bmlint findings across all audited specs.
-func (a *AuditResult) bmCount() (errors, warnings int) {
+// CheckerCount is one checker's tally in an audit: its error and
+// warning findings and how many items it covered (specs, covers, mapped
+// controllers, circuits, bursts — whichever the checker counts).
+type CheckerCount struct {
+	Errors, Warnings, Checked int
+}
+
+// tally adds a diagnostic list's errors and warnings to c.
+func tally[L diag.Loc](c *CheckerCount, ds []diag.Diag[L]) {
+	e, w, _ := diag.Count(ds)
+	c.Errors += e
+	c.Warnings += w
+}
+
+// Checkers tallies every checker of the stack, keyed "chlint",
+// "bmlint", "covers", "mapped", "netlint" and "hazver"; hazver counts
+// verified bursts as checked.
+func (a *AuditResult) Checkers() map[string]CheckerCount {
+	lint := CheckerCount{Checked: 1}
+	tally(&lint, a.LintDiags)
+	bm := CheckerCount{Checked: a.SpecsChecked}
 	for _, s := range a.Specs {
-		e, w, _ := bmlint.Count(s.Diags)
-		errors += e
-		warnings += w
+		tally(&bm, s.Diags)
 	}
-	return
-}
-
-// nlCount tallies the netlint findings across all audited circuits.
-func (a *AuditResult) nlCount() (errors, warnings int) {
+	nl := CheckerCount{Checked: len(a.Circuits)}
 	for _, c := range a.Circuits {
-		e, w, _ := netlint.Count(c.Diags)
-		errors += e
-		warnings += w
+		tally(&nl, c.Diags)
 	}
-	return
-}
-
-// hzCount tallies the hazver findings and verified bursts across both
-// arms.
-func (a *AuditResult) hzCount() (errors, warnings, bursts int) {
+	var hz CheckerCount
 	for _, h := range a.Hazver {
-		e, w, _ := hazver.Count(h.Diags)
-		errors += e
-		warnings += w
-		bursts += h.Stats.Bursts
+		tally(&hz, h.Diags)
+		hz.Checked += h.Stats.Bursts
 	}
-	return
+	return map[string]CheckerCount{
+		"chlint":  lint,
+		"bmlint":  bm,
+		"covers":  {Checked: a.CoversChecked},
+		"mapped":  {Checked: a.MappedChecked},
+		"netlint": nl,
+		"hazver":  hz,
+	}
 }
 
 // Errors counts everything that must fail an audit: checker failures
-// and error-severity findings from any of the three linters.
+// and error-severity findings from any of the four linters.
 func (a *AuditResult) Errors() int {
-	e, _, _ := analysis.Count(a.LintDiags)
-	be, _ := a.bmCount()
-	ne, _ := a.nlCount()
-	he, _, _ := a.hzCount()
-	return e + be + ne + he + len(a.Failures)
+	n := len(a.Failures)
+	for _, c := range a.Checkers() {
+		n += c.Errors
+	}
+	return n
 }
 
 // Warnings counts warning-severity findings from the four linters.
 func (a *AuditResult) Warnings() int {
-	_, w, _ := analysis.Count(a.LintDiags)
-	_, bw := a.bmCount()
-	_, nw := a.nlCount()
-	_, hw, _ := a.hzCount()
-	return w + bw + nw + hw
+	n := 0
+	for _, c := range a.Checkers() {
+		n += c.Warnings
+	}
+	return n
 }
 
 // OK reports whether the whole stack passed with no errors.
@@ -127,14 +139,12 @@ func (a *AuditResult) Summary() string {
 	if !a.OK() {
 		status = "FAIL"
 	}
-	le, lw, _ := analysis.Count(a.LintDiags)
-	be, bw := a.bmCount()
-	ne, nw := a.nlCount()
-	he, hw, hb := a.hzCount()
+	c := a.Checkers()
+	lint, bm, nl, hz := c["chlint"], c["bmlint"], c["netlint"], c["hazver"]
 	return fmt.Sprintf("%s: audit %s: chlint %de/%dw; bmlint %de/%dw, %d specs; %d covers; %d mapped; netlint %de/%dw, %d circuits; hazver %de/%dw, %d bursts; %d errors, %d warnings",
-		a.Design, status, le, lw, be, bw, a.SpecsChecked,
-		a.CoversChecked, a.MappedChecked, ne, nw,
-		len(a.Circuits), he, hw, hb, a.Errors(), a.Warnings())
+		a.Design, status, lint.Errors, lint.Warnings, bm.Errors, bm.Warnings, bm.Checked,
+		a.CoversChecked, a.MappedChecked, nl.Errors, nl.Warnings,
+		nl.Checked, hz.Errors, hz.Warnings, hz.Checked, a.Errors(), a.Warnings())
 }
 
 // Details renders every failure and every error/warning finding,
@@ -145,33 +155,28 @@ func (a *AuditResult) Details() string {
 	for _, f := range a.Failures {
 		fmt.Fprintf(&sb, "%s: %s\n", a.Design, f)
 	}
-	for _, d := range a.LintDiags {
-		if d.Severity != analysis.SevInfo {
-			fmt.Fprintf(&sb, "%s\n", d.String())
-		}
-	}
+	writeFindings(&sb, "", a.LintDiags)
 	for _, s := range a.Specs {
-		for _, d := range s.Diags {
-			if d.Severity != bmlint.SevInfo {
-				fmt.Fprintf(&sb, "%s\n", d.Render(s.Name))
-			}
-		}
+		writeFindings(&sb, s.Name, s.Diags)
 	}
 	for _, c := range a.Circuits {
-		for _, d := range c.Diags {
-			if d.Severity != netlint.SevInfo {
-				fmt.Fprintf(&sb, "%s\n", d.Render(c.Name))
-			}
-		}
+		writeFindings(&sb, c.Name, c.Diags)
 	}
 	for _, h := range a.Hazver {
-		for _, d := range h.Diags {
-			if d.Severity != hazver.SevInfo {
-				fmt.Fprintf(&sb, "%s\n", d.Render(h.Name))
-			}
-		}
+		writeFindings(&sb, h.Name, h.Diags)
 	}
 	return sb.String()
+}
+
+// writeFindings writes one unit's error and warning diagnostics,
+// vet-style, one per line.
+func writeFindings[L diag.Loc](sb *strings.Builder, unit string, ds []diag.Diag[L]) {
+	for _, d := range ds {
+		if d.Severity != diag.SevInfo {
+			sb.WriteString(d.Render(unit))
+			sb.WriteString("\n")
+		}
+	}
 }
 
 // AuditDesign runs the full audit stack on one design.

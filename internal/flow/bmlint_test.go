@@ -80,7 +80,7 @@ func TestBmlintGolden(t *testing.T) {
 }
 
 // TestBmlintGateAborts: error-severity findings must abort the gate as
-// a *BmlintError carrying the failing spec's diagnostics.
+// a *GateError carrying the failing spec's diagnostics.
 func TestBmlintGateAborts(t *testing.T) {
 	results := []bmlint.Result{
 		{Name: "good", Diags: []bmlint.Diag{
@@ -90,13 +90,13 @@ func TestBmlintGateAborts(t *testing.T) {
 			{Loc: bmlint.StateLoc(3), Severity: bmlint.SevError, Code: "BM007", Message: "state 3 unreachable from start state 0"},
 		}},
 	}
-	err := bmlintClassify("fake", "opt", results, nil)
+	err := splitSpecs("fake", "opt", results, nil)
 	if err == nil {
 		t.Fatal("want gate error for BM-error finding")
 	}
-	var be *BmlintError
+	var be *GateError[bmlint.Loc]
 	if !errors.As(err, &be) {
-		t.Fatalf("want *BmlintError, got %T: %v", err, err)
+		t.Fatalf("want *GateError[bmlint.Loc], got %T: %v", err, err)
 	}
 	if be.Unit() != "fake.opt.bad" {
 		t.Errorf("Unit() = %q", be.Unit())
@@ -108,7 +108,7 @@ func TestBmlintGateAborts(t *testing.T) {
 
 // TestBmlintGateRecordsFindings: non-error findings (warnings, the
 // BM200 static report) are recorded on the metrics sink and streamed
-// through NotifyBmlint, and the gate passes.
+// through NotifyFindings, and the gate passes.
 func TestBmlintGateRecordsFindings(t *testing.T) {
 	results := []bmlint.Result{
 		{Name: "warned", Diags: []bmlint.Diag{
@@ -117,17 +117,17 @@ func TestBmlintGateRecordsFindings(t *testing.T) {
 		}},
 	}
 	met := &Metrics{}
-	var streamed []BmlintFinding
-	met.NotifyBmlint(func(f BmlintFinding) { streamed = append(streamed, f) })
-	if err := bmlintClassify("fake", "opt", results, met); err != nil {
+	var streamed []Finding
+	met.NotifyFindings(func(f Finding) { streamed = append(streamed, f) })
+	if err := splitSpecs("fake", "opt", results, met); err != nil {
 		t.Fatalf("warnings must not abort: %v", err)
 	}
-	got := met.BmlintFindings()
+	got := met.Findings()
 	if len(got) != len(streamed) || len(got) != 2 {
 		t.Fatalf("want 2 recorded + streamed findings, got %d/%d: %v", len(got), len(streamed), got)
 	}
 	for _, f := range got {
-		if f.Unit() != "fake.opt.warned" {
+		if f.Tier != TierBmlint || f.Unit() != "fake.opt.warned" {
 			t.Errorf("finding unit = %q", f.Unit())
 		}
 	}

@@ -172,138 +172,34 @@ type Metrics struct {
 	ControllersResynthesized parallel.Counter
 	ControllersCorrupt       parallel.Counter
 
-	lintMu     sync.Mutex
-	lint       []LintFinding
-	lintNotify func(LintFinding)
-
-	bmlintMu     sync.Mutex
-	bmlint       []BmlintFinding
-	bmlintNotify func(BmlintFinding)
-
-	netlintMu     sync.Mutex
-	netlint       []NetlintFinding
-	netlintNotify func(NetlintFinding)
-
-	hazverMu     sync.Mutex
-	hazver       []HazverFinding
-	hazverNotify func(HazverFinding)
+	findingsMu sync.Mutex
+	findings   []Finding
+	notify     func(Finding)
 }
 
-// NotifyLint registers a callback invoked (synchronously, in gate
-// order) for every non-error finding the pre-synthesis lint gate
-// records — the hook the daemon uses to stream findings over SSE.
-// Call before the run starts.
-func (m *Metrics) NotifyLint(fn func(LintFinding)) {
-	m.lintMu.Lock()
-	defer m.lintMu.Unlock()
-	m.lintNotify = fn
-}
-
-// LintFindings returns the non-error findings recorded so far, in
-// gate order.
-func (m *Metrics) LintFindings() []LintFinding {
-	m.lintMu.Lock()
-	defer m.lintMu.Unlock()
-	out := make([]LintFinding, len(m.lint))
-	copy(out, m.lint)
-	return out
-}
-
-func (m *Metrics) recordLint(f LintFinding) {
-	m.lintMu.Lock()
-	m.lint = append(m.lint, f)
-	fn := m.lintNotify
-	m.lintMu.Unlock()
-	if fn != nil {
-		fn(f)
-	}
-}
-
-// NotifyBmlint registers a callback invoked (synchronously) for every
-// non-error finding the post-compile bmlint gate records — the hook
-// the daemon uses to stream spec findings over SSE. Call before the
-// run starts.
-func (m *Metrics) NotifyBmlint(fn func(BmlintFinding)) {
-	m.bmlintMu.Lock()
-	defer m.bmlintMu.Unlock()
-	m.bmlintNotify = fn
-}
-
-// BmlintFindings returns the non-error spec findings recorded so far,
-// in gate order.
-func (m *Metrics) BmlintFindings() []BmlintFinding {
-	m.bmlintMu.Lock()
-	defer m.bmlintMu.Unlock()
-	out := make([]BmlintFinding, len(m.bmlint))
-	copy(out, m.bmlint)
-	return out
-}
-
-func (m *Metrics) recordBmlint(f BmlintFinding) {
-	m.bmlintMu.Lock()
-	m.bmlint = append(m.bmlint, f)
-	fn := m.bmlintNotify
-	m.bmlintMu.Unlock()
-	if fn != nil {
-		fn(f)
-	}
-}
-
-// NotifyNetlint registers a callback invoked (synchronously) for every
-// non-error finding the post-merge netlint gate records — the hook the
-// daemon uses to stream netlist findings over SSE. Call before the run
+// NotifyFindings registers a callback invoked synchronously, in record
+// order, for every non-error finding a checker gate records — the hook
+// the daemon uses to stream findings over SSE. Call before the run
 // starts.
-func (m *Metrics) NotifyNetlint(fn func(NetlintFinding)) {
-	m.netlintMu.Lock()
-	defer m.netlintMu.Unlock()
-	m.netlintNotify = fn
+func (m *Metrics) NotifyFindings(fn func(Finding)) {
+	m.findingsMu.Lock()
+	defer m.findingsMu.Unlock()
+	m.notify = fn
 }
 
-// NetlintFindings returns the non-error netlist findings recorded so
-// far, in gate order.
-func (m *Metrics) NetlintFindings() []NetlintFinding {
-	m.netlintMu.Lock()
-	defer m.netlintMu.Unlock()
-	out := make([]NetlintFinding, len(m.netlint))
-	copy(out, m.netlint)
-	return out
+// Findings returns the non-error findings every gate recorded so far,
+// in record order.
+func (m *Metrics) Findings() []Finding {
+	m.findingsMu.Lock()
+	defer m.findingsMu.Unlock()
+	return append([]Finding(nil), m.findings...)
 }
 
-func (m *Metrics) recordNetlint(f NetlintFinding) {
-	m.netlintMu.Lock()
-	m.netlint = append(m.netlint, f)
-	fn := m.netlintNotify
-	m.netlintMu.Unlock()
-	if fn != nil {
-		fn(f)
-	}
-}
-
-// NotifyHazver registers a callback invoked (synchronously) for every
-// non-error finding the post-mapping hazard-verification gate records —
-// the hook the daemon uses to stream hazver findings over SSE. Call
-// before the run starts.
-func (m *Metrics) NotifyHazver(fn func(HazverFinding)) {
-	m.hazverMu.Lock()
-	defer m.hazverMu.Unlock()
-	m.hazverNotify = fn
-}
-
-// HazverFindings returns the non-error hazard-verification findings
-// recorded so far, in gate order.
-func (m *Metrics) HazverFindings() []HazverFinding {
-	m.hazverMu.Lock()
-	defer m.hazverMu.Unlock()
-	out := make([]HazverFinding, len(m.hazver))
-	copy(out, m.hazver)
-	return out
-}
-
-func (m *Metrics) recordHazver(f HazverFinding) {
-	m.hazverMu.Lock()
-	m.hazver = append(m.hazver, f)
-	fn := m.hazverNotify
-	m.hazverMu.Unlock()
+func (m *Metrics) record(f Finding) {
+	m.findingsMu.Lock()
+	m.findings = append(m.findings, f)
+	fn := m.notify
+	m.findingsMu.Unlock()
 	if fn != nil {
 		fn(f)
 	}
@@ -335,17 +231,13 @@ func (m *Metrics) String() string {
 	if t := m.Timings.String(); t != "" {
 		s += t
 	}
-	for _, f := range m.LintFindings() {
-		s += fmt.Sprintf("lint: %s: %s\n", f.Design, f.Diag)
-	}
-	for _, f := range m.BmlintFindings() {
-		s += fmt.Sprintf("bmlint: %s: %s\n", f.Unit(), f.Diag)
-	}
-	for _, f := range m.NetlintFindings() {
-		s += fmt.Sprintf("netlint: %s: %s\n", f.Circuit(), f.Diag)
-	}
-	for _, f := range m.HazverFindings() {
-		s += fmt.Sprintf("hazver: %s: %s\n", f.Circuit(), f.Diag)
+	fs := m.Findings()
+	for _, tier := range tiers {
+		for _, f := range fs {
+			if f.Tier == tier {
+				s += fmt.Sprintf("%s: %s: %s\n", tier, f.Unit(), f.Diag)
+			}
+		}
 	}
 	return s
 }
@@ -744,8 +636,8 @@ type CheckedArm struct {
 // runDesign and the daemon's synth executor: the bmlint gate on the
 // compiled specs, synthesis of every controller, the netlint gate on
 // the merged circuit, and the hazver gate on the shipped netlists.
-// Gate errors abort as *BmlintError, *NetlintError or *HazverError,
-// unwrapped; non-error findings land on the metrics sink in gate order.
+// Gate errors abort as a *GateError, unwrapped; non-error findings land
+// on the metrics sink in gate order.
 func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mode) (*CheckedArm, error) {
 	if err := r.bmlintGate(design, arm, n); err != nil {
 		return nil, err
@@ -771,6 +663,18 @@ func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mo
 // synthesis shipped.
 func SynthesizeCheckedCtx(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) (*CheckedArm, error) {
 	return newRunner(ctx, opt).checkedArm(design, arm, n, mode)
+}
+
+// PrepareArm readies a control netlist for one flow arm: "opt" clusters
+// it (core.OptimizeOpt under cl, cancelled with ctx) for speed-split
+// mapping; "unopt" keeps it for area-shared mapping.
+func PrepareArm(ctx context.Context, n *core.Netlist, arm string, cl core.Options) (*core.Netlist, techmap.Mode, error) {
+	if arm != "opt" {
+		return n, techmap.AreaShared, nil
+	}
+	cl.Ctx = ctx
+	n, _, err := core.OptimizeOpt(n, cl)
+	return n, techmap.SpeedSplit, err
 }
 
 // simulate runs one design arm: mapped controllers + datapath + bench.

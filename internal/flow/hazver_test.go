@@ -242,9 +242,9 @@ func TestHazverInjectedHazard(t *testing.T) {
 			errDiags = append(errDiags, dg)
 		}
 	}
-	he := &HazverError{Design: "tamper", Arm: "opt", Diags: errDiags}
-	if he.Circuit() != "tamper.opt" || !strings.Contains(he.Error(), "HZ001") {
-		t.Errorf("HazverError misses the finding: %s", he.Error())
+	he := &GateError[hazver.Loc]{Tier: TierHazver, Site: Site{Design: "tamper", Arm: "opt"}, Diags: errDiags}
+	if he.Unit() != "tamper.opt" || !strings.HasPrefix(he.Error(), "hazver: tamper.opt: ") || !strings.Contains(he.Error(), "HZ001") {
+		t.Errorf("gate error misses the finding: %s", he.Error())
 	}
 }
 
@@ -302,9 +302,9 @@ func TestHazverCatchesTamperedCachedBlob(t *testing.T) {
 	if met.ControllersReused.Load() == 0 || met.ControllersCorrupt.Load() != 0 {
 		t.Fatalf("tampered blob not spliced in: %d reused, %d corrupt", met.ControllersReused.Load(), met.ControllersCorrupt.Load())
 	}
-	var he *HazverError
+	var he *GateError[hazver.Loc]
 	if !errors.As(err, &he) {
-		t.Fatalf("want *HazverError from the tampered blob, got %T: %v", err, err)
+		t.Fatalf("want *GateError[hazver.Loc] from the tampered blob, got %T: %v", err, err)
 	}
 	rn := map[string]string{}
 	for i, w := range e.wires {

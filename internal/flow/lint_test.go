@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"balsabm/internal/analysis"
+	"balsabm/internal/ch"
 	"balsabm/internal/core"
 )
 
@@ -22,9 +23,9 @@ func TestLintGateAborts(t *testing.T) {
 	if gateErr == nil {
 		t.Fatal("want gate error for multiply-driven channel")
 	}
-	var le *LintError
+	var le *GateError[ch.Pos]
 	if !errors.As(gateErr, &le) {
-		t.Fatalf("want *LintError, got %T: %v", gateErr, gateErr)
+		t.Fatalf("want *GateError[ch.Pos], got %T: %v", gateErr, gateErr)
 	}
 	if len(le.Diags) != 1 || le.Diags[0].Code != "CH010" {
 		t.Fatalf("unexpected gate diags: %v", le.Diags)
@@ -47,17 +48,18 @@ func TestLintGateRecordsWarnings(t *testing.T) {
 		t.Fatal(err)
 	}
 	met := &Metrics{}
-	var streamed []LintFinding
-	met.NotifyLint(func(f LintFinding) { streamed = append(streamed, f) })
+	var streamed []Finding
+	met.NotifyFindings(func(f Finding) { streamed = append(streamed, f) })
 	if err := LintNetlist(n, "warned", met); err != nil {
 		t.Fatalf("warnings must not abort: %v", err)
 	}
-	got := met.LintFindings()
+	got := met.Findings()
 	if len(got) != 2 || len(streamed) != 2 {
 		t.Fatalf("want 2 recorded + 2 streamed CH013 findings, got %d/%d", len(got), len(streamed))
 	}
 	for _, f := range got {
-		if f.Design != "warned" || f.Diag.Code != "CH013" || f.Diag.Severity != analysis.SevWarning {
+		d, ok := f.Diag.(analysis.Diag)
+		if !ok || f.Tier != TierLint || f.Design != "warned" || f.Code != "CH013" || d.Severity != analysis.SevWarning {
 			t.Errorf("unexpected finding %+v", f)
 		}
 	}

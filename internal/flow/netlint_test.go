@@ -110,7 +110,7 @@ func TestNetlintCleanAllClusterVariants(t *testing.T) {
 }
 
 // TestNetlintGateAborts: an injected defect — a second driver on one
-// controller output — must abort the gate as a *NetlintError carrying
+// controller output — must abort the gate as a *GateError carrying
 // the gate-precise diagnostic, before any simulation runs.
 func TestNetlintGateAborts(t *testing.T) {
 	nl := gates.New("bad")
@@ -126,12 +126,12 @@ func TestNetlintGateAborts(t *testing.T) {
 	if err == nil {
 		t.Fatal("want gate error for multiply-driven net")
 	}
-	var ne *NetlintError
+	var ne *GateError[netlint.Loc]
 	if !errors.As(err, &ne) {
-		t.Fatalf("want *NetlintError, got %T: %v", err, err)
+		t.Fatalf("want *GateError[netlint.Loc], got %T: %v", err, err)
 	}
-	if ne.Circuit() != "fake.unopt" {
-		t.Errorf("Circuit() = %q", ne.Circuit())
+	if ne.Unit() != "fake.unopt" {
+		t.Errorf("Unit() = %q", ne.Unit())
 	}
 	found := false
 	for _, d := range ne.Diags {
@@ -153,7 +153,7 @@ func TestNetlintGateAborts(t *testing.T) {
 
 // TestNetlintGateRecordsFindings: non-error findings (a dead gate, the
 // NL200 static report) are recorded on the metrics sink and streamed
-// through NotifyNetlint, and the gate passes.
+// through NotifyFindings, and the gate passes.
 func TestNetlintGateRecordsFindings(t *testing.T) {
 	nl := gates.New("warned")
 	in := nl.Net("req")
@@ -165,8 +165,8 @@ func TestNetlintGateRecordsFindings(t *testing.T) {
 	nl.AddInstance("INV", []int{in}, dead, 0) // NL100 + NL101
 
 	met := &Metrics{}
-	var streamed []NetlintFinding
-	met.NotifyNetlint(func(f NetlintFinding) { streamed = append(streamed, f) })
+	var streamed []Finding
+	met.NotifyFindings(func(f Finding) { streamed = append(streamed, f) })
 	r := newRunner(nil, &Options{Metrics: met})
 	res, err := NetlintGate("fake", "opt", []*gates.Netlist{nl}, r.opt.Lib, r.met)
 	if err != nil {
@@ -176,16 +176,16 @@ func TestNetlintGateRecordsFindings(t *testing.T) {
 	if st.Cells != 2 || st.Depth != 1 {
 		t.Errorf("static stats = %+v, want 2 cells depth 1", st)
 	}
-	got := met.NetlintFindings()
+	got := met.Findings()
 	if len(got) != len(streamed) || len(got) != 3 { // NL100 + NL101 + NL200
 		t.Fatalf("want 3 recorded + streamed findings, got %d/%d: %v", len(got), len(streamed), got)
 	}
 	codes := map[string]bool{}
 	for _, f := range got {
-		if f.Circuit() != "fake.opt" {
-			t.Errorf("finding circuit = %q", f.Circuit())
+		if f.Tier != TierNetlint || f.Unit() != "fake.opt" {
+			t.Errorf("finding %s at %q", f.Tier, f.Unit())
 		}
-		codes[f.Diag.Code] = true
+		codes[f.Code] = true
 	}
 	for _, c := range []string{"NL100", "NL101", "NL200"} {
 		if !codes[c] {

@@ -28,7 +28,7 @@ func TestBmlintEndpoint(t *testing.T) {
 	_, _, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
-	res, err := c.Bmlint(ctx, api.BmlintRequest{Source: netlintTestSource, Name: "pair"})
+	res, err := Bmlint.Call(ctx, c, api.BmlintRequest{Source: netlintTestSource, Name: "pair"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestBmlintEndpointBMS(t *testing.T) {
 	_, _, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
-	res, err := c.Bmlint(ctx, api.BmlintRequest{Source: bmlintTestSpec, Format: api.FormatBMS})
+	res, err := Bmlint.Call(ctx, c, api.BmlintRequest{Source: bmlintTestSpec, Format: api.FormatBMS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBmlintEndpointBMS(t *testing.T) {
 
 	// An unparsable spec folds into a single BM000 error diagnostic —
 	// the report is the product, so the request itself succeeds.
-	res, err = c.Bmlint(ctx, api.BmlintRequest{Source: "not a spec", Format: api.FormatBMS})
+	res, err = Bmlint.Call(ctx, c, api.BmlintRequest{Source: "not a spec", Format: api.FormatBMS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +127,10 @@ func TestBmlintEndpointRejects(t *testing.T) {
 		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
 	}
 
-	if _, err := c.Bmlint(ctx, api.BmlintRequest{Source: "(not a design"}); err == nil {
+	if _, err := Bmlint.Call(ctx, c, api.BmlintRequest{Source: "(not a design"}); err == nil {
 		t.Error("unparsable design accepted")
 	}
-	if _, err := c.Bmlint(ctx, api.BmlintRequest{Source: "  ", Format: api.FormatBMS}); err == nil {
+	if _, err := Bmlint.Call(ctx, c, api.BmlintRequest{Source: "  ", Format: api.FormatBMS}); err == nil {
 		t.Error("empty bms source accepted")
 	}
 }

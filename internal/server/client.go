@@ -35,46 +35,6 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// Lint runs the chlint analyzer on the daemon (POST /api/v1/lint).
-func (c *Client) Lint(ctx context.Context, req api.LintRequest) (*api.LintResultJSON, error) {
-	var out api.LintResultJSON
-	if err := c.do(ctx, http.MethodPost, "/api/v1/lint", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Bmlint compiles a design's Burst-Mode specs on the daemon (or lints
-// one .bms spec) and returns the bmlint audit per spec
-// (POST /api/v1/bmlint).
-func (c *Client) Bmlint(ctx context.Context, req api.BmlintRequest) (*api.BmlintResultJSON, error) {
-	var out api.BmlintResultJSON
-	if err := c.do(ctx, http.MethodPost, "/api/v1/bmlint", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Netlint synthesizes a design on the daemon (no simulation) and
-// returns its structural audit (POST /api/v1/netlint).
-func (c *Client) Netlint(ctx context.Context, req api.NetlintRequest) (*api.NetlintResultJSON, error) {
-	var out api.NetlintResultJSON
-	if err := c.do(ctx, http.MethodPost, "/api/v1/netlint", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Hazver synthesizes a design on the daemon (no simulation) and
-// returns its static hazard verification (POST /api/v1/hazver).
-func (c *Client) Hazver(ctx context.Context, req api.HazverRequest) (*api.HazverResultJSON, error) {
-	var out api.HazverResultJSON
-	if err := c.do(ctx, http.MethodPost, "/api/v1/hazver", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // do issues one request and decodes the JSON response into out
 // (skipped when out is nil). Non-2xx responses decode the server's
 // error body into the returned error.

@@ -23,7 +23,7 @@ func TestHazverEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	for _, mode := range []string{api.ModeUnopt, api.ModeOpt} {
-		res, err := c.Hazver(ctx, api.HazverRequest{Source: netlintTestSource, Name: "pair", Mode: mode})
+		res, err := Hazver.Call(ctx, c, api.HazverRequest{Source: netlintTestSource, Name: "pair", Mode: mode})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -107,10 +107,10 @@ func TestHazverEndpointRejects(t *testing.T) {
 		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
 	}
 
-	if _, err := c.Hazver(ctx, api.HazverRequest{Source: "(not a design"}); err == nil {
+	if _, err := Hazver.Call(ctx, c, api.HazverRequest{Source: "(not a design"}); err == nil {
 		t.Error("unparsable source accepted")
 	}
-	if _, err := c.Hazver(ctx, api.HazverRequest{Source: netlintTestSource, Mode: "fastest"}); err == nil {
+	if _, err := Hazver.Call(ctx, c, api.HazverRequest{Source: netlintTestSource, Mode: "fastest"}); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"time"
 
 	"balsabm/internal/api"
 	"balsabm/internal/balsa"
-	"balsabm/internal/bmlint"
 	"balsabm/internal/cell"
 	"balsabm/internal/ch"
 	"balsabm/internal/core"
@@ -175,19 +175,12 @@ type Manager struct {
 	jobs   map[string]*Job
 	order  []string
 	nextID int64
-	// netlintDiags counts netlist diagnostics by NLxxx code across
-	// every executed job: the findings its netlint gates recorded plus
-	// the error findings of gates that failed the job. Exported as
-	// balsabmd_netlint_diags_total{code=...}.
-	netlintDiags map[string]int64
-	// bmlintDiags is the same per-code tally one tier up: Burst-Mode
-	// spec diagnostics (BMxxx) from the post-compile bmlint gates.
-	// Exported as balsabmd_bmlint_diags_total{code=...}.
-	bmlintDiags map[string]int64
-	// hazverDiags tallies static hazard-verification diagnostics
-	// (HZxxx) from the post-mapping hazver gates. Exported as
-	// balsabmd_hazver_diags_total{code=...}.
-	hazverDiags map[string]int64
+	// diags counts checker diagnostics by tier, then code, across every
+	// executed job: the findings its gates recorded plus the error
+	// findings of a gate that failed the job. The bmlint, hazver and
+	// netlint tiers are exported as balsabmd_<tier>_diags_total{code=...};
+	// chlint has no daemon counter.
+	diags map[string]map[string]int64
 
 	dedupHits   parallel.Counter
 	dedupMisses parallel.Counter
@@ -225,14 +218,11 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:          cfg,
-		ctx:          ctx,
-		cancel:       cancel,
-		store:        cfg.Store,
-		jobs:         map[string]*Job{},
-		netlintDiags: map[string]int64{},
-		bmlintDiags:  map[string]int64{},
-		hazverDiags:  map[string]int64{},
+		cfg:    cfg,
+		ctx:    ctx,
+		cancel: cancel,
+		store:  cfg.Store,
+		jobs:   map[string]*Job{},
 	}
 	if cfg.Store != nil {
 		m.ctl = cfg.Store
@@ -322,7 +312,7 @@ func (m *Manager) Submit(req api.JobRequest) (*Job, error) {
 
 // hookJob forwards a job's stage completions to its progress stream
 // (folding them into the daemon-wide stage totals) and streams its
-// lint-gate findings. Shared by Submit and the boot-time replay.
+// checker gates' findings. Shared by Submit and the boot-time replay.
 func (m *Manager) hookJob(j *Job) {
 	j.met.Timings.Notify(func(stage string, d time.Duration, s parallel.Stage) {
 		m.aggTimings.Observe(stage, d)
@@ -333,29 +323,9 @@ func (m *Manager) hookJob(j *Job) {
 			TotalMicros: s.Total.Microseconds(),
 		})
 	})
-	// Stream the lint gate's non-error findings as they are recorded.
-	j.met.NotifyLint(func(f flow.LintFinding) {
-		d := api.FromDiag(f.Diag)
-		j.events.publish(api.Event{Type: "lint", Lint: &d})
-	})
-	// And the netlint gate's, tagged with the audited circuit.
-	j.met.NotifyNetlint(func(f flow.NetlintFinding) {
-		d := api.FromNetlintDiag(f.Diag)
-		d.Circuit = f.Circuit()
-		j.events.publish(api.Event{Type: "lint", Netlint: &d})
-	})
-	// And the bmlint gate's, tagged with the audited spec.
-	j.met.NotifyBmlint(func(f flow.BmlintFinding) {
-		d := api.FromBmlintDiag(f.Diag)
-		d.Spec = f.Unit()
-		j.events.publish(api.Event{Type: "lint", Bmlint: &d})
-	})
-	// And the hazver gate's, tagged with the verified circuit.
-	j.met.NotifyHazver(func(f flow.HazverFinding) {
-		d := api.FromHazverDiag(f.Diag)
-		d.Circuit = f.Circuit()
-		j.events.publish(api.Event{Type: "lint", Hazver: &d})
-	})
+	// Stream every checker gate's non-error findings as they are
+	// recorded.
+	j.met.NotifyFindings(func(f flow.Finding) { j.events.publish(api.FindingEvent(f)) })
 }
 
 // stamp formats a journal timestamp (UTC RFC3339Nano, matching the
@@ -477,9 +447,7 @@ func (m *Manager) run(j *Job) {
 		m.ctlReused.Add(j.met.ControllersReused.Load())
 		m.ctlResynth.Add(j.met.ControllersResynthesized.Load())
 		m.ctlCorrupt.Add(j.met.ControllersCorrupt.Load())
-		m.countNetlint(j.met.NetlintFindings(), err)
-		m.countBmlint(j.met.BmlintFindings(), err)
-		m.countHazver(j.met.HazverFindings(), err)
+		m.countDiags(j.met.Findings(), err)
 	}
 	switch {
 	case err == nil:
@@ -535,66 +503,28 @@ func (m *Manager) finish(j *Job, state string, res *api.JobResult, err error) {
 	j.cancel()
 }
 
-// countNetlint folds one executed job's netlist diagnostics into the
-// daemon-wide per-code counters: the non-error findings its netlint
-// gates recorded, plus the error findings when the gate failed the
+// countDiags folds one executed job's checker diagnostics into the
+// daemon-wide per-tier, per-code counters: the non-error findings its
+// gates recorded, plus the error findings of the gate that failed the
 // job.
-func (m *Manager) countNetlint(fs []flow.NetlintFinding, err error) {
-	var ne *flow.NetlintError
-	if len(fs) == 0 && !errors.As(err, &ne) {
+func (m *Manager) countDiags(fs []flow.Finding, err error) {
+	var gate interface{ Findings() []flow.Finding }
+	if errors.As(err, &gate) {
+		fs = append(fs, gate.Findings()...)
+	}
+	if len(fs) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.diags == nil {
+		m.diags = map[string]map[string]int64{}
+	}
 	for _, f := range fs {
-		m.netlintDiags[f.Diag.Code]++
-	}
-	if ne != nil {
-		for _, d := range ne.Diags {
-			m.netlintDiags[d.Code]++
+		if m.diags[f.Tier] == nil {
+			m.diags[f.Tier] = map[string]int64{}
 		}
-	}
-}
-
-// countBmlint folds one executed job's Burst-Mode spec diagnostics
-// into the daemon-wide per-code counters: the non-error findings its
-// bmlint gates recorded, plus the error findings when the gate failed
-// the job.
-func (m *Manager) countBmlint(fs []flow.BmlintFinding, err error) {
-	var be *flow.BmlintError
-	if len(fs) == 0 && !errors.As(err, &be) {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, f := range fs {
-		m.bmlintDiags[f.Diag.Code]++
-	}
-	if be != nil {
-		for _, d := range be.Diags {
-			m.bmlintDiags[d.Code]++
-		}
-	}
-}
-
-// countHazver folds one executed job's static hazard-verification
-// diagnostics into the daemon-wide per-code counters: the non-error
-// findings its hazver gates recorded, plus the error findings when the
-// gate failed the job.
-func (m *Manager) countHazver(fs []flow.HazverFinding, err error) {
-	var he *flow.HazverError
-	if len(fs) == 0 && !errors.As(err, &he) {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, f := range fs {
-		m.hazverDiags[f.Diag.Code]++
-	}
-	if he != nil {
-		for _, d := range he.Diags {
-			m.hazverDiags[d.Code]++
-		}
+		m.diags[f.Tier][f.Code]++
 	}
 }
 
@@ -641,22 +571,9 @@ func (m *Manager) Metrics() *api.MetricsJSON {
 		out.Stages[name] = api.StageJSON{Count: s.Count, TotalMicros: s.Total.Microseconds()}
 	}
 	m.mu.Lock()
-	if len(m.netlintDiags) > 0 {
-		out.NetlintDiags = make(map[string]int64, len(m.netlintDiags))
-		for code, n := range m.netlintDiags {
-			out.NetlintDiags[code] = n
-		}
-	}
-	if len(m.bmlintDiags) > 0 {
-		out.BmlintDiags = make(map[string]int64, len(m.bmlintDiags))
-		for code, n := range m.bmlintDiags {
-			out.BmlintDiags[code] = n
-		}
-	}
-	if len(m.hazverDiags) > 0 {
-		out.HazverDiags = make(map[string]int64, len(m.hazverDiags))
-		for code, n := range m.hazverDiags {
-			out.HazverDiags[code] = n
+	for tier, counts := range m.diags {
+		if dst := out.TierDiags(tier); dst != nil {
+			*dst = maps.Clone(counts)
 		}
 	}
 	m.mu.Unlock()
@@ -734,12 +651,9 @@ func prepare(req api.JobRequest) (func(context.Context, *flow.Metrics, flow.Chec
 		if err != nil {
 			return nil, "", err
 		}
-		mode := req.Mode
-		if mode == "" {
-			mode = api.ModeOpt
-		}
-		if mode != api.ModeOpt && mode != api.ModeUnopt {
-			return nil, "", fmt.Errorf("server: unknown mode %q", req.Mode)
+		mode, err := synthMode(req.Mode)
+		if err != nil {
+			return nil, "", err
 		}
 		key := fmt.Sprintf("synth|%s|%s|%s", mode, cfgKey, netlistKey(n))
 		exec := func(ctx context.Context, met *flow.Metrics, ck flow.CheckpointSink, ctl flow.ControllerCache) (*api.JobResult, error) {
@@ -748,6 +662,18 @@ func prepare(req api.JobRequest) (func(context.Context, *flow.Metrics, flow.Chec
 		return exec, key, nil
 	}
 	return nil, "", fmt.Errorf("server: unknown job kind %q", req.Kind)
+}
+
+// synthMode resolves a request's arm: empty means opt, and anything but
+// opt or unopt is rejected.
+func synthMode(mode string) (string, error) {
+	switch mode {
+	case "":
+		return api.ModeOpt, nil
+	case api.ModeOpt, api.ModeUnopt:
+		return mode, nil
+	}
+	return "", fmt.Errorf("server: unknown mode %q", mode)
 }
 
 // parseSource turns a KindSynth request body into a control netlist.
@@ -857,119 +783,9 @@ func RunSynth(ctx context.Context, req api.JobRequest, met *flow.Metrics, ctl fl
 	if err != nil {
 		return nil, err
 	}
-	mode := req.Mode
-	if mode == "" {
-		mode = api.ModeOpt
-	}
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return nil, fmt.Errorf("server: unknown mode %q", req.Mode)
+	mode, err := synthMode(req.Mode)
+	if err != nil {
+		return nil, err
 	}
 	return runSynth(ctx, n, mode, req.Config, met, nil, ctl)
-}
-
-// RunNetlint synthesizes a submitted
-// design without simulation and audit every mapped controller plus the
-// merged circuit. Unlike the job-queue gate, error findings do not
-// fail the request — the report is the product.
-func RunNetlint(ctx context.Context, req api.NetlintRequest) (*api.NetlintResultJSON, error) {
-	n, err := parseSource(api.JobRequest{Source: req.Source, Format: req.Format, Name: req.Name})
-	if err != nil {
-		return nil, err
-	}
-	mode := req.Mode
-	if mode == "" {
-		mode = api.ModeOpt
-	}
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return nil, fmt.Errorf("server: unknown mode %q", req.Mode)
-	}
-	name := req.Name
-	if name == "" {
-		name = "design"
-	}
-	tmMode := techmap.AreaShared
-	if mode == api.ModeOpt {
-		tmMode = techmap.SpeedSplit
-		n, _, err = core.OptimizeOpt(n, core.Options{
-			MaxStates: req.Config.MaxStates, Workers: req.Config.Workers, Ctx: ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	ctrls, merged, err := flow.NetlintNetlist(ctx, name, mode, n, tmMode, req.Config.Options(nil))
-	if err != nil {
-		return nil, err
-	}
-	return api.NetlintResult(mode, ctrls, merged), nil
-}
-
-// RunHazver synthesizes a submitted design without simulation in the
-// requested arm's mode and statically verifies the shipped logic of
-// each distinct controller shape hazard-free on every specified burst
-// by two-pass ternary evaluation (hand-library circuits are reported
-// skipped). Unlike the job-queue gate,
-// error findings do not fail the request — the report is the product.
-// Both the POST /api/v1/hazver handler and the local `balsabm hazver`
-// path call this one function, so the two answer byte-identical
-// reports.
-func RunHazver(ctx context.Context, req api.HazverRequest) (*api.HazverResultJSON, error) {
-	n, err := parseSource(api.JobRequest{Source: req.Source, Format: req.Format, Name: req.Name})
-	if err != nil {
-		return nil, err
-	}
-	mode := req.Mode
-	if mode == "" {
-		mode = api.ModeOpt
-	}
-	if mode != api.ModeOpt && mode != api.ModeUnopt {
-		return nil, fmt.Errorf("server: unknown mode %q", req.Mode)
-	}
-	name := req.Name
-	if name == "" {
-		name = "design"
-	}
-	tmMode := techmap.AreaShared
-	if mode == api.ModeOpt {
-		tmMode = techmap.SpeedSplit
-		n, _, err = core.OptimizeOpt(n, core.Options{
-			MaxStates: req.Config.MaxStates, Workers: req.Config.Workers, Ctx: ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := flow.HazverNetlist(ctx, name, mode, n, tmMode, req.Config.Options(nil))
-	if err != nil {
-		return nil, err
-	}
-	return api.HazverResult(mode, res), nil
-}
-
-// RunBmlint compiles a submitted design's components to Burst-Mode
-// specifications and audits each with bmlint — or, for Format "bms",
-// lints a single spec directly. Unlike the job-queue gate, error
-// findings do not fail the request: the report is the product. Both
-// the POST /api/v1/bmlint handler and the local `balsabm bmlint` path
-// call this one function, so the two answer byte-identical reports.
-func RunBmlint(ctx context.Context, req api.BmlintRequest) (*api.BmlintResultJSON, error) {
-	if req.Format == api.FormatBMS {
-		if strings.TrimSpace(req.Source) == "" {
-			return nil, fmt.Errorf("server: bmlint request has empty source")
-		}
-		res := bmlint.LintSource(req.Source)
-		if res.Name == "" {
-			res.Name = req.Name
-		}
-		return api.BmlintResult([]bmlint.Result{res}), nil
-	}
-	n, err := parseSource(api.JobRequest{Source: req.Source, Format: req.Format, Name: req.Name})
-	if err != nil {
-		return nil, err
-	}
-	specs, err := flow.BmlintNetlist(n)
-	if err != nil {
-		return nil, err
-	}
-	return api.BmlintResult(specs), nil
 }

@@ -67,7 +67,7 @@ func TestLintEndpointCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Lint(context.Background(), api.LintRequest{Source: string(src), File: "table1.ch"})
+	res, err := Lint.Call(context.Background(), c, api.LintRequest{Source: string(src), File: "table1.ch"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,28 @@ import (
 	"strings"
 
 	"balsabm/internal/api"
+	"balsabm/internal/flow"
 )
+
+// diagCounters are the checker tiers the daemon counts by code, in
+// exposition order, with the HELP text of their
+// balsabmd_<tier>_diags_total series. chlint has no counter.
+var diagCounters = []struct{ tier, help string }{
+	{flow.TierBmlint, "Burst-Mode spec diagnostics surfaced by the bmlint gates, by code."},
+	{flow.TierHazver, "Static hazard-verification diagnostics surfaced by the hazver gates, by code."},
+	{flow.TierNetlint, "Netlist diagnostics surfaced by the netlint gates, by code."},
+}
+
+// sortedKeys returns a map's keys in order, so series render
+// deterministically.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 // PrometheusText renders the daemon counters in the Prometheus text
 // exposition format (hand-rolled; the repo is standard-library only).
@@ -18,12 +39,7 @@ func PrometheusText(m *api.MetricsJSON) string {
 
 	line("# HELP balsabmd_jobs_total Jobs by current state.")
 	line("# TYPE balsabmd_jobs_total gauge")
-	states := make([]string, 0, len(m.JobsByState))
-	for s := range m.JobsByState {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
+	for _, s := range sortedKeys(m.JobsByState) {
 		line("balsabmd_jobs_total{state=%q} %d", s, m.JobsByState[s])
 	}
 
@@ -94,46 +110,19 @@ func PrometheusText(m *api.MetricsJSON) string {
 	line("# TYPE balsabmd_minimize_branch_nodes_total counter")
 	line("balsabmd_minimize_branch_nodes_total %d", m.BranchNodes)
 
-	line("# HELP balsabmd_bmlint_diags_total Burst-Mode spec diagnostics surfaced by the bmlint gates, by code.")
-	line("# TYPE balsabmd_bmlint_diags_total counter")
-	bmCodes := make([]string, 0, len(m.BmlintDiags))
-	for c := range m.BmlintDiags {
-		bmCodes = append(bmCodes, c)
-	}
-	sort.Strings(bmCodes)
-	for _, c := range bmCodes {
-		line("balsabmd_bmlint_diags_total{code=%q} %d", c, m.BmlintDiags[c])
-	}
-
-	line("# HELP balsabmd_hazver_diags_total Static hazard-verification diagnostics surfaced by the hazver gates, by code.")
-	line("# TYPE balsabmd_hazver_diags_total counter")
-	hzCodes := make([]string, 0, len(m.HazverDiags))
-	for c := range m.HazverDiags {
-		hzCodes = append(hzCodes, c)
-	}
-	sort.Strings(hzCodes)
-	for _, c := range hzCodes {
-		line("balsabmd_hazver_diags_total{code=%q} %d", c, m.HazverDiags[c])
-	}
-
-	line("# HELP balsabmd_netlint_diags_total Netlist diagnostics surfaced by the netlint gates, by code.")
-	line("# TYPE balsabmd_netlint_diags_total counter")
-	codes := make([]string, 0, len(m.NetlintDiags))
-	for c := range m.NetlintDiags {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	for _, c := range codes {
-		line("balsabmd_netlint_diags_total{code=%q} %d", c, m.NetlintDiags[c])
+	for _, dc := range diagCounters {
+		name := "balsabmd_" + dc.tier + "_diags_total"
+		line("# HELP %s %s", name, dc.help)
+		line("# TYPE %s counter", name)
+		counts := *m.TierDiags(dc.tier)
+		for _, c := range sortedKeys(counts) {
+			line("%s{code=%q} %d", name, c, counts[c])
+		}
 	}
 
 	line("# HELP balsabmd_stage_runs_total Completed pipeline-stage units.")
 	line("# TYPE balsabmd_stage_runs_total counter")
-	stages := make([]string, 0, len(m.Stages))
-	for s := range m.Stages {
-		stages = append(stages, s)
-	}
-	sort.Strings(stages)
+	stages := sortedKeys(m.Stages)
 	for _, s := range stages {
 		line("balsabmd_stage_runs_total{stage=%q} %d", s, m.Stages[s].Count)
 	}

@@ -27,7 +27,7 @@ func TestNetlintEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	for _, mode := range []string{api.ModeUnopt, api.ModeOpt} {
-		res, err := c.Netlint(ctx, api.NetlintRequest{Source: netlintTestSource, Name: "pair", Mode: mode})
+		res, err := Netlint.Call(ctx, c, api.NetlintRequest{Source: netlintTestSource, Name: "pair", Mode: mode})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -109,10 +109,10 @@ func TestNetlintEndpointRejects(t *testing.T) {
 		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
 	}
 
-	if _, err := c.Netlint(ctx, api.NetlintRequest{Source: "(not a design"}); err == nil {
+	if _, err := Netlint.Call(ctx, c, api.NetlintRequest{Source: "(not a design"}); err == nil {
 		t.Error("unparsable source accepted")
 	}
-	if _, err := c.Netlint(ctx, api.NetlintRequest{Source: netlintTestSource, Mode: "fastest"}); err == nil {
+	if _, err := Netlint.Call(ctx, c, api.NetlintRequest{Source: netlintTestSource, Mode: "fastest"}); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }

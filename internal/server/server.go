@@ -41,7 +41,6 @@ import (
 	"net/http"
 	"time"
 
-	"balsabm/internal/analysis"
 	"balsabm/internal/api"
 	"balsabm/internal/designs"
 )
@@ -61,10 +60,10 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("POST /api/v1/lint", s.handleLint)
-	s.mux.HandleFunc("POST /api/v1/bmlint", s.handleBmlint)
-	s.mux.HandleFunc("POST /api/v1/netlint", s.handleNetlint)
-	s.mux.HandleFunc("POST /api/v1/hazver", s.handleHazver)
+	Lint.handle(s.mux)
+	Bmlint.handle(s.mux)
+	Netlint.handle(s.mux)
+	Hazver.handle(s.mux)
 	s.mux.HandleFunc("GET /api/v1/designs", s.handleDesigns)
 	s.mux.HandleFunc("GET /api/v1/metrics", s.handleMetricsJSON)
 	s.mux.HandleFunc("GET /metrics", s.handleMetricsText)
@@ -106,12 +105,21 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorJSON{Error: err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.JobRequest
+// decode reads a JSON request body into v, rejecting unknown fields;
+// on failure it answers 400 itself and reports false.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req api.JobRequest
+	if !decode(w, r, &req) {
 		return
 	}
 	j, err := s.mgr.Submit(req)
@@ -246,89 +254,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleLint runs the chlint analyzer synchronously — no job queue;
-// lint is cheap. The response body is api.Encode(api.LintResult(...)),
-// the same struct and encoder `balsabm lint -json` prints, so the two
-// surfaces answer byte-identical diagnostics for the same source.
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	var req api.LintRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, api.LintResult(req.File, analysis.LintSource(req.Source)))
-}
-
-// handleBmlint compiles a submitted design's Burst-Mode specs (or
-// lints one .bms spec) synchronously — no job queue; compiling specs
-// is cheap. The body is api.Encode(api.BmlintResult(...)), the same
-// struct and encoder `balsabm bmlint -json` prints, so the two
-// surfaces answer byte-identical reports for the same source.
-// Error-severity findings are reported, not failed: this endpoint
-// exists to look at them.
-func (s *Server) handleBmlint(w http.ResponseWriter, r *http.Request) {
-	var req api.BmlintRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	res, err := RunBmlint(r.Context(), req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleNetlint synthesizes a submitted design synchronously (no
-// simulation, no job queue) and answers its netlint audit. The body is
-// api.Encode(api.NetlintResult(...)), the same struct and encoder
-// `balsabm netlint -json` prints, so the two surfaces answer
-// byte-identical reports for the same source. Error-severity findings
-// are reported, not failed: this endpoint exists to look at them.
-func (s *Server) handleNetlint(w http.ResponseWriter, r *http.Request) {
-	var req api.NetlintRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	res, err := RunNetlint(r.Context(), req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleHazver synthesizes a submitted design synchronously (no
-// simulation, no job queue) and answers its static hazard
-// verification. The body is api.Encode(api.HazverResult(...)), the
-// same struct and encoder `balsabm hazver -json` prints, so the two
-// surfaces answer byte-identical reports for the same source.
-// Error-severity findings are reported, not failed: this endpoint
-// exists to look at them.
-func (s *Server) handleHazver(w http.ResponseWriter, r *http.Request) {
-	var req api.HazverRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	res, err := RunHazver(r.Context(), req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
