@@ -8,6 +8,7 @@ package chtobm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"balsabm/internal/bm"
@@ -283,11 +284,12 @@ func (b *builder) finish() (*bm.Spec, error) {
 	}
 	start := b.find(0)
 	// Reachability from the start state.
-	adj := map[int][]int{}
+	adj := make([][]int, b.nstates)
 	for _, a := range arcs {
 		adj[a.From] = append(adj[a.From], a.To)
 	}
-	reach := map[int]bool{start: true}
+	reach := make([]bool, b.nstates)
+	reach[start] = true
 	queue := []int{start}
 	for len(queue) > 0 {
 		s := queue[0]
@@ -301,30 +303,23 @@ func (b *builder) finish() (*bm.Spec, error) {
 	}
 	// Renumber reachable states in creation order; the start state is
 	// the earliest created, so it becomes 0.
-	var order []int
+	renum := make([]int, b.nstates)
+	n := 0
 	for s := 0; s < b.nstates; s++ {
 		if b.find(s) == s && reach[s] {
-			order = append(order, s)
+			renum[s] = n
+			n++
 		}
 	}
-	renum := map[int]int{}
-	for i, s := range order {
-		renum[s] = i
-	}
-	sp := &bm.Spec{Name: b.name, Start: renum[start], NStates: len(order)}
-	sp.Arcs = make([]bm.Arc, 0, len(arcs))
-	seen := make(map[string]bool, len(arcs))
+	sp := &bm.Spec{Name: b.name, Start: renum[start], NStates: n}
+	// Keep the arcs leaving reachable states, renumbered, in place.
+	sp.Arcs = arcs[:0]
 	for _, a := range arcs {
-		if !reach[a.From] {
-			continue
+		if reach[a.From] {
+			sp.Arcs = append(sp.Arcs, bm.Arc{From: renum[a.From], To: renum[a.To], In: a.In, Out: a.Out})
 		}
-		key := fmt.Sprintf("%d>%d:%s/%s", renum[a.From], renum[a.To], a.In, a.Out)
-		if seen[key] {
-			continue // identical arcs from merged choice tails
-		}
-		seen[key] = true
-		sp.Arcs = append(sp.Arcs, bm.Arc{From: renum[a.From], To: renum[a.To], In: a.In, Out: a.Out})
 	}
+	sp.Arcs = dedupeArcs(sp.Arcs, sp.NStates)
 	for sig, d := range b.dirs {
 		if d == ch.In {
 			sp.Inputs = append(sp.Inputs, sig)
@@ -335,4 +330,28 @@ func (b *builder) finish() (*bm.Spec, error) {
 	sort.Strings(sp.Inputs)
 	sort.Strings(sp.Outputs)
 	return sp, nil
+}
+
+// dedupeArcs drops, in place, every arc identical to an earlier one
+// (merged choice tails produce them), keeping first occurrences in
+// order. The arcs kept from each state form a chain, head[from] then
+// next[i] (1-based indices into the kept arcs, 0 ends it), so an arc
+// is compared only with the arcs already kept from its own state.
+func dedupeArcs(arcs []bm.Arc, nstates int) []bm.Arc {
+	head := make([]int, nstates)
+	next := make([]int, 0, len(arcs))
+	kept := arcs[:0]
+nextArc:
+	for _, a := range arcs {
+		for i := head[a.From]; i != 0; i = next[i-1] {
+			k := kept[i-1]
+			if k.To == a.To && slices.Equal(k.In, a.In) && slices.Equal(k.Out, a.Out) {
+				continue nextArc
+			}
+		}
+		next = append(next, head[a.From])
+		kept = append(kept, a)
+		head[a.From] = len(kept)
+	}
+	return kept
 }

@@ -2,6 +2,8 @@ package chtobm
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -357,5 +359,53 @@ func TestChoiceTailsUnrollAndMinimize(t *testing.T) {
 	// bisimilar across the two branches and must merge: 13 -> 10.
 	if min.NStates != 10 {
 		t.Fatalf("minimized to %d states, want 10:\n%s", min.NStates, min)
+	}
+}
+
+// dedupeArcsByKey is the string-keyed duplicate filter dedupeArcs
+// replaced: one "from>to:in/out" key per arc, first occurrence kept.
+func dedupeArcsByKey(arcs []bm.Arc) []bm.Arc {
+	var out []bm.Arc
+	seen := map[string]bool{}
+	for _, a := range arcs {
+		key := fmt.Sprintf("%d>%d:%s/%s", a.From, a.To, a.In, a.Out)
+		if !seen[key] {
+			seen[key] = true
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// dedupeArcs keeps exactly the arcs, in exactly the order, of the
+// string-keyed filter, on arc lists dense with duplicates: few states
+// and bursts drawn from a handful of edges, so equal endpoints with
+// different bursts, equal bursts in a different order and repeats of
+// an arc all occur.
+func TestDedupeArcsMatchesStringKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sigs := []bm.Sig{{Name: "a", Rise: true}, {Name: "a"}, {Name: "b", Rise: true}, {Name: "c"}}
+	burst := func() bm.Burst {
+		var b bm.Burst
+		for _, i := range rng.Perm(len(sigs))[:rng.Intn(3)] {
+			b = append(b, sigs[i])
+		}
+		return b
+	}
+	for iter := 0; iter < 2000; iter++ {
+		nstates := 1 + rng.Intn(4)
+		var arcs []bm.Arc
+		for i := rng.Intn(24); i > 0; i-- {
+			if len(arcs) > 0 && rng.Intn(3) == 0 {
+				arcs = append(arcs, arcs[rng.Intn(len(arcs))])
+				continue
+			}
+			arcs = append(arcs, bm.Arc{From: rng.Intn(nstates), To: rng.Intn(nstates), In: burst(), Out: burst()})
+		}
+		want := dedupeArcsByKey(arcs)
+		got := dedupeArcs(append([]bm.Arc(nil), arcs...), nstates)
+		if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("arcs %v:\ngot  %v\nwant %v", arcs, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
@@ -20,8 +21,14 @@ type Merge struct {
 
 // Report describes what the clustering algorithms did.
 type Report struct {
-	Merges        []Merge
-	Skipped       []string // channels inspected but not removable
+	Merges []Merge
+	// Skipped lists the channels each T1 sweep inspected without
+	// merging, one entry per sweep: a channel that stays unremovable
+	// through k sweeps appears k times (the last sweep re-probes every
+	// channel to confirm that nothing merges), so wagging-register's is
+	// [e1 e2 e1 e2]. Under T2 it is the final round's list. The Table 3
+	// digests pin it as is.
+	Skipped       []string
 	CallsSplit    []string // call components split by T2
 	CallsRestored []string // calls whose fragments scattered; restored
 	// Containment maps each original component name to the final
@@ -178,7 +185,9 @@ func ActivationChannelRemoval(channel string, x, y *ch.Program) (*ch.Program, er
 type Options struct {
 	MaxStates int
 	// Workers bounds the concurrency of the candidate legality probes
-	// (each one a full CH-to-BM compilation); 0 means GOMAXPROCS.
+	// (each a memo lookup, plus an activation-channel removal and a
+	// CH-to-BM compilation the first time a candidate is seen); 0 means
+	// GOMAXPROCS.
 	Workers int
 	// Pool, when set, shares an existing worker pool (e.g. the flow's)
 	// instead of creating one from Workers, so clustering and synthesis
@@ -220,6 +229,58 @@ func synthesizable(p *ch.Program, opt Options) bool {
 	return opt.MaxStates <= 0 || sp.NStates <= opt.MaxStates
 }
 
+// verdicts memoizes T1 legality verdicts for one T1ClusteringOpt or
+// T2ClusteringOpt call: the parallel probes of a sweep, the re-fan after
+// each commit, repeat sweeps and the rounds of T2 all share it. A
+// verdict is "ActivationChannelRemoval succeeds and the merged program
+// is synthesizable". It depends only on the channel and the two bodies
+// (not on component names, and the options are fixed for the call), so
+// it is keyed by the channel and the interned bodies of the activator
+// and the activated component. Only the verdict is cached: a commit
+// rebuilds the merged program from the current pair, whose activator
+// names it.
+type verdicts struct {
+	memo parallel.Memo[bool]
+	// ids interns body text (ch.ToSexp, which round-trips structurally,
+	// so equal text means equal bodies) to short ids; body holds the id
+	// of each component of the current T1 run's working netlist. Both
+	// are written only between fan-outs, as components enter the
+	// netlist, and only read by the probes.
+	ids  map[string]string
+	body map[*ch.Program]string
+	// compiles counts the CH-to-BM compilations the memo ran.
+	compiles parallel.Counter
+}
+
+func newVerdicts() *verdicts {
+	return &verdicts{ids: map[string]string{}}
+}
+
+// enter interns the body of a component entering the working netlist.
+func (v *verdicts) enter(p *ch.Program) {
+	text := ch.ToSexp(p.Body).String()
+	id, ok := v.ids[text]
+	if !ok {
+		id = strconv.Itoa(len(v.ids))
+		v.ids[text] = id
+	}
+	v.body[p] = id
+}
+
+// legal reports whether merging y into x over the channel is legal,
+// computing the verdict once per (channel, x body, y body).
+func (v *verdicts) legal(channel string, x, y *ch.Program, opt Options) bool {
+	ok, _, _ := v.memo.Do(channel+" "+v.body[x]+" "+v.body[y], func() (bool, error) {
+		merged, err := ActivationChannelRemoval(channel, x, y)
+		if err != nil {
+			return false, nil
+		}
+		v.compiles.Add(1)
+		return synthesizable(merged, opt), nil
+	})
+	return ok
+}
+
 // T1Clustering implements procedure T1_clustering of Section 4.4: it
 // iterates over the point-to-point channels of the netlist; for each,
 // it forms the clustered component of the two connected components and
@@ -236,13 +297,20 @@ func T1Clustering(n *Netlist) (*Netlist, *Report, error) {
 // T1ClusteringOpt is T1Clustering with tunable limits.
 func T1ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
 	opt.Pool = opt.pool()
-	out := n.Clone()
+	return t1Cluster(n.Clone(), opt, newVerdicts())
+}
+
+// t1Cluster runs T1 clustering on a netlist it owns and rewrites in
+// place, sharing the call's verdict memo.
+func t1Cluster(out *Netlist, opt Options, v *verdicts) (*Netlist, *Report, error) {
 	rep := &Report{Containment: map[string]string{}}
+	v.body = make(map[*ch.Program]string, len(out.Components))
 	for _, c := range out.Components {
 		rep.Containment[c.Name] = c.Name
+		v.enter(c)
 	}
 	for {
-		merged, err := t1Sweep(out, rep, opt)
+		merged, err := t1Sweep(out, rep, opt, v)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -255,18 +323,18 @@ func T1ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
 }
 
 // t1Candidate is one channel's evaluation against the current netlist:
-// merged is nil when the channel is not committable (skipped).
+// the activator x and the activated y, both nil when the channel is not
+// committable (skipped).
 type t1Candidate struct {
-	xName, yName string
-	merged       *ch.Program
+	x, y *ch.Program
 }
 
-// t1Evaluate probes one channel for a legal merge. It is pure with
-// respect to the netlist (ActivationChannelRemoval and the
-// synthesizability check clone everything they rewrite), so candidates
-// for many channels can be evaluated concurrently against the same
-// netlist state.
-func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Options) t1Candidate {
+// t1Evaluate probes one channel for a legal merge. It only reads the
+// netlist (ActivationChannelRemoval and the synthesizability check
+// clone everything they rewrite, and the verdict memo is safe for
+// concurrent use), so candidates for many channels can be evaluated
+// concurrently against the same netlist state.
+func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Options, v *verdicts) t1Candidate {
 	us := uses[channel]
 	if len(us) != 2 {
 		return t1Candidate{}
@@ -285,29 +353,28 @@ func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Opt
 		return t1Candidate{}
 	}
 	x, y := out.Find(xName), out.Find(yName)
-	merged, err := ActivationChannelRemoval(channel, x, y)
-	if err != nil {
+	if !v.legal(channel, x, y, opt) {
 		return t1Candidate{}
 	}
-	if !synthesizable(merged, opt) {
-		return t1Candidate{}
-	}
-	return t1Candidate{xName: xName, yName: yName, merged: merged}
+	return t1Candidate{x: x, y: y}
 }
 
 // t1Sweep performs one pass over the current internal channels,
 // reporting whether any merge committed.
 //
-// The legality probes (each a full activation-channel removal plus
-// CH-to-BM compilation) dominate clustering time, so they are fanned
-// out across the worker pool. Commit order is kept identical to the
-// sequential algorithm: the remaining channels are evaluated in
-// parallel against the current netlist, the first committable one (in
-// channel order) commits, and the channels after it are re-evaluated
-// against the updated netlist — exactly the states the sequential
-// sweep would have probed, so merges, skips and the final netlist are
-// byte-for-byte the same at any worker count.
-func t1Sweep(out *Netlist, rep *Report, opt Options) (bool, error) {
+// Commit order is that of the sequential algorithm: the remaining
+// channels are probed in parallel across the worker pool against the
+// current netlist, the first committable one (in channel order)
+// commits, and the channels after it are probed again against the
+// updated netlist — exactly the states the sequential sweep would have
+// probed, so merges, skips and the final netlist are byte-for-byte the
+// same at any worker count. Most probes repeat an earlier one: the
+// re-fan after a commit re-probes channels whose two components did not
+// change, the last sweep re-probes every channel to confirm that nothing
+// merges, and each T2 round re-runs T1. So a probe is a lookup in the
+// call's verdict memo, and only a candidate never seen before pays for
+// the channel removal and the CH-to-BM compilation.
+func t1Sweep(out *Netlist, rep *Report, opt Options, v *verdicts) (bool, error) {
 	channels, err := out.InternalPToP()
 	if err != nil {
 		return false, err
@@ -320,28 +387,34 @@ func t1Sweep(out *Netlist, rep *Report, opt Options) (bool, error) {
 		}
 		rest := channels[i:]
 		cands, err := parallel.MapCtx(opt.ctx(), opt.Pool, len(rest), func(k int) (t1Candidate, error) {
-			return t1Evaluate(out, rest[k], uses, opt), nil
+			return t1Evaluate(out, rest[k], uses, opt, v), nil
 		})
 		if err != nil {
 			return false, err
 		}
 		committed := -1
 		for k, cand := range cands {
-			if cand.merged == nil {
+			if cand.x == nil {
 				rep.Skipped = append(rep.Skipped, rest[k])
 				continue
 			}
-			// Commit: replace x and y with the merged component.
-			out.remove(cand.xName)
-			out.remove(cand.yName)
-			out.Components = append(out.Components, cand.merged)
+			// Commit: rebuild the merge from the current pair and
+			// replace x and y with it.
+			merged, err := ActivationChannelRemoval(rest[k], cand.x, cand.y)
+			if err != nil {
+				return false, err
+			}
+			out.remove(cand.x.Name)
+			out.remove(cand.y.Name)
+			out.Components = append(out.Components, merged)
+			v.enter(merged)
 			for orig, cont := range rep.Containment {
-				if cont == cand.yName || cont == cand.xName {
-					rep.Containment[orig] = cand.merged.Name
+				if cont == cand.y.Name || cont == cand.x.Name {
+					rep.Containment[orig] = merged.Name
 				}
 			}
 			rep.Merges = append(rep.Merges, Merge{
-				Channel: rest[k], Activator: cand.xName, Activated: cand.yName, Result: cand.merged.Name,
+				Channel: rest[k], Activator: cand.x.Name, Activated: cand.y.Name, Result: merged.Name,
 			})
 			anyMerge = true
 			committed = k
@@ -432,10 +505,17 @@ func T2Clustering(n *Netlist) (*Netlist, *Report, error) {
 
 // T2ClusteringOpt is T2Clustering with tunable limits.
 func T2ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
+	return t2Cluster(n, opt, newVerdicts())
+}
+
+// t2Cluster runs T2 clustering rounds until no call is restored; every
+// round's T1 run shares the verdict memo v.
+func t2Cluster(n *Netlist, opt Options, v *verdicts) (*Netlist, *Report, error) {
+	opt.Pool = opt.pool()
 	noSplit := map[string]bool{}
 	var allRestored []string
 	for {
-		out, rep, restored, err := t2Round(n, noSplit, opt)
+		out, rep, restored, err := t2Round(n, noSplit, opt, v)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -455,7 +535,7 @@ func T2ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
 	}
 }
 
-func t2Round(n *Netlist, noSplit map[string]bool, opt Options) (*Netlist, *Report, []string, error) {
+func t2Round(n *Netlist, noSplit map[string]bool, opt Options, v *verdicts) (*Netlist, *Report, []string, error) {
 	work := n.Clone()
 	type callInfo struct {
 		orig  *ch.Program
@@ -480,7 +560,7 @@ func t2Round(n *Netlist, noSplit map[string]bool, opt Options) (*Netlist, *Repor
 	}
 	kept.Components = append(kept.Components, split...)
 
-	out, rep, err := T1ClusteringOpt(kept, opt)
+	out, rep, err := t1Cluster(kept, opt, v)
 	if err != nil {
 		return nil, nil, nil, err
 	}

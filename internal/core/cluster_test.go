@@ -437,3 +437,50 @@ func TestMergedStateValues(t *testing.T) {
 	}
 	_ = bm.Sig{}
 }
+
+// The verdict memo keys the channel and the two bodies, not the
+// component names: a renamed activator hits the memo, and the merge is
+// rebuilt from the current pair, so it carries the new name. A changed
+// body misses.
+func TestVerdictMemoKeysBodies(t *testing.T) {
+	opt := Options{Workers: 1}
+	opt.Pool = opt.pool()
+	v := newVerdicts()
+	first, _, err := t1Cluster(dwSeqNetlist(t), opt, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.compiles.Load(); got != 1 {
+		t.Fatalf("first run compiled %d candidates, want 1", got)
+	}
+
+	renamed := dwSeqNetlist(t)
+	renamed.Find("dw").Name = "dw2"
+	out, rep, err := t1Cluster(renamed, opt, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.compiles.Load(); got != 1 {
+		t.Errorf("renamed activator compiled again: %d compiles", got)
+	}
+	want := Merge{Channel: "o2", Activator: "dw2", Activated: "seq", Result: "dw2"}
+	if len(rep.Merges) != 1 || rep.Merges[0] != want {
+		t.Fatalf("merges %+v, want [%+v]", rep.Merges, want)
+	}
+	if len(out.Components) != 1 || out.Components[0].Name != "dw2" {
+		t.Fatalf("clustered netlist:\n%s", out.Format())
+	}
+	if got, want := ch.Format(out.Components[0].Body), ch.Format(first.Components[0].Body); got != want {
+		t.Errorf("renamed merge body\n%s\nwant\n%s", got, want)
+	}
+
+	changed := dwSeqNetlist(t)
+	changed.Components[1] = prog(t, "seq", `(rep (enc-early (p-to-p passive o2)
+	    (seq (p-to-p active c1) (p-to-p active c3))))`)
+	if _, _, err := t1Cluster(changed, opt, v); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.compiles.Load(); got != 2 {
+		t.Errorf("changed activated body: %d compiles, want 2", got)
+	}
+}
