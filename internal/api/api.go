@@ -36,8 +36,8 @@ type FlowConfig struct {
 	// MaxStates bounds the Burst-Mode state count of clustered
 	// controllers (0 = unlimited).
 	MaxStates int `json:"maxStates,omitempty"`
-	// SkipAudit disables the exhaustive hazard audit of mapped
-	// optimized controllers.
+	// SkipAudit disables the hazard audit of mapped optimized
+	// controllers (flow.Options.SkipAudit).
 	SkipAudit bool `json:"skipAudit,omitempty"`
 	// TimeLimit and EventLimit bound each benchmark simulation
 	// (0 = the flow defaults).

@@ -249,8 +249,10 @@ type Options struct {
 	// Burst-Mode state count per clustered controller — the paper's
 	// synthesis-run-time knob).
 	Cluster core.Options
-	// SkipAudit disables the exhaustive hazard audit of mapped
-	// optimized controllers (it is on by default, as in Section 5).
+	// SkipAudit disables the hazard audit of mapped optimized
+	// controllers (techmap.CheckMapped; on by default, as in Section
+	// 5). The audit is exhaustive up to 14 variables and samples 2^14
+	// points beyond.
 	SkipAudit bool
 	// TimeLimit and EventLimit bound each benchmark simulation.
 	TimeLimit  float64

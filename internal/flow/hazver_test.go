@@ -17,6 +17,7 @@ import (
 	"balsabm/internal/gates"
 	"balsabm/internal/hazver"
 	"balsabm/internal/minimalist"
+	"balsabm/internal/parallel"
 	"balsabm/internal/techmap"
 )
 
@@ -129,6 +130,92 @@ func synthHazverUnits(t testing.TB, n *core.Netlist, mode techmap.Mode) []synthU
 		}})
 	}
 	return out
+}
+
+// tamperOutput flips the cell driving the netlist's first primary
+// output, as techmap's own tests do, so the output differs from its
+// cover at every point: INV<->BUF for single-product roots, NANDk->ANDk
+// otherwise.
+func tamperOutput(t testing.TB, nl *gates.Netlist) {
+	t.Helper()
+	d := nl.Driver(nl.Outputs[0])
+	if d < 0 {
+		t.Fatal("output has no driver")
+	}
+	inst := &nl.Instances[d]
+	switch {
+	case inst.Cell == "INV":
+		inst.Cell = "BUF"
+	case inst.Cell == "BUF":
+		inst.Cell = "INV"
+	case strings.HasPrefix(inst.Cell, "NAND"):
+		inst.Cell = "AND" + inst.Cell[len("NAND"):]
+	default:
+		t.Fatalf("unexpected root cell %s", inst.Cell)
+	}
+}
+
+// TestCheckMappedSampledTamperPathsAgree covers the sampled sweep,
+// which no techmap test reaches: stack's 26-variable optimized
+// controller, its first output tampered. The compiled path at 1, 2
+// and 8 workers and the interpreted fallback, forced by a self-loop
+// the compiler rejects, must all report the same first failing point.
+// The error string is pinned, so the sampled points of a controller of
+// up to 48 variables cannot drift.
+func TestCheckMappedSampledTamperPathsAgree(t *testing.T) {
+	const want = "techmap: pop_seq1: output d0_r differs from cover at map[d0_a:false d0_r:true d1_a:true d1_r:true d2_a:true d2_r:true d3_a:false d3_r:true d4_a:false d4_r:true d5_a:false d5_r:false d6_a:true d6_r:true o0_a:false o0_r:true pop_a:false pop_r:true y0:false y1:false y2:false y3:true y4:false y5:false y6:false y7:true]"
+	lib := cell.AMS035()
+	d, err := designs.ByName("stack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _, err := core.OptimizeOpt(d.Control(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var su synthUnit
+	for _, u := range synthHazverUnits(t, n, techmap.SpeedSplit) {
+		if len(u.ctrl.Vars) == 26 {
+			su = u
+			break
+		}
+	}
+	if su.ctrl == nil {
+		t.Fatal("stack has no 26-variable optimized controller")
+	}
+	mapTampered := func() *gates.Netlist {
+		nl, err := techmap.MapController(su.ctrl, techmap.SpeedSplit, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamperOutput(t, nl)
+		return nl
+	}
+
+	bad := mapTampered()
+	for _, workers := range []int{1, 2, 8} {
+		err := techmap.CheckMappedOpt(su.ctrl, bad, lib, techmap.CheckOptions{Pool: parallel.NewPool(workers)})
+		if err == nil || err.Error() != want {
+			t.Fatalf("compiled path, workers=%d:\n  got  %v\n  want %s", workers, err, want)
+		}
+	}
+
+	looped := mapTampered()
+	x := looped.Fresh("loop")
+	looped.AddInstance("OR2", []int{x, looped.Inputs[0]}, x, 0)
+	forced := map[int]bool{}
+	for _, z := range su.ctrl.Spec.Outputs {
+		forced[looped.Net(z)] = true
+	}
+	for i := 0; i < su.ctrl.StateBits; i++ {
+		forced[looped.Net(fmt.Sprintf("y%d", i))] = true
+	}
+	if _, err := gates.Compile(looped, lib, forced); err == nil {
+		t.Fatal("self-loop did not force the interpreted path")
+	}
+	if err := techmap.CheckMapped(su.ctrl, looped, lib); err == nil || err.Error() != want {
+		t.Fatalf("interpreted path:\n  got  %v\n  want %s", err, want)
+	}
 }
 
 // stableBurst finds a specified burst of a unit that holds some output
@@ -356,7 +443,7 @@ func BenchmarkHazver(b *testing.B) {
 }
 
 // BenchmarkCheckMappedSampling sweeps the same optimized-arm controllers
-// through techmap.CheckMapped's exhaustive binary sampling — the
+// through techmap.CheckMapped's binary point sweep — the
 // pre-hazver functional audit hazver's endpoint passes subsume.
 func BenchmarkCheckMappedSampling(b *testing.B) {
 	lib := cell.AMS035()

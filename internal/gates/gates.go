@@ -258,14 +258,19 @@ func (n *Netlist) CellCounts() map[string]int {
 	return out
 }
 
+// verilogIdent maps the net-name characters Verilog identifiers may
+// not hold; a Replacer is safe for concurrent use.
+var verilogIdent = strings.NewReplacer("$", "_", "+", "p", "-", "m", ".", "_")
+
+// VerilogIdent returns the identifier Netlist.Verilog prints for a net
+// name. Distinct names can map to one identifier; netlint reports that
+// as NL007.
+func VerilogIdent(name string) string { return verilogIdent.Replace(name) }
+
 // Verilog renders the netlist as a structural Verilog module.
 func (n *Netlist) Verilog(lib *cell.Library) string {
 	var sb strings.Builder
-	safe := func(net int) string {
-		name := n.NetNames[net]
-		r := strings.NewReplacer("$", "_", "+", "p", "-", "m", ".", "_")
-		return r.Replace(name)
-	}
+	safe := func(net int) string { return VerilogIdent(n.NetNames[net]) }
 	var ports []string
 	for _, in := range n.Inputs {
 		ports = append(ports, safe(in))

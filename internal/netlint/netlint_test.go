@@ -246,6 +246,21 @@ func TestDuplicateAndCollidingNames(t *testing.T) {
 	if !strings.Contains(got2[0].Message, `"t_1"`) || !strings.Contains(got2[0].Message, `"t$1"`) {
 		t.Fatalf("NL007 message %q does not name both nets", got2[0].Message)
 	}
+
+	// A name holding every character the sanitizer rewrites prints in
+	// the emitted module as exactly the identifier NL007 reports, once
+	// for each of the two colliding nets.
+	nl3 := clean()
+	nl3.Net("a$b+c-d.e")
+	nl3.Net("a_bpcmd_e")
+	got3 := find(Analyze(nl3, cell.AMS035()), "NL007")
+	if len(got3) != 1 || !strings.Contains(got3[0].Message, `Verilog identifier "a_bpcmd_e"`) {
+		t.Fatalf("NL007 = %v, want one naming identifier a_bpcmd_e", got3)
+	}
+	v := nl3.Verilog(cell.AMS035())
+	if n := strings.Count(v, "wire a_bpcmd_e;"); n != 2 || strings.Contains(v, "a$b+c-d.e") {
+		t.Fatalf("Verilog declares a_bpcmd_e %d times (want 2) or keeps the raw name:\n%s", n, v)
+	}
 }
 
 func TestDrivenPortsAndDuplicatePorts(t *testing.T) {

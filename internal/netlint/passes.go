@@ -16,7 +16,8 @@ import (
 // because net names key everything downstream: the canonical-form
 // synthesis cache reuses netlists via name substitution
 // (gates.Netlist.Rename), and the Verilog writer declares one wire per
-// sanitized name — a collision silently shorts two nets.
+// sanitized name (gates.VerilogIdent, which NL007 applies too) — a
+// collision silently shorts two nets.
 var StructPass = &Pass{
 	Name: "struct",
 	Doc:  "net-id bounds, unique names, Verilog-safe names, distinct ports",
@@ -60,7 +61,6 @@ func runStruct(nl *gates.Netlist, lib *cell.Library, r *Reporter) {
 
 	byName := map[string]int{}
 	bySafe := map[string]int{}
-	sanitize := strings.NewReplacer("$", "_", "+", "p", "-", "m", ".", "_")
 	for id, name := range nl.NetNames {
 		if prev, ok := byName[name]; ok {
 			r.Errorf(NetLoc(nl, id), "NL006",
@@ -68,7 +68,7 @@ func runStruct(nl *gates.Netlist, lib *cell.Library, r *Reporter) {
 			continue
 		}
 		byName[name] = id
-		safe := sanitize.Replace(name)
+		safe := gates.VerilogIdent(name)
 		if prev, ok := bySafe[safe]; ok {
 			r.Errorf(NetLoc(nl, id), "NL007",
 				"net %q and net %q both sanitize to Verilog identifier %q; the emitted module would short them",

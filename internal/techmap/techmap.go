@@ -411,13 +411,16 @@ func (r Report) String() string {
 		r.Name, r.Mode, r.Cells, r.Area, r.Critical)
 }
 
-// CheckMapped verifies a SpeedSplit-mapped netlist computes exactly the
-// synthesized hazard-free covers for every output and state-bit
-// function, exhaustively up to 14 variables and on 2^14 pseudo-random
-// points beyond that. Because the mapping uses only tree regrouping,
-// DeMorgan and associativity — hazard-non-increasing transformations —
-// identical functionality implies the mapped controller inherits the
-// covers' hazard-freedom (the paper's Section 5 argument).
+// CheckMapped verifies that a SpeedSplit-mapped netlist computes the
+// synthesized hazard-free cover of every output and state-bit
+// function. Up to 14 variables it compares them on every point, which
+// proves them identical. Beyond that it compares them on 2^14 fixed
+// pseudo-random points, so a mismatch elsewhere can go unseen. Because
+// the mapping uses only tree regrouping, DeMorgan and associativity —
+// hazard-non-increasing transformations — identical functionality
+// implies the mapped controller inherits the covers' hazard-freedom
+// (the paper's Section 5 argument). Both point sets are built once per
+// process and shared by every audit.
 //
 // AreaShared netlists are not pointwise-identical (the C-element
 // peephole folds outputs into feedback state); they are validated
@@ -449,7 +452,7 @@ type mappedCheck struct {
 
 // CheckMappedOpt is CheckMapped with explicit pool/context. The fast
 // path compiles the netlist once (gates.Compile with the forced nets
-// as cut points) and sweeps the sample space 64 points per pass, each
+// as cut points) and sweeps the shared points 64 per pass, each
 // pass checked word-parallel against the packed reference covers
 // (logic.EvalCoverLanes); point batches fan out deterministically
 // over the worker pool. When the netlist does not compile — a
@@ -472,11 +475,6 @@ func CheckMappedOpt(ctrl *minimalist.Controller, nl *gates.Netlist, lib *cell.Li
 	}
 	for _, y := range yNames {
 		forced[nl.Net(y)] = true
-	}
-	exhaustive := len(vars) <= 14
-	total := 1 << 14
-	if exhaustive {
-		total = 1 << len(vars)
 	}
 	// Pack every reference cover once; sampled points then evaluate
 	// word-parallel instead of per-literal per cube. Outputs are
@@ -503,40 +501,11 @@ func CheckMappedOpt(ctrl *minimalist.Controller, nl *gates.Netlist, lib *cell.Li
 			varNets[i] = nl.Net(v)
 		}
 	}
+	sw, total := auditSweep(len(vars))
 	if prog, err := gates.Compile(nl, lib, forced); err == nil {
-		return checkMappedCompiled(nl, prog, vars, varNets, checks, total, exhaustive, opt)
+		return checkMappedCompiled(nl, prog, vars, varNets, checks, sw, total, opt)
 	}
-	return checkMappedInterpreted(nl, lib, space, vars, varNets, forced, checks, total, exhaustive)
-}
-
-// sampleLanes generates the audit's sample points packed 64 to a
-// block: block b, variable i holds points 64b..64b+63 of the sweep —
-// the full 2^n space when exhaustive, the pseudo-random stream
-// otherwise (the same LCG stream, in the same order, as the
-// interpreted loop draws).
-func sampleLanes(nVars, total int, exhaustive bool) [][]uint64 {
-	blocks := (total + 63) / 64
-	words := make([][]uint64, blocks)
-	flat := make([]uint64, blocks*nVars)
-	for b := range words {
-		words[b] = flat[b*nVars : (b+1)*nVars : (b+1)*nVars]
-	}
-	rng := uint64(0x9e3779b97f4a7c15)
-	for p := 0; p < total; p++ {
-		sample := uint64(p)
-		if !exhaustive {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			sample = rng >> 16
-		}
-		w := words[p>>6]
-		bit := uint64(1) << uint(p&63)
-		for i := 0; i < nVars; i++ {
-			if sample&(1<<uint(i)) != 0 {
-				w[i] |= bit
-			}
-		}
-	}
-	return words
+	return checkMappedInterpreted(nl, lib, space, vars, varNets, forced, checks, sw, total)
 }
 
 // assignAt rebuilds the variable assignment of one lane for an error
@@ -555,9 +524,11 @@ func assignAt(vars []string, words []uint64, lane int) map[string]bool {
 // overhead.
 const blocksPerBatch = 32
 
-func checkMappedCompiled(nl *gates.Netlist, prog *gates.Program, vars []string, varNets []int, checks []mappedCheck, total int, exhaustive bool, opt CheckOptions) error {
-	words := sampleLanes(len(vars), total, exhaustive)
-	batches := (len(words) + blocksPerBatch - 1) / blocksPerBatch
+// checkMappedCompiled checks the first total points of sw, 64 per
+// pass of the compiled netlist.
+func checkMappedCompiled(nl *gates.Netlist, prog *gates.Program, vars []string, varNets []int, checks []mappedCheck, sw *sweep, total int, opt CheckOptions) error {
+	blocks := (total + 63) / 64
+	batches := (blocks + blocksPerBatch - 1) / blocksPerBatch
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -569,9 +540,9 @@ func checkMappedCompiled(nl *gates.Netlist, prog *gates.Program, vars []string, 
 	_, err := parallel.MapCtx(ctx, opt.Pool, batches, func(bi int) (struct{}, error) {
 		ev := prog.NewEval()
 		lo := bi * blocksPerBatch
-		hi := min(lo+blocksPerBatch, len(words))
+		hi := min(lo+blocksPerBatch, blocks)
 		for b := lo; b < hi; b++ {
-			w := words[b]
+			w := sw.row(b, len(vars))
 			ev.Reset()
 			for i, net := range varNets {
 				if net >= 0 {
@@ -579,6 +550,9 @@ func checkMappedCompiled(nl *gates.Netlist, prog *gates.Program, vars []string, 
 				}
 			}
 			ev.Run()
+			// Below 6 variables the audit has fewer than 64 points;
+			// the lanes past them hold other points of the shared
+			// table and are not compared.
 			valid := ^uint64(0)
 			if rem := total - b*64; rem < 64 {
 				valid = 1<<uint(rem) - 1
@@ -599,10 +573,10 @@ func checkMappedCompiled(nl *gates.Netlist, prog *gates.Program, vars []string, 
 }
 
 // checkMappedInterpreted is the reference path: the interpreted
-// settle loop per sample point, with the per-point garbage hoisted —
-// value, point and scratch buffers are reused across the sweep and
+// settle loop per point of the same sweep, with the per-point garbage
+// hoisted — value and scratch buffers are reused across the sweep and
 // driver lookups go through the netlist's driver index.
-func checkMappedInterpreted(nl *gates.Netlist, lib *cell.Library, space *logic.Space, vars []string, varNets []int, forced map[int]bool, checks []mappedCheck, total int, exhaustive bool) error {
+func checkMappedInterpreted(nl *gates.Netlist, lib *cell.Library, space *logic.Space, vars []string, varNets []int, forced map[int]bool, checks []mappedCheck, sw *sweep, total int) error {
 	drv := nl.DriverIndex()
 	maxIns := 0
 	for i := range nl.Instances {
@@ -612,15 +586,9 @@ func checkMappedInterpreted(nl *gates.Netlist, lib *cell.Library, space *logic.S
 	}
 	ins := make([]bool, maxIns)
 	vals := make([]bool, len(nl.NetNames))
-	point := make([]bool, len(vars))
 	pw := make([]uint64, space.Words())
-	rng := uint64(0x9e3779b97f4a7c15)
 	for p := 0; p < total; p++ {
-		sample := uint64(p)
-		if !exhaustive {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			sample = rng >> 16
-		}
+		w, lane := sw.row(p>>6, len(vars)), p&63
 		for i := range vals {
 			vals[i] = false
 		}
@@ -628,12 +596,12 @@ func checkMappedInterpreted(nl *gates.Netlist, lib *cell.Library, space *logic.S
 			pw[i] = 0
 		}
 		for i := range vars {
-			point[i] = sample&(1<<uint(i)) != 0
-			if point[i] {
+			v := w[i]>>uint(lane)&1 != 0
+			if v {
 				pw[i>>6] |= 1 << uint(i&63)
 			}
 			if net := varNets[i]; net >= 0 {
-				vals[net] = point[i]
+				vals[net] = v
 			}
 		}
 		if err := settleForcedVals(nl, lib, vals, forced, ins); err != nil {
@@ -648,11 +616,7 @@ func checkMappedInterpreted(nl *gates.Netlist, lib *cell.Library, space *logic.S
 			}
 			got := c.Eval(scratch, vals[ck.net])
 			if got != logic.EvalPointWords(ck.cover, pw) {
-				assign := make(map[string]bool, len(vars))
-				for i, v := range vars {
-					assign[v] = point[i]
-				}
-				return fmt.Errorf("techmap: %s: %s %s differs from cover at %v", nl.Name, ck.kind, ck.name, assign)
+				return fmt.Errorf("techmap: %s: %s %s differs from cover at %v", nl.Name, ck.kind, ck.name, assignAt(vars, w, lane))
 			}
 		}
 	}
