@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +22,17 @@ func TestRunDesignCtxCancelled(t *testing.T) {
 	}
 }
 
+// cancelOnSave is a CheckpointSink that cancels its run at the first
+// Save, the moment the first design's first stage completes, so the
+// cancellation lands mid-run however fast the flow is.
+type cancelOnSave struct {
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (s *cancelOnSave) Load(string) ([]byte, bool) { return nil, false }
+func (s *cancelOnSave) Save(string, []byte)        { s.once.Do(s.cancel) }
+
 // Cancelling mid-run must return promptly: leaf tasks still waiting
 // for a worker slot are abandoned rather than drained.
 func TestRunAllCtxCancelMidRun(t *testing.T) {
@@ -28,17 +40,14 @@ func TestRunAllCtxCancelMidRun(t *testing.T) {
 		t.Skip("runs a multi-design flow")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	start := time.Now()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	_, err := RunAllCtx(ctx, &Options{Workers: 1})
+	_, err := RunAllCtx(ctx, &Options{Workers: 1, Checkpoint: &cancelOnSave{cancel: cancel}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunAllCtx error = %v, want context.Canceled", err)
 	}
-	// The full four-design run takes far longer than a second even on
-	// fast machines; returning quickly shows leaves were abandoned.
+	// The cancel comes after one stage of four designs' flows;
+	// returning quickly shows the remaining leaves were abandoned.
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancelled run still took %v", elapsed)
 	}

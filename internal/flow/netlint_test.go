@@ -17,7 +17,7 @@ import (
 	"balsabm/internal/techmap"
 )
 
-var updateNetlint = flag.Bool("update", false, "rewrite examples/netlint golden .netlint files")
+var updateNetlint = flag.Bool("update", false, "rewrite the golden files under examples/{bmlint,netlint,hazver} and internal/hfmin/testdata/table3.hfp")
 
 // armNetlists synthesizes one arm of a design and returns the mapped
 // controllers: the unopt arm maps the original control netlist

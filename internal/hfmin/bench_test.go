@@ -3,8 +3,6 @@ package hfmin
 import (
 	"fmt"
 	"testing"
-
-	"balsabm/internal/logic"
 )
 
 // benchProblem builds a sequencer-like instance: a chain of dynamic
@@ -42,20 +40,12 @@ func BenchmarkDHFPrimes(b *testing.B) {
 	}
 	cases = append(cases, benchCase{"stack-most-leaves", loadProblem(b, "stack-most-leaves.hfp")})
 	for _, c := range cases {
-		_, off, required, priv, err := c.p.sets()
-		if err != nil {
-			b.Fatal(err)
-		}
-		mat := newProblemMat(c.p.Vars, off, priv)
-		seeds := make([]logic.PackedCube, len(required))
-		for i, r := range required {
-			seeds[i] = mat.sp.Pack(r)
-		}
+		ws := loadWorkspace(b, c.p)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, s := range seeds {
-					mat.dhfPrimes(s)
+				for _, s := range ws.req {
+					ws.primesOf(s)
 				}
 			}
 		})
@@ -96,5 +86,20 @@ func BenchmarkMinimize(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMinimizeTable3 measures Minimize on real traffic: one op
+// is a pass over every problem of the Table 3 corpus.
+func BenchmarkMinimizeTable3(b *testing.B) {
+	_, problems := loadProblems(b, "table3.hfp")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range problems {
+			if _, err := p.Minimize(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -29,8 +29,10 @@ package hfmin
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"balsabm/internal/logic"
 )
@@ -67,67 +69,191 @@ type Problem struct {
 	Transitions []Transition
 }
 
-// privileged is a dynamic 1→0 transition cube with its start point.
-type privileged struct {
-	cube  logic.Cube
-	start []bool
+// packedPriv is a privileged cube in packed form: the dynamic 1→0
+// transition cube and its start minterm as a PointWords plane.
+type packedPriv struct {
+	cube  logic.PackedCube
+	start []uint64
 }
 
-// sets computes the ON cubes, OFF cubes, required cubes and privileged
-// cubes of the instance, checking specification consistency.
-func (p *Problem) sets() (on, off, required logic.Cover, priv []privileged, err error) {
+// workspace is the scratch of one Minimize call: the packed front end,
+// the prime enumeration's state and the primes found. Minimize takes a
+// workspace from workspacePool and puts it back on return; in between
+// it belongs to that call and its goroutine alone. Each call reslices
+// every buffer from the start, so one workspace serves problems of any
+// width, and once its buffers have grown a call allocates none of
+// them. Nothing a call returns points into the workspace, and the pool
+// may drop it at any collection: reuse saves allocations and changes
+// no result.
+type workspace struct {
+	sp *logic.Space
+	// arena backs the front end: each transition's start and end
+	// planes, then the ON, OFF and privileged cubes built from them.
+	arena []uint64
+	on    []logic.PackedCube // ON cubes, which are also the required cubes before dedup
+	req   []logic.PackedCube // required cubes: ON without duplicates and contained cubes
+	off   []logic.PackedCube
+	priv  []packedPriv
+	enum  maskScratch
+	// primeArena backs primes, the distinct dhf-primes found so far;
+	// cube holds a candidate until the dedup has seen it.
+	primeArena []uint64
+	primes     []logic.PackedCube
+	cube       []uint64
+}
+
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+// sized returns buf resliced to n elements, reallocated when its
+// capacity is short. The contents are not preserved.
+func sized[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		return make(S, n)
+	}
+	return buf[:n]
+}
+
+// load builds p's ON, OFF, required and privileged cubes into the
+// arena, packed straight from each transition's start and end planes.
+// Per transition: a static 1 adds its transition cube T to ON and a
+// static 0 adds T to OFF. A dynamic 1→0 adds to ON, for each changed
+// variable in ascending order, T with that variable held at its start
+// value; it adds its end point to OFF and T with its start point to
+// the privileged cubes. A dynamic 0→1 adds the same sub-cubes to OFF
+// and its end point to ON. The required cubes are the ON cubes less
+// duplicates and strictly contained cubes (logic.Cover.Dedup). The
+// specification must be consistent: no ON cube may meet an OFF cube.
+// TestFrontEndMatchesSets pins the cubes, their order and the error
+// texts to the []Lit reference setsRef.
+func (ws *workspace) load(p *Problem) error {
+	n := p.Vars
+	if ws.sp == nil || ws.sp.Vars() != n {
+		ws.sp = logic.NewSpace(n)
+	}
+	w := ws.sp.Words()
+	// Pass 1, in transition order: the arity and value-change checks,
+	// each transition's planes, and the cube count that sizes the
+	// arena.
+	planes := 2 * w * len(p.Transitions)
+	ws.arena = sized(ws.arena, planes)
+	clear(ws.arena)
+	cubes := 0
 	for i, t := range p.Transitions {
-		if len(t.Start) != p.Vars || len(t.End) != p.Vars {
-			return nil, nil, nil, nil, fmt.Errorf("hfmin: transition %d has wrong arity", i)
+		if len(t.Start) != n || len(t.End) != n {
+			return fmt.Errorf("hfmin: transition %d has wrong arity", i)
 		}
-		T := t.Cube()
-		ch := t.Changed()
-		if len(ch) == 0 && t.From != t.To {
-			return nil, nil, nil, nil, fmt.Errorf("hfmin: transition %d changes value without input change", i)
+		s, e := ws.arena[2*i*w:(2*i+1)*w], ws.arena[(2*i+1)*w:(2*i+2)*w]
+		packPlane(s, t.Start)
+		packPlane(e, t.End)
+		changed := 0
+		for j := range s {
+			changed += bits.OnesCount64(s[j] ^ e[j])
+		}
+		switch {
+		case changed == 0 && t.From != t.To:
+			return fmt.Errorf("hfmin: transition %d changes value without input change", i)
+		case t.From == t.To:
+			cubes++ // T
+		default:
+			cubes += changed + 2 // T, its sub-cubes and its end point
+		}
+	}
+	ws.arena = slices.Grow(ws.arena, 2*w*cubes)[:planes+2*w*cubes]
+	next := planes
+	cube := func() logic.PackedCube {
+		c := logic.PackedCube{Ones: ws.arena[next : next+w : next+w], Zeros: ws.arena[next+w : next+2*w : next+2*w]}
+		next += 2 * w
+		return c
+	}
+	// last masks the final plane word to the space's variables.
+	last := ^uint64(0)
+	if n&63 != 0 {
+		last = 1<<uint(n&63) - 1
+	}
+	// subCubes appends T with each changed variable held at its start
+	// value, in ascending variable order.
+	subCubes := func(dst []logic.PackedCube, T logic.PackedCube, s, e []uint64) []logic.PackedCube {
+		for j := range s {
+			for b := s[j] ^ e[j]; b != 0; b &= b - 1 {
+				sub := cube()
+				sub.CopyFrom(T)
+				if bit := b & -b; s[j]&bit != 0 {
+					sub.Ones[j] |= bit
+				} else {
+					sub.Zeros[j] |= bit
+				}
+				dst = append(dst, sub)
+			}
+		}
+		return dst
+	}
+	point := func(e []uint64) logic.PackedCube {
+		c := cube()
+		for j := range e {
+			c.Ones[j], c.Zeros[j] = e[j], ^e[j]
+		}
+		if w > 0 {
+			c.Zeros[w-1] &= last
+		}
+		return c
+	}
+	ws.on, ws.off, ws.priv = ws.on[:0], ws.off[:0], ws.priv[:0]
+	for i, t := range p.Transitions {
+		s, e := ws.arena[2*i*w:(2*i+1)*w], ws.arena[(2*i+1)*w:(2*i+2)*w]
+		T := cube()
+		for j := range s {
+			T.Ones[j], T.Zeros[j] = s[j]&e[j], ^(s[j] | e[j])
+		}
+		if w > 0 {
+			T.Zeros[w-1] &= last
 		}
 		switch {
 		case t.From && t.To: // static 1
-			on = append(on, T)
-			required = append(required, T)
+			ws.on = append(ws.on, T)
 		case !t.From && !t.To: // static 0
-			off = append(off, T)
-		case t.From && !t.To: // dynamic 1→0
-			for _, v := range ch {
-				sub := T.Clone()
-				if t.Start[v] {
-					sub[v] = logic.One
-				} else {
-					sub[v] = logic.Zero
-				}
-				on = append(on, sub)
-				required = append(required, sub)
-			}
-			off = append(off, logic.Point(t.End))
-			priv = append(priv, privileged{cube: T, start: t.Start})
+			ws.off = append(ws.off, T)
+		case t.From: // dynamic 1→0
+			ws.on = subCubes(ws.on, T, s, e)
+			ws.off = append(ws.off, point(e))
+			ws.priv = append(ws.priv, packedPriv{cube: T, start: s})
 		default: // dynamic 0→1
-			for _, v := range ch {
-				sub := T.Clone()
-				if t.Start[v] {
-					sub[v] = logic.One
-				} else {
-					sub[v] = logic.Zero
-				}
-				off = append(off, sub)
-			}
-			on = append(on, logic.Point(t.End))
-			required = append(required, logic.Point(t.End))
+			ws.off = subCubes(ws.off, T, s, e)
+			ws.on = append(ws.on, point(e))
 		}
 	}
 	// Consistency: the specified ON and OFF sets must be disjoint.
-	for _, o := range on {
-		for _, f := range off {
+	for _, o := range ws.on {
+		for _, f := range ws.off {
 			if o.Intersects(f) {
-				return nil, nil, nil, nil, &ConflictError{On: o, Off: f}
+				return &ConflictError{On: ws.sp.Unpack(o), Off: ws.sp.Unpack(f)}
 			}
 		}
 	}
-	required = required.Dedup()
-	return on, off, required, priv, nil
+	// Dedup: drop a cube another strictly contains, and every copy of
+	// a cube but the first.
+	ws.req = ws.req[:0]
+	for i, c := range ws.on {
+		keep := true
+		for j, d := range ws.on {
+			if i != j && d.Contains(c) && (j < i || !c.Contains(d)) {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			ws.req = append(ws.req, c)
+		}
+	}
+	return nil
+}
+
+// packPlane writes a minterm's values into a zeroed bit plane.
+func packPlane(dst []uint64, point []bool) {
+	for v, b := range point {
+		if b {
+			dst[v>>6] |= 1 << uint(v&63)
+		}
+	}
 }
 
 // ConflictError reports that two transitions specify contradictory
@@ -156,27 +282,11 @@ const EnumBudget = 20000
 // flagged inexact.
 const bbBudget = 1 << 20
 
-// packedPriv is a privileged cube in packed form: the dynamic 1→0
-// transition cube and its start minterm as a PointWords plane.
-type packedPriv struct {
-	cube  logic.PackedCube
-	start []uint64
-}
-
-// problemMat is the packed OFF-set / privileged-cube matrix every
-// dhf-implicant test scans, plus the mask enumeration's scratch state.
-// A problemMat belongs to one Minimize call, which enumerates its seeds
-// one after another on one goroutine, so the scratch is never shared.
-type problemMat struct {
-	sp   *logic.Space
-	off  []logic.PackedCube
-	priv []packedPriv
-	enum maskScratch
-}
-
 // maskScratch is the per-seed state of dhfPrimesMask, reset for each
-// seed so one Minimize allocates it once.
+// seed.
 type maskScratch struct {
+	spec                        []int   // the seed's specified variables
+	index                       []uint8 // variable → its bit in a mask
 	offConf, privConf, privDist []uint64
 	seen                        maskSet
 	leaves                      []uint64
@@ -186,37 +296,25 @@ type maskScratch struct {
 	keep  []bool
 }
 
-func newProblemMat(vars int, off logic.Cover, priv []privileged) *problemMat {
-	sp := logic.NewSpace(vars)
-	m := &problemMat{sp: sp, off: sp.PackCover(off)}
-	m.priv = make([]packedPriv, len(priv))
-	for i, pv := range priv {
-		m.priv[i] = packedPriv{cube: sp.Pack(pv.cube), start: sp.PointWords(pv.start)}
-	}
-	m.enum.offConf = make([]uint64, len(off))
-	m.enum.privConf = make([]uint64, len(priv))
-	m.enum.privDist = make([]uint64, len(priv))
-	return m
-}
-
 // isDHF reports whether c is a dhf-implicant: it touches no OFF point
 // and has no illegal intersection with a privileged cube. Both scans
 // are word-parallel over the packed matrix.
-func (m *problemMat) isDHF(c logic.PackedCube) bool {
-	if logic.AnyIntersectsPacked(m.off, c) {
+func (ws *workspace) isDHF(c logic.PackedCube) bool {
+	if logic.AnyIntersectsPacked(ws.off, c) {
 		return false
 	}
-	for i := range m.priv {
-		if c.Intersects(m.priv[i].cube) && !c.ContainsPointWords(m.priv[i].start) {
+	for i := range ws.priv {
+		if c.Intersects(ws.priv[i].cube) && !c.ContainsPointWords(ws.priv[i].start) {
 			return false
 		}
 	}
 	return true
 }
 
-// dhfPrimes returns the maximal dhf-implicants containing seed, under
-// a node budget; beyond the budget it falls back to greedy maximal
-// expansions, which keeps the covering problem supplied with
+// dhfPrimes appends to ws.primes the maximal dhf-implicants containing
+// seed that seen has not held yet (all of them when seen is nil),
+// under a node budget; beyond the budget it falls back to greedy
+// maximal expansions, which keeps the covering problem supplied with
 // candidates at a small optimality cost. It reports the nodes visited
 // and whether the enumeration completed without truncation.
 //
@@ -224,21 +322,46 @@ func (m *problemMat) isDHF(c logic.PackedCube) bool {
 // cube is identified by the subset of seed literals freed so far. When
 // the seed has at most 64 specified variables (every real controller),
 // the enumeration runs entirely on uint64 subset masks, branching on
-// violated constraints so the tree size tracks the number of primes.
-// Wider seeds take the defensive generic packed-cube path, a bottom-up
-// subset walk whose exactness flag is conservative (it can truncate on
-// instances the mask path finishes).
-func (m *problemMat) dhfPrimes(seed logic.PackedCube) (out []logic.PackedCube, nodes int64, exact bool) {
-	var spec []int
-	for v := 0; v < m.sp.Vars(); v++ {
-		if seed.Lit(v) != logic.DC {
-			spec = append(spec, v)
+// violated constraints so the tree size tracks the number of primes;
+// each maximal mask is expanded into a scratch cube and copied into
+// the prime arena only when it is new. Wider seeds take the defensive
+// generic packed-cube path, a bottom-up subset walk whose exactness
+// flag is conservative (it can truncate on instances the mask path
+// finishes).
+func (ws *workspace) dhfPrimes(seed logic.PackedCube, seen *logic.KeySet) (nodes int64, exact bool) {
+	spec := ws.enum.spec[:0]
+	for j := range seed.Ones {
+		for b := seed.Ones[j] | seed.Zeros[j]; b != 0; b &= b - 1 {
+			spec = append(spec, j<<6|bits.TrailingZeros64(b))
 		}
 	}
-	if len(spec) <= 64 {
-		return m.dhfPrimesMask(seed, spec)
+	ws.enum.spec = spec
+	if len(spec) > 64 {
+		wide, nodes, exact := ws.dhfPrimesWide(seed)
+		for _, c := range wide {
+			if seen == nil || seen.Add(c) {
+				ws.primes = append(ws.primes, c)
+			}
+		}
+		return nodes, exact
 	}
-	return m.dhfPrimesWide(seed)
+	masks, nodes, exact := ws.dhfPrimesMask(seed, spec)
+	w := len(seed.Ones)
+	ws.cube = sized(ws.cube, 2*w)
+	c := logic.PackedCube{Ones: ws.cube[:w], Zeros: ws.cube[w:]}
+	for _, s := range masks {
+		c.CopyFrom(seed)
+		for b := s; b != 0; b &= b - 1 {
+			c.FreeLit(spec[bits.TrailingZeros64(b)])
+		}
+		if seen == nil || seen.Add(c) {
+			at := len(ws.primeArena)
+			ws.primeArena = append(append(ws.primeArena, c.Ones...), c.Zeros...)
+			a := ws.primeArena
+			ws.primes = append(ws.primes, logic.PackedCube{Ones: a[at : at+w : at+w], Zeros: a[at+w : at+2*w : at+2*w]})
+		}
+	}
+	return nodes, exact
 }
 
 // dhfPrimesMask is the subset-mask fast path of dhfPrimes. Bit i of a
@@ -265,33 +388,56 @@ func (m *problemMat) dhfPrimes(seed logic.PackedCube) (out []logic.PackedCube, n
 // complete and every dhf-prime surfaces as a leaf. Leaves are feasible
 // by construction and filtered for maximality at the end (maximalMasks);
 // the tree size tracks the number of primes, not the subset count.
-func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []logic.PackedCube, nodes int64, exact bool) {
+//
+// The conf and dist masks come from plane words: a conflicting or
+// distant literal is a set bit of a word-parallel expression, mapped
+// to its mask bit through the variable → spec index table. An OFF
+// conf that contains an earlier kept one is dropped: whenever it
+// avoids Ex the earlier one does too, so it is never the first
+// violated constraint, and feasible rejects exactly the same sets.
+// The walk therefore visits the same nodes in the same order and
+// branches the same way with the shorter list.
+//
+// It returns the maximal masks in discovery order; they live in the
+// scratch until the next call.
+func (ws *workspace) dhfPrimesMask(seed logic.PackedCube, spec []int) (masks []uint64, nodes int64, exact bool) {
 	k := len(spec)
-	sc := &m.enum
-	offConf, privConf, privDist := sc.offConf, sc.privConf, sc.privDist
-	for oi, o := range m.off {
-		var conf uint64
-		for i, v := range spec {
-			ol := o.Lit(v)
-			if ol != logic.DC && ol != seed.Lit(v) {
-				conf |= 1 << uint(i)
-			}
-		}
-		offConf[oi] = conf
+	sc := &ws.enum
+	index := sized(sc.index, ws.sp.Vars())
+	for i, v := range spec {
+		index[v] = uint8(i)
 	}
-	clear(privConf)
-	clear(privDist)
-	for pi := range m.priv {
-		for i, v := range spec {
-			pl := m.priv[pi].cube.Lit(v)
-			if pl != logic.DC && pl != seed.Lit(v) {
-				privConf[pi] |= 1 << uint(i)
-			}
-			startOne := m.priv[pi].start[v>>6]>>uint(v&63)&1 != 0
-			if (seed.Lit(v) == logic.One) != startOne {
-				privDist[pi] |= 1 << uint(i)
+	sc.index = index
+	offConf := sc.offConf[:0]
+offs:
+	for _, o := range ws.off {
+		var conf uint64
+		for j := range seed.Ones {
+			for b := o.Ones[j]&seed.Zeros[j] | o.Zeros[j]&seed.Ones[j]; b != 0; b &= b - 1 {
+				conf |= 1 << index[j<<6|bits.TrailingZeros64(b)]
 			}
 		}
+		for _, kept := range offConf {
+			if kept&^conf == 0 {
+				continue offs
+			}
+		}
+		offConf = append(offConf, conf)
+	}
+	sc.offConf = offConf
+	privConf, privDist := sized(sc.privConf, len(ws.priv)), sized(sc.privDist, len(ws.priv))
+	sc.privConf, sc.privDist = privConf, privDist
+	for pi, pv := range ws.priv {
+		var conf, dist uint64
+		for j := range seed.Ones {
+			for b := pv.cube.Ones[j]&seed.Zeros[j] | pv.cube.Zeros[j]&seed.Ones[j]; b != 0; b &= b - 1 {
+				conf |= 1 << index[j<<6|bits.TrailingZeros64(b)]
+			}
+			for b := seed.Ones[j]&^pv.start[j] | seed.Zeros[j]&pv.start[j]; b != 0; b &= b - 1 {
+				dist |= 1 << index[j<<6|bits.TrailingZeros64(b)]
+			}
+		}
+		privConf[pi], privDist[pi] = conf, dist
 	}
 	feasible := func(s uint64) bool {
 		for _, conf := range offConf {
@@ -384,16 +530,7 @@ func (m *problemMat) dhfPrimesMask(seed logic.PackedCube, spec []int) (out []log
 	sc.leaves = leaves
 	// Distinct exclusion sets can close on nested candidates; keep only
 	// the maximal masks (the true dhf-primes).
-	for _, s := range sc.maximalMasks(leaves) {
-		c := seed.Clone()
-		for i := 0; i < k; i++ {
-			if s>>uint(i)&1 != 0 {
-				c.FreeLit(spec[i])
-			}
-		}
-		out = append(out, c)
-	}
-	return out, nodes, !overflow
+	return sc.maximalMasks(leaves), nodes, !overflow
 }
 
 // maximalMasks keeps the masks no other mask strictly contains, in
@@ -454,13 +591,19 @@ func (sc *maskScratch) maximalMasks(masks []uint64) []uint64 {
 // maskSet is a set of uint64 masks: open addressing with linear
 // probing over a power-of-two table of keys, where 0 marks an empty
 // slot and key 0 itself is a flag. reset empties it but keeps the
-// table.
+// table; restart also returns it to minSlots slots. The table is a
+// prefix of a buffer that only grows, and the slots past the prefix
+// are always zero, so growing reslices the buffer while it has room.
 type maskSet struct {
 	slots   []uint64
 	shift   uint // 64 - log2(len(slots))
 	n       int  // nonzero keys stored
 	hasZero bool
+	moved   []uint64 // grow's copy of the keys it reinserts
 }
+
+// minSlots is the table size a restarted set begins with.
+const minSlots = 64
 
 // reset empties the set.
 func (s *maskSet) reset() {
@@ -468,6 +611,16 @@ func (s *maskSet) reset() {
 		clear(s.slots)
 	}
 	s.n, s.hasZero = 0, false
+}
+
+// restart empties the set and shrinks its table to minSlots slots,
+// keeping the buffer for regrowth.
+func (s *maskSet) restart() {
+	s.reset()
+	if len(s.slots) > minSlots {
+		s.slots = s.slots[:minSlots]
+		s.shift = uint(64 - bits.TrailingZeros(minSlots))
+	}
 }
 
 // add inserts k and reports whether it was absent.
@@ -499,26 +652,35 @@ func (s *maskSet) slot(k uint64) uint64 {
 	return k * 0x9e3779b97f4a7c15 >> s.shift
 }
 
-// grow doubles the table (to 64 slots at first) and reinserts the keys.
+// grow doubles the table (to minSlots at first) and reinserts the
+// keys, reslicing the buffer when it has room.
 func (s *maskSet) grow() {
-	old := s.slots
-	size := max(64, 2*len(old))
-	s.slots = make([]uint64, size)
+	size := max(minSlots, 2*len(s.slots))
+	s.moved = s.moved[:0]
+	for _, k := range s.slots {
+		if k != 0 {
+			s.moved = append(s.moved, k)
+		}
+	}
+	if cap(s.slots) >= size {
+		clear(s.slots)
+		s.slots = s.slots[:size]
+	} else {
+		s.slots = make([]uint64, size)
+	}
 	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	s.n = 0
-	for _, k := range old {
-		if k != 0 {
-			s.add(k)
-		}
+	for _, k := range s.moved {
+		s.add(k)
 	}
 }
 
 // dhfPrimesWide is the generic path for seeds with more than 64
 // specified variables: the same walk on packed cubes directly.
-func (m *problemMat) dhfPrimesWide(seed logic.PackedCube) (out []logic.PackedCube, nodes int64, exact bool) {
-	n := m.sp.Vars()
-	seen := logic.NewKeySet(m.sp)
-	outSet := logic.NewKeySet(m.sp)
+func (ws *workspace) dhfPrimesWide(seed logic.PackedCube) (out []logic.PackedCube, nodes int64, exact bool) {
+	n := ws.sp.Vars()
+	seen := logic.NewKeySet(ws.sp)
+	outSet := logic.NewKeySet(ws.sp)
 	record := func(c logic.PackedCube) {
 		if outSet.Add(c) {
 			out = append(out, c.Clone())
@@ -544,7 +706,7 @@ func (m *problemMat) dhfPrimesWide(seed logic.PackedCube) (out []logic.PackedCub
 				continue
 			}
 			c.FreeLit(v)
-			if m.isDHF(c) {
+			if ws.isDHF(c) {
 				maximal = false
 				if v >= minVar {
 					grow(c, v+1)
@@ -576,7 +738,7 @@ func (m *problemMat) dhfPrimesWide(seed logic.PackedCube) (out []logic.PackedCub
 					continue
 				}
 				c.FreeLit(v)
-				if m.isDHF(c) {
+				if ws.isDHF(c) {
 					changed = true
 				} else {
 					c.SetLit(v, lit)
@@ -610,53 +772,49 @@ type Result struct {
 // cover. The candidate enumeration and the covering branch-and-bound
 // each run under a node budget; within budget the result is exact
 // (Result.Exact), beyond it the greedy fallbacks keep the cover valid
-// at a small optimality cost.
+// at a small optimality cost. Each call borrows a pooled workspace for
+// its scratch, so concurrent calls, on one Problem or many, are safe.
 func (p *Problem) Minimize() (*Result, error) {
-	on, off, required, priv, err := p.sets()
-	if err != nil {
+	ws := workspacePool.Get().(*workspace)
+	defer workspacePool.Put(ws)
+	if err := ws.load(p); err != nil {
 		return nil, err
 	}
-	if len(required) == 0 {
+	if len(ws.req) == 0 {
 		return &Result{Cover: nil, Exact: true}, nil // constant-0 function
 	}
-	mat := newProblemMat(p.Vars, off, priv)
+	sp := ws.sp
 	// Generate candidate dhf-primes from each required cube.
-	var primes []logic.PackedCube
-	primeSet := logic.NewKeySet(mat.sp)
-	res := &Result{Required: len(required), Exact: true}
-	packedReq := make([]logic.PackedCube, len(required))
-	for i, r := range required {
-		packedReq[i] = mat.sp.Pack(r)
-		if !mat.isDHF(packedReq[i]) {
-			return nil, fmt.Errorf("hfmin: required cube %s is not a dhf-implicant; specification is not hazard-free realizable", r)
+	ws.enum.seen.restart()
+	ws.primeArena, ws.primes = ws.primeArena[:0], ws.primes[:0]
+	primeSet := logic.NewKeySet(sp)
+	res := &Result{Required: len(ws.req), Exact: true}
+	for _, r := range ws.req {
+		if !ws.isDHF(r) {
+			return nil, fmt.Errorf("hfmin: required cube %s is not a dhf-implicant; specification is not hazard-free realizable", sp.Unpack(r))
 		}
-		cand, nodes, exact := mat.dhfPrimes(packedReq[i])
+		nodes, exact := ws.dhfPrimes(r, primeSet)
 		res.EnumNodes += nodes
 		if !exact {
 			res.Exact = false
-		}
-		for _, pr := range cand {
-			if primeSet.Add(pr) {
-				primes = append(primes, pr)
-			}
 		}
 	}
 	// Containment pruning: a candidate strictly contained in another
 	// covers a subset of the required cubes the larger one covers (and
 	// both are dhf-implicants), so dropping it shrinks the covering
 	// matrix without losing any minimum solution.
-	primes = pruneContained(primes)
+	primes := pruneContained(ws.primes)
 	res.Primes = len(primes)
 	// Build the unate covering matrix.
-	covers := make([][]int, len(required)) // row -> candidate column indices
-	for i := range packedReq {
+	covers := make([][]int, len(ws.req)) // row -> candidate column indices
+	for i, r := range ws.req {
 		for j := range primes {
-			if primes[j].Contains(packedReq[i]) {
+			if primes[j].Contains(r) {
 				covers[i] = append(covers[i], j)
 			}
 		}
 		if len(covers[i]) == 0 {
-			return nil, fmt.Errorf("hfmin: required cube %s has no covering dhf-prime", required[i])
+			return nil, fmt.Errorf("hfmin: required cube %s has no covering dhf-prime", sp.Unpack(r))
 		}
 	}
 	chosen, bbNodes, coverExact := solveCover(covers, len(primes))
@@ -666,16 +824,16 @@ func (p *Problem) Minimize() (*Result, error) {
 	}
 	var cover logic.Cover
 	for _, j := range chosen {
-		cover = append(cover, mat.sp.Unpack(primes[j]))
+		cover = append(cover, sp.Unpack(primes[j]))
 	}
 	sortCover(cover)
 	// Post-verify: the cover must contain the whole ON-set and be
 	// hazard-free. Deliberately run on the unpacked reference engine
 	// (defense in depth: a packed-engine bug cannot certify its own
 	// output; cheap at these sizes).
-	for _, o := range on {
-		if !cover.ContainsCube(o) {
-			return nil, fmt.Errorf("hfmin: internal error: ON cube %s not covered", o)
+	for _, o := range ws.on {
+		if c := sp.Unpack(o); !cover.ContainsCube(c) {
+			return nil, fmt.Errorf("hfmin: internal error: ON cube %s not covered", c)
 		}
 	}
 	if err := CheckCover(cover, p.Transitions); err != nil {

@@ -1,7 +1,9 @@
 package hfmin
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"math/bits"
 	"math/rand"
 	"os"
@@ -239,7 +241,7 @@ func TestResultExactAndCounters(t *testing.T) {
 // return exactly that set.
 func TestDHFPrimesOracle(t *testing.T) {
 	for pi, p := range oracleProblems() {
-		_, off, required, priv, err := p.sets()
+		_, off, required, priv, err := p.setsRef()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +258,7 @@ func TestDHFPrimesOracle(t *testing.T) {
 			}
 			return true
 		}
-		mat := newProblemMat(p.Vars, off, priv)
+		ws := loadWorkspace(t, p)
 		for _, r := range required {
 			var spec []int
 			for v := 0; v < p.Vars; v++ {
@@ -293,7 +295,7 @@ func TestDHFPrimesOracle(t *testing.T) {
 					want[c.String()] = true
 				}
 			}
-			got, _, exact := mat.dhfPrimes(mat.sp.Pack(r))
+			got, _, exact := ws.primesOf(ws.sp.Pack(r))
 			if !exact {
 				t.Fatalf("problem %d seed %s: enumeration truncated", pi, r)
 			}
@@ -301,8 +303,8 @@ func TestDHFPrimesOracle(t *testing.T) {
 				t.Errorf("problem %d seed %s: got %d primes, oracle has %d", pi, r, len(got), len(want))
 			}
 			for _, c := range got {
-				if !want[mat.sp.Unpack(c).String()] {
-					t.Errorf("problem %d seed %s: %s is not an oracle prime", pi, r, mat.sp.Unpack(c))
+				if !want[ws.sp.Unpack(c).String()] {
+					t.Errorf("problem %d seed %s: %s is not an oracle prime", pi, r, ws.sp.Unpack(c))
 				}
 			}
 		}
@@ -340,10 +342,13 @@ func mustCube(t *testing.T, s string) logic.Cube {
 	return c
 }
 
-// loadProblem reads a Problem frozen as text under testdata/: '#'
-// comment lines, a "vars N" line, an optional "names ..." line, then
-// one transition per line as "<start> <end> <from><to>" in 0/1 digits.
-func loadProblem(tb testing.TB, name string) *Problem {
+// loadProblems reads the problems frozen as text in testdata/name:
+// '#' comment lines; a "problem <label>" line opening each problem
+// (optional when the file holds just one); a "vars N" line; an
+// optional "names ..." line; then one transition per line as
+// "<start> <end> <from><to>" in 0/1 digits. It returns each problem
+// with its label ("" for an unlabeled one).
+func loadProblems(tb testing.TB, name string) (labels []string, problems []*Problem) {
 	tb.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
@@ -356,11 +361,25 @@ func loadProblem(tb testing.TB, name string) *Problem {
 		}
 		return out
 	}
-	p := &Problem{}
+	var p *Problem
+	open := func(label string) {
+		p = &Problem{}
+		labels = append(labels, label)
+		problems = append(problems, p)
+	}
 	for ln, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		if f[0] == "problem" && len(f) == 2 {
+			open(f[1])
+			continue
+		}
+		if p == nil {
+			open("")
+		}
 		switch {
-		case len(f) == 0 || strings.HasPrefix(f[0], "#"):
 		case f[0] == "vars" && len(f) == 2:
 			if p.Vars, err = strconv.Atoi(f[1]); err != nil {
 				tb.Fatalf("%s:%d: %v", name, ln+1, err)
@@ -374,7 +393,26 @@ func loadProblem(tb testing.TB, name string) *Problem {
 			tb.Fatalf("%s:%d: malformed line %q", name, ln+1, line)
 		}
 	}
-	return p
+	return labels, problems
+}
+
+// loadProblem reads a file of testdata/ holding a single problem (see
+// loadProblems for the format).
+func loadProblem(tb testing.TB, name string) *Problem {
+	tb.Helper()
+	_, problems := loadProblems(tb, name)
+	if len(problems) != 1 {
+		tb.Fatalf("%s holds %d problems, want 1", name, len(problems))
+	}
+	return problems[0]
+}
+
+// primesOf runs dhfPrimes on one seed with no dedup against earlier
+// seeds and returns its primes, which live in ws until the next call.
+func (ws *workspace) primesOf(seed logic.PackedCube) (primes []logic.PackedCube, nodes int64, exact bool) {
+	ws.primeArena, ws.primes = ws.primeArena[:0], ws.primes[:0]
+	nodes, exact = ws.dhfPrimes(seed, nil)
+	return ws.primes, nodes, exact
 }
 
 // randomProblems returns n seeded random instances that pass the
@@ -402,18 +440,21 @@ func randomProblems(seed int64, n int) []*Problem {
 			p.Transitions = append(p.Transitions, Transition{
 				Start: a, End: b, From: rng.Intn(2) == 0, To: rng.Intn(2) == 0})
 		}
-		if _, _, required, _, err := p.sets(); err == nil && len(required) > 0 {
+		if _, _, required, _, err := p.setsRef(); err == nil && len(required) > 0 {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// dhfPrimesMask must return exactly what the original map-memoized,
+// dhfPrimes must return exactly what the original map-memoized,
 // quadratically filtered enumeration (dhfPrimesMaskRef) returned: the
 // same primes in the same order, the same node count and the same
 // exactness, seed by seed. The flow's byte-identity rests on the order,
-// which TestDHFPrimesOracle (a set comparison) does not pin.
+// which TestDHFPrimesOracle (a set comparison) does not pin. The
+// reference scans every OFF constraint; dhfPrimesMask drops those
+// containing an earlier one, and the walk must not notice. The test
+// counts the dropped constraints to show the comparison covers them.
 func TestDHFPrimesMaskMatchesReference(t *testing.T) {
 	type named struct {
 		name string
@@ -429,6 +470,10 @@ func TestDHFPrimesMaskMatchesReference(t *testing.T) {
 	for _, f := range []string{"stack-most-leaves.hfp", "corpus-over-budget.hfp"} {
 		problems = append(problems, named{f, loadProblem(t, f)})
 	}
+	labels, table3 := loadProblems(t, "table3.hfp")
+	for i, p := range table3 {
+		problems = append(problems, named{labels[i], p})
+	}
 	for i, p := range randomProblems(1, 100) {
 		problems = append(problems, named{fmt.Sprintf("random %d", i), p})
 	}
@@ -439,23 +484,22 @@ func TestDHFPrimesMaskMatchesReference(t *testing.T) {
 		Transitions: []Transition{{Start: x, End: x, From: true, To: true}}}})
 
 	seeds, overBudget := 0, map[string]int{}
+	offScanned, offKept := 0, 0
 	for _, np := range problems {
-		_, off, required, priv, err := np.p.sets()
-		if err != nil {
-			t.Fatalf("%s: %v", np.name, err)
-		}
-		mat := newProblemMat(np.p.Vars, off, priv)
-		for _, r := range required {
-			seed := mat.sp.Pack(r)
+		ws := loadWorkspace(t, np.p)
+		for _, seed := range ws.req {
+			r := ws.sp.Unpack(seed)
 			var spec []int
 			for v := 0; v < np.p.Vars; v++ {
 				if r[v] != logic.DC {
 					spec = append(spec, v)
 				}
 			}
-			want, wantNodes, wantExact := mat.dhfPrimesMaskRef(seed, spec)
-			got, gotNodes, gotExact := mat.dhfPrimesMask(seed, spec)
+			want, wantNodes, wantExact := ws.dhfPrimesMaskRef(seed, spec)
+			got, gotNodes, gotExact := ws.primesOf(seed)
 			seeds++
+			offScanned += len(ws.off)
+			offKept += len(ws.enum.offConf)
 			if !wantExact {
 				overBudget[np.name]++
 			}
@@ -470,7 +514,7 @@ func TestDHFPrimesMaskMatchesReference(t *testing.T) {
 			for i := range got {
 				if !got[i].Equal(want[i]) {
 					t.Errorf("%s seed %s: prime %d is %s, reference %s",
-						np.name, r, i, mat.sp.Unpack(got[i]), mat.sp.Unpack(want[i]))
+						np.name, r, i, ws.sp.Unpack(got[i]), ws.sp.Unpack(want[i]))
 					break
 				}
 			}
@@ -479,11 +523,17 @@ func TestDHFPrimesMaskMatchesReference(t *testing.T) {
 	if overBudget["corpus-over-budget.hfp"] == 0 {
 		t.Error("no seed of corpus-over-budget.hfp overran EnumBudget; the greedy fallback went untested")
 	}
-	t.Logf("%d seeds, over budget: %v", seeds, overBudget)
+	if offKept >= offScanned {
+		t.Errorf("kept %d of %d OFF constraints: no dominated one was dropped", offKept, offScanned)
+	}
+	t.Logf("%d seeds, over budget: %v; OFF constraints kept %d of %d", seeds, overBudget, offKept, offScanned)
 }
 
 // maskSet agrees with a map on random inserts across several resizes,
-// including keys 0 and ^0, and starts empty again after reset.
+// including keys 0 and ^0, and starts empty again after reset. One set
+// serves every round, shrinking on restart and regrowing inside its
+// buffer; no key of a previous round may survive, and the buffer past
+// the table must stay zero.
 func TestMaskSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pool := []uint64{0, ^uint64(0), 1, 1 << 63}
@@ -498,8 +548,24 @@ func TestMaskSetMatchesMap(t *testing.T) {
 		}
 	}
 	var s maskSet
-	for round, inserts := range []int{30000, 50, 8000} {
-		s.reset()
+	var prev map[uint64]bool
+	for round, inserts := range []int{30000, 50, 8000, 20000, 5, 0, 12000, 3000} {
+		// Odd rounds restart, shrinking the table to minSlots as every
+		// Minimize does, so the next large round regrows inside the
+		// buffer; even rounds only reset.
+		if round%2 == 1 {
+			s.restart()
+			if len(s.slots) > minSlots {
+				t.Fatalf("round %d: restarted table has %d slots", round, len(s.slots))
+			}
+		} else {
+			s.reset()
+		}
+		for k := range prev {
+			if s.has(k) {
+				t.Fatalf("round %d: stale key %#x survived", round, k)
+			}
+		}
 		ref := map[uint64]bool{}
 		for i := 0; i < inserts; i++ {
 			k := pool[rng.Intn(len(pool))]
@@ -519,6 +585,31 @@ func TestMaskSetMatchesMap(t *testing.T) {
 		}
 		if size != len(ref) {
 			t.Fatalf("round %d: set holds %d keys, map %d", round, size, len(ref))
+		}
+		for _, k := range s.slots[len(s.slots):cap(s.slots)] {
+			if k != 0 {
+				t.Fatalf("round %d: key %#x past the table", round, k)
+			}
+		}
+		prev = ref
+	}
+}
+
+// has reports whether k is in the set, without inserting it.
+func (s *maskSet) has(k uint64) bool {
+	if k == 0 {
+		return s.hasZero
+	}
+	if len(s.slots) == 0 {
+		return false
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := s.slot(k); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return true
+		case 0:
+			return false
 		}
 	}
 }
@@ -600,40 +691,130 @@ func TestMaximalMasksMatchesQuadratic(t *testing.T) {
 	check("empty set", nil)
 }
 
-// Minimize keeps its enumeration scratch on a problemMat private to
-// the call, so concurrent calls on one shared Problem must each return
-// the serial result. Run under -race.
-func TestMinimizeConcurrent(t *testing.T) {
-	for _, p := range []*Problem{loadProblem(t, "stack-most-leaves.hfp"), benchProblem(14)} {
-		want, err := p.Minimize()
+// TestMinimizeTable3Pinned minimizes every problem of the Table 3
+// corpus (testdata/table3.hfp) and pins the work counters and the
+// exact covers: the sums of EnumNodes, BranchNodes and Primes, the
+// number of exact results, and a sha256 over every cover in FormatPLA
+// form, so any drift in the search or the covers shows here.
+func TestMinimizeTable3Pinned(t *testing.T) {
+	const (
+		wantProblems = 100
+		wantEnum     = 160741
+		wantBranch   = 0
+		wantPrimes   = 957
+		wantExact    = 100
+		wantCovers   = "fb2e3a87ced751723c9241f34e78e1257241d04efc33fd2ebd256b9de1b00615"
+	)
+	labels, problems := loadProblems(t, "table3.hfp")
+	var enum, branch int64
+	primes, exact := 0, 0
+	h := sha256.New()
+	for i, p := range problems {
+		res, err := p.Minimize()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", labels[i], err)
 		}
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got, err := p.Minimize()
+		enum += res.EnumNodes
+		branch += res.BranchNodes
+		primes += res.Primes
+		if res.Exact {
+			exact++
+		}
+		io.WriteString(h, FormatPLA(labels[i], p.Names, res.Cover))
+	}
+	covers := fmt.Sprintf("%x", h.Sum(nil))
+	t.Logf("%d problems: EnumNodes %d, BranchNodes %d, Primes %d, exact %d, covers %s",
+		len(problems), enum, branch, primes, exact, covers)
+	if len(problems) != wantProblems || enum != wantEnum || branch != wantBranch ||
+		primes != wantPrimes || exact != wantExact || covers != wantCovers {
+		t.Errorf("got %d problems, EnumNodes %d, BranchNodes %d, Primes %d, exact %d, covers %s;\n"+
+			"want %d, %d, %d, %d, %d, %s", len(problems), enum, branch, primes, exact, covers,
+			wantProblems, wantEnum, wantBranch, wantPrimes, wantExact, wantCovers)
+	}
+}
+
+// paddedProblems returns seeded random consistent problems over n
+// variables whose cubes specify only the first few: static and 1→0
+// transitions that also toggle every later variable. Their seeds stay
+// on the mask path at any width, so they are cheap to minimize in
+// spaces of two and three plane words.
+func paddedProblems(seed int64, n, count int) []*Problem {
+	const core = 6
+	rng := rand.New(rand.NewSource(seed))
+	var out []*Problem
+	for len(out) < count {
+		p := &Problem{Vars: n}
+		for i := 2 + rng.Intn(5); i > 0; i-- {
+			a := make([]bool, n)
+			for v := range a {
+				a[v] = rng.Intn(2) == 0
+			}
+			b := append([]bool(nil), a...)
+			for v := core; v < n; v++ {
+				b[v] = !b[v]
+			}
+			for j := rng.Intn(3); j > 0; j-- {
+				v := rng.Intn(core)
+				b[v] = !b[v]
+			}
+			from := rng.Intn(2) == 0
+			p.Transitions = append(p.Transitions, Transition{Start: a, End: b, From: from, To: from && rng.Intn(2) == 0})
+		}
+		if _, _, required, _, err := p.setsRef(); err == nil && len(required) > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// Minimize takes its scratch from a pool of workspaces, which pass
+// between goroutines and between problems of different widths. Eight
+// goroutines each minimize every problem, from different starting
+// points so that widths interleave, and each must get the serial
+// result. Run under -race.
+func TestMinimizeConcurrent(t *testing.T) {
+	problems := []*Problem{loadProblem(t, "stack-most-leaves.hfp"), benchProblem(14), benchProblem(10)}
+	_, table3 := loadProblems(t, "table3.hfp")
+	problems = append(problems, table3[:12]...)
+	for _, n := range []int{64, 65, 130} {
+		problems = append(problems, paddedProblems(int64(n), n, 3)...)
+	}
+	want := make([]*Result, len(problems))
+	for i, p := range problems {
+		var err error
+		if want[i], err = p.Minimize(); err != nil {
+			t.Fatalf("problem %d (%d variables): %v", i, p.Vars, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range problems {
+				i := (k + 3*g) % len(problems)
+				got, err := problems[i].Minimize()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("concurrent Minimize: %+v, serial %+v", got, want)
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("concurrent Minimize of problem %d (%d variables): %+v, serial %+v",
+						i, problems[i].Vars, got, want[i])
 				}
-			}()
-		}
-		wg.Wait()
+			}
+		}()
 	}
+	wg.Wait()
 }
 
-// dhfPrimesMaskRef is the original dhfPrimesMask, kept verbatim as the
-// reference TestDHFPrimesMaskMatchesReference pins the rewrite to.
-func (m *problemMat) dhfPrimesMaskRef(seed logic.PackedCube, spec []int) (out []logic.PackedCube, nodes int64, exact bool) {
+// dhfPrimesMaskRef is the original dhfPrimesMask, kept verbatim but for
+// its receiver as the reference TestDHFPrimesMaskMatchesReference pins
+// the rewrite to.
+func (ws *workspace) dhfPrimesMaskRef(seed logic.PackedCube, spec []int) (out []logic.PackedCube, nodes int64, exact bool) {
 	k := len(spec)
-	offConf := make([]uint64, 0, len(m.off))
-	for _, o := range m.off {
+	offConf := make([]uint64, 0, len(ws.off))
+	for _, o := range ws.off {
 		var conf uint64
 		for i, v := range spec {
 			ol := o.Lit(v)
@@ -643,15 +824,15 @@ func (m *problemMat) dhfPrimesMaskRef(seed logic.PackedCube, spec []int) (out []
 		}
 		offConf = append(offConf, conf)
 	}
-	privConf := make([]uint64, len(m.priv))
-	privDist := make([]uint64, len(m.priv))
-	for pi := range m.priv {
+	privConf := make([]uint64, len(ws.priv))
+	privDist := make([]uint64, len(ws.priv))
+	for pi := range ws.priv {
 		for i, v := range spec {
-			pl := m.priv[pi].cube.Lit(v)
+			pl := ws.priv[pi].cube.Lit(v)
 			if pl != logic.DC && pl != seed.Lit(v) {
 				privConf[pi] |= 1 << uint(i)
 			}
-			startOne := m.priv[pi].start[v>>6]>>uint(v&63)&1 != 0
+			startOne := ws.priv[pi].start[v>>6]>>uint(v&63)&1 != 0
 			if (seed.Lit(v) == logic.One) != startOne {
 				privDist[pi] |= 1 << uint(i)
 			}
