@@ -36,8 +36,10 @@ type FlowConfig struct {
 	// MaxStates bounds the Burst-Mode state count of clustered
 	// controllers (0 = unlimited).
 	MaxStates int `json:"maxStates,omitempty"`
-	// SkipAudit disables the hazard audit of mapped optimized
-	// controllers (flow.Options.SkipAudit).
+	// SkipAudit is accepted and ignored: the flow no longer runs a
+	// mapped-logic audit to skip (the hazver gate verifies every
+	// shipped netlist). The field stays so requests from older clients
+	// still decode under DisallowUnknownFields.
 	SkipAudit bool `json:"skipAudit,omitempty"`
 	// TimeLimit and EventLimit bound each benchmark simulation
 	// (0 = the flow defaults).
@@ -50,7 +52,6 @@ type FlowConfig struct {
 func (c FlowConfig) Options(met *flow.Metrics) *flow.Options {
 	return &flow.Options{
 		Cluster:    core.Options{MaxStates: c.MaxStates},
-		SkipAudit:  c.SkipAudit,
 		TimeLimit:  c.TimeLimit,
 		EventLimit: c.EventLimit,
 		Workers:    c.Workers,
@@ -59,11 +60,12 @@ func (c FlowConfig) Options(met *flow.Metrics) *flow.Options {
 }
 
 // Key renders the result-affecting knobs as a deterministic dedup-key
-// fragment. Workers is deliberately omitted: the flow produces
-// identical results at any worker count.
+// fragment. Workers and SkipAudit are deliberately omitted: the flow
+// produces identical results at any worker count, and SkipAudit is
+// ignored.
 func (c FlowConfig) Key() string {
-	return fmt.Sprintf("maxStates=%d|skipAudit=%t|timeLimit=%g|eventLimit=%d",
-		c.MaxStates, c.SkipAudit, c.TimeLimit, c.EventLimit)
+	return fmt.Sprintf("maxStates=%d|timeLimit=%g|eventLimit=%d",
+		c.MaxStates, c.TimeLimit, c.EventLimit)
 }
 
 // Job kinds accepted by the daemon.

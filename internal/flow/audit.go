@@ -11,7 +11,6 @@ import (
 	"balsabm/internal/bmlint"
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
-	"balsabm/internal/core"
 	"balsabm/internal/designs"
 	"balsabm/internal/diag"
 	"balsabm/internal/hazver"
@@ -196,47 +195,34 @@ func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*Audi
 	a.LintDiags = analysis.Analyze(d.Control())
 	r.met.Timings.Observe("lint", time.Since(start))
 
-	clOpt := r.opt.Cluster
-	clOpt.Pool = r.pool
-	clOpt.Ctx = r.ctx
-	start = time.Now()
-	optNetlist, _, err := core.OptimizeOpt(d.Control(), clOpt)
-	r.met.Timings.Observe("cluster", time.Since(start))
-	if err != nil {
-		return nil, fmt.Errorf("clustering: %w", err)
-	}
-
 	seenSpec := map[string]bool{}   // shapes spec/cover-checked
 	seenMapped := map[string]bool{} // shapes mapping-audited
-	for _, arm := range []struct {
-		name string
-		n    *core.Netlist
-		mode techmap.Mode
-	}{
-		{"unopt", d.Control(), techmap.AreaShared},
-		{"opt", optNetlist, techmap.SpeedSplit},
-	} {
-		for _, comp := range arm.n.Components {
+	for _, arm := range []string{"unopt", "opt"} {
+		n, _, mode, err := r.prepare(d.Name, arm, d.Control())
+		if err != nil {
+			return nil, fmt.Errorf("clustering: %w", err)
+		}
+		for _, comp := range n.Components {
 			if err := r.ctx.Err(); err != nil {
 				return nil, err
 			}
-			if err := r.auditComponent(a, comp, arm.mode, seenSpec, seenMapped); err != nil {
+			if err := r.auditComponent(a, comp, mode, seenSpec, seenMapped); err != nil {
 				return nil, err
 			}
 		}
-		s, err := r.synthesizeNetlist(arm.n, arm.mode)
+		s, err := r.synthesizeNetlist(n, mode)
 		if err != nil {
-			return nil, fmt.Errorf("%s arm: %w", arm.name, err)
+			return nil, fmt.Errorf("%s arm: %w", arm, err)
 		}
 		start = time.Now()
 		for _, nl := range s.mapped {
 			res := netlint.Audit(nl, r.opt.Lib)
-			res.Name = d.Name + "." + arm.name + "." + nl.Name
+			res.Name = d.Name + "." + arm + "." + nl.Name
 			a.Circuits = append(a.Circuits, res)
 		}
-		a.Circuits = append(a.Circuits, NetlintMerged(d.Name, arm.name, s.mapped, r.opt.Lib))
+		a.Circuits = append(a.Circuits, NetlintMerged(d.Name, arm, s.mapped, r.opt.Lib))
 		r.met.Timings.Observe("netlint", time.Since(start))
-		a.Hazver = append(a.Hazver, r.hazverAudit(d.Name, arm.name, s.units))
+		a.Hazver = append(a.Hazver, r.hazverAudit(d.Name, arm, s.units))
 	}
 	return a, nil
 }

@@ -25,10 +25,12 @@ type CheckpointSink interface {
 	Save(stage string, data []byte)
 }
 
-// Checkpoint stages recorded per design (prefixed "<design>/"):
+// Checkpoint stages recorded per design (prefixed "<design>/"; the
+// daemon's synth jobs run as design "synth"):
 //
 //	cluster  the clustered control netlist (CH text) and its report —
-//	         the opt arm's first stage
+//	         the opt arm's first stage, the only one SynthesizeCheckedCtx
+//	         records
 //	unopt    the completed unoptimized arm: controllers, areas, static
 //	         report, benchmark time and description
 //	opt      the completed optimized arm, plus the clustering report
@@ -113,6 +115,11 @@ func (c ckpt) loadCluster() (*core.Netlist, *core.Report, bool) {
 	return n, cp.Report, true
 }
 
+// saveCluster persists a clustered netlist and its report. Without a
+// sink it returns before formatting the netlist.
 func (c ckpt) saveCluster(n *core.Netlist, rep *core.Report) {
+	if c.sink == nil {
+		return
+	}
 	c.save(StageCluster, clusterCheckpoint{Netlist: n.Format(), Report: rep})
 }

@@ -1,10 +1,16 @@
 package flow
 
 import (
+	"bytes"
+	"context"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"balsabm/internal/core"
 	"balsabm/internal/designs"
+	"balsabm/internal/gates"
 )
 
 // mapSink is an in-memory CheckpointSink recording every save.
@@ -128,5 +134,86 @@ func TestCheckpointCorruptPayloadRecomputes(t *testing.T) {
 	}
 	if met.CheckpointLoads.Load() != 0 {
 		t.Fatalf("corrupt payloads counted as loads: %d", met.CheckpointLoads.Load())
+	}
+}
+
+// TestCheckpointNilSinkSaveClusterAllocs: without a sink, saving a
+// clustering stage is free — the netlist is not formatted to CH text
+// only to be dropped.
+func TestCheckpointNilSinkSaveClusterAllocs(t *testing.T) {
+	n, rep, err := core.OptimizeOpt(designs.Stack().Control(), core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := (&runner{met: &Metrics{}}).ckpt("stack")
+	if allocs := testing.AllocsPerRun(10, func() { c.saveCluster(n, rep) }); allocs != 0 {
+		t.Fatalf("nil-sink saveCluster allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestSynthesizeCheckedCheckpoint: a checked arm outside a flow run —
+// the daemon's synth executor — clusters through the flow's own
+// checkpointed path. The opt arm saves exactly "<design>/cluster"; a
+// second run restores it instead of clustering and ships identical
+// controllers and report. The unopt arm has nothing to checkpoint.
+func TestSynthesizeCheckedCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	n := designs.Stack().Control()
+	sink := newMapSink()
+	met := &Metrics{}
+	ref, err := SynthesizeCheckedCtx(ctx, "synth", "opt", n, &Options{Workers: 2, Checkpoint: sink, Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []string
+	for stage := range sink.stages {
+		stages = append(stages, stage)
+	}
+	sort.Strings(stages)
+	if !reflect.DeepEqual(stages, []string{"synth/" + StageCluster}) {
+		t.Fatalf("saved stages %v, want [synth/%s]", stages, StageCluster)
+	}
+	if met.CheckpointSaves.Load() != 1 || met.CheckpointLoads.Load() != 0 {
+		t.Fatalf("first run saves=%d loads=%d, want 1/0", met.CheckpointSaves.Load(), met.CheckpointLoads.Load())
+	}
+	if ref.Report == nil || len(ref.Report.Merges) == 0 {
+		t.Fatalf("opt arm carries no clustering report: %+v", ref.Report)
+	}
+
+	met2 := &Metrics{}
+	got, err := SynthesizeCheckedCtx(ctx, "synth", "opt", n, &Options{Workers: 2, Checkpoint: sink, Metrics: met2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met2.CheckpointLoads.Load() != 1 || met2.CheckpointSaves.Load() != 0 {
+		t.Fatalf("resumed run saves=%d loads=%d, want 0/1", met2.CheckpointSaves.Load(), met2.CheckpointLoads.Load())
+	}
+	if c := met2.Timings.Snapshot()["cluster"].Count; c != 0 {
+		t.Fatalf("resumed run clustered %d times, want 0", c)
+	}
+	if !reflect.DeepEqual(got.Controllers, ref.Controllers) || !reflect.DeepEqual(got.Report, ref.Report) {
+		t.Fatal("restored clustering changed the controllers or the report")
+	}
+	for i := range ref.Mapped {
+		a, err := gates.EncodeJSON(ref.Mapped[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := gates.EncodeJSON(got.Mapped[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("controller %s differs after restoring the clustering", ref.Controllers[i].Name)
+		}
+	}
+
+	unopt := newMapSink()
+	c, err := SynthesizeCheckedCtx(ctx, "synth", "unopt", n, &Options{Workers: 2, Checkpoint: unopt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unopt.stages) != 0 || c.Report != nil {
+		t.Fatalf("unopt arm saved %d stages, report %+v; want none", len(unopt.stages), c.Report)
 	}
 }

@@ -2,10 +2,10 @@
 // control netlist of a design is optionally optimized by clustering
 // (Fig 2), each resulting controller is compiled from CH to a
 // Burst-Mode specification, synthesized into hazard-free two-level
-// logic (Minimalist substitute), technology mapped, audited for hazard
-// freedom, and finally simulated together with the design's datapath
-// and benchmark environment to produce the speed and area numbers of
-// Table 3.
+// logic (Minimalist substitute), technology mapped, statically verified
+// hazard-free by the hazver gate, and finally simulated together with
+// the design's datapath and benchmark environment to produce the speed
+// and area numbers of Table 3.
 //
 // The flow is concurrent: controllers synthesize in parallel across a
 // bounded worker pool, the two arms of a design run side by side, and
@@ -249,11 +249,6 @@ type Options struct {
 	// Burst-Mode state count per clustered controller — the paper's
 	// synthesis-run-time knob).
 	Cluster core.Options
-	// SkipAudit disables the hazard audit of mapped optimized
-	// controllers (techmap.CheckMapped; on by default, as in Section
-	// 5). The audit is exhaustive up to 14 variables and samples 2^14
-	// points beyond.
-	SkipAudit bool
 	// TimeLimit and EventLimit bound each benchmark simulation.
 	TimeLimit  float64
 	EventLimit int64
@@ -343,13 +338,13 @@ func newRunner(ctx context.Context, opt *Options) *runner {
 }
 
 // synthesize runs the full per-controller pipeline (compile, two-level
-// synthesis or hand-library lookup, mapping, audit) with no caching.
-// It is the flow's only synthesis of a controller: the returned entry
-// carries the hazver unit of the netlist it ships. It is a composite
-// task: the compile/hclib and map/audit stages each take one pool slot,
-// and the per-function minimizations inside minimalist.SynthesizeOpt
-// are individually pool-admitted leaves — no slot is ever held while
-// waiting for another.
+// synthesis or hand-library lookup, mapping) with no caching. It is
+// the flow's only synthesis of a controller: the returned entry
+// carries the hazver unit of the netlist it ships, which the hazver
+// gate verifies. It is a composite task: the compile/hclib and map
+// stages each take one pool slot, and the per-function minimizations
+// inside minimalist.SynthesizeOpt are individually pool-admitted
+// leaves — no slot is ever held while waiting for another.
 func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*synthEntry, error) {
 	tm := &r.met.Timings
 	var sp *bm.Spec
@@ -410,18 +405,6 @@ func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*synthEntry, e
 	if err != nil {
 		return nil, err
 	}
-	if mode == techmap.SpeedSplit && !r.opt.SkipAudit {
-		// The audit is a composite: its compiled point batches are the
-		// pool-admitted leaves, so it must run outside the mapping's
-		// pool slot (a leaf waiting on nested leaves could deadlock
-		// the pool).
-		start := time.Now()
-		err := techmap.CheckMappedOpt(ctrl, nl, r.opt.Lib, techmap.CheckOptions{Pool: r.pool, Ctx: r.ctx})
-		tm.Observe("audit", time.Since(start))
-		if err != nil {
-			return nil, fmt.Errorf("flow: hazard audit: %w", err)
-		}
-	}
 	return &synthEntry{netlist: nl, res: ControllerResult{
 		Name:      comp.Name,
 		States:    sp.NStates,
@@ -466,7 +449,7 @@ func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (shipped, error) 
 		}
 		return shipped{nl: e.netlist, res: e.res, unit: e.unit, shape: "raw|" + comp.Name}, nil
 	}
-	key := fmt.Sprintf("%s|audit=%t|%s", mode, !r.opt.SkipAudit, canon.Key)
+	key := mode.String() + "|" + canon.Key
 	entry, hit, err := r.cache.Do(key, func() (*synthEntry, error) {
 		// Controller-grain artifact tier (incremental resynthesis): an
 		// unchanged canonical subtree loads its prior synthesis instead
@@ -476,7 +459,7 @@ func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (shipped, error) 
 		ctl := r.opt.Controllers
 		var ctlKey string
 		if ctl != nil {
-			ctlKey = ControllerKey(mode, !r.opt.SkipAudit, canon.Digest())
+			ctlKey = ControllerKey(mode, canon.Digest())
 			if blob, ok := ctl.GetController(ctlKey); ok {
 				e, err := decodeController(blob)
 				if err == nil && len(e.wires) == len(canon.Wires) {
@@ -574,8 +557,8 @@ type synthesis struct {
 }
 
 // synthesizeNetlist fans the components of a control netlist out as
-// composite tasks (their compile, per-function minimization and
-// map/audit stages are the pool-admitted leaves), returning what they
+// composite tasks (their compile, per-function minimization and map
+// stages are the pool-admitted leaves), returning what they
 // ship in component order with sequential first-error semantics.
 func (r *runner) synthesizeNetlist(n *core.Netlist, mode techmap.Mode) (*synthesis, error) {
 	outs, err := parallel.MapAllCtx(r.ctx, len(n.Components), func(i int) (shipped, error) {
@@ -625,13 +608,15 @@ func SynthesizeNetlistCtx(ctx context.Context, n *core.Netlist, mode techmap.Mod
 
 // CheckedArm is one arm synthesized once and passed through every
 // checker gate: the mapped controllers and their reports in component
-// order, the netlint report of the merged circuit, and the hazver
-// report of the netlists the synthesis shipped.
+// order, the netlint report of the merged circuit, the hazver report
+// of the netlists the synthesis shipped, and — for the opt arm — the
+// clustering report.
 type CheckedArm struct {
 	Mapped      []*gates.Netlist
 	Controllers []ControllerResult
 	Netlint     netlint.Result
 	Hazver      hazver.Result
+	Report      *core.Report
 }
 
 // checkedArm is the gated synthesis of one arm, shared by both arms of
@@ -660,23 +645,57 @@ func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mo
 
 // SynthesizeCheckedCtx runs one arm's gated synthesis the way the
 // flow's runDesign does, for callers outside a flow run (the daemon's
-// synth executor): bmlint, synthesis, netlint and hazver, with every
-// controller synthesized once and the checkers verifying what that
-// synthesis shipped.
-func SynthesizeCheckedCtx(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) (*CheckedArm, error) {
-	return newRunner(ctx, opt).checkedArm(design, arm, n, mode)
+// synth executor): the arm's preparation (clustering for opt,
+// checkpointed to opt.Checkpoint as "<design>/cluster"), then bmlint,
+// synthesis, netlint and hazver, with every controller synthesized
+// once and the checkers verifying what that synthesis shipped.
+// Clustering errors come back unwrapped.
+func SynthesizeCheckedCtx(ctx context.Context, design, arm string, n *core.Netlist, opt *Options) (*CheckedArm, error) {
+	r := newRunner(ctx, opt)
+	n, rep, mode, err := r.prepare(design, arm, n)
+	if err != nil {
+		return nil, err
+	}
+	c, err := r.checkedArm(design, arm, n, mode)
+	if err != nil {
+		return nil, err
+	}
+	c.Report = rep
+	return c, nil
 }
 
 // PrepareArm readies a control netlist for one flow arm: "opt" clusters
-// it (core.OptimizeOpt under cl, cancelled with ctx) for speed-split
-// mapping; "unopt" keeps it for area-shared mapping.
+// it (under cl, cancelled with ctx) for speed-split mapping; "unopt"
+// keeps it for area-shared mapping.
 func PrepareArm(ctx context.Context, n *core.Netlist, arm string, cl core.Options) (*core.Netlist, techmap.Mode, error) {
+	n, _, mode, err := newRunner(ctx, &Options{Cluster: cl, Workers: cl.Workers}).prepare("", arm, n)
+	return n, mode, err
+}
+
+// prepare readies a control netlist for one arm of the run: the unopt
+// arm keeps it for area-shared mapping; the opt arm clusters it for
+// speed-split mapping, on the run's pool and context. The clustering
+// is the design's "cluster" checkpoint stage: restored from the run's
+// sink when saved there, saved after computing otherwise. It is the
+// flow's one clustering path for an arm.
+func (r *runner) prepare(design, arm string, n *core.Netlist) (*core.Netlist, *core.Report, techmap.Mode, error) {
 	if arm != "opt" {
-		return n, techmap.AreaShared, nil
+		return n, nil, techmap.AreaShared, nil
 	}
-	cl.Ctx = ctx
-	n, _, err := core.OptimizeOpt(n, cl)
-	return n, techmap.SpeedSplit, err
+	ck := r.ckpt(design)
+	if cn, rep, ok := ck.loadCluster(); ok {
+		return cn, rep, techmap.SpeedSplit, nil
+	}
+	cl := r.opt.Cluster
+	cl.Pool = r.pool // clustering probes draw from the same budget
+	cl.Ctx = r.ctx   // and cancel with the same run
+	start := time.Now()
+	cn, rep, err := core.OptimizeOpt(n, cl)
+	r.met.Timings.Observe("cluster", time.Since(start))
+	if err == nil {
+		ck.saveCluster(cn, rep)
+	}
+	return cn, rep, techmap.SpeedSplit, err
 }
 
 // simulate runs one design arm: mapped controllers + datapath + bench.
@@ -764,22 +783,12 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 			res.Opt, res.Report = cp.Arm, cp.Report
 			return nil
 		}
-		optNetlist, report, ok := ck.loadCluster()
-		if !ok {
-			clOpt := r.opt.Cluster
-			clOpt.Pool = r.pool // clustering probes draw from the same budget
-			clOpt.Ctx = r.ctx   // and cancel with the same run
-			start := time.Now()
-			var err error
-			optNetlist, report, err = core.OptimizeOpt(d.Control(), clOpt)
-			r.met.Timings.Observe("cluster", time.Since(start))
-			if err != nil {
-				return fmt.Errorf("clustering: %w", err)
-			}
-			ck.saveCluster(optNetlist, report)
+		optNetlist, report, mode, err := r.prepare(d.Name, "opt", d.Control())
+		if err != nil {
+			return fmt.Errorf("clustering: %w", err)
 		}
 		res.Report = report
-		c, err := r.checkedArm(d.Name, "opt", optNetlist, techmap.SpeedSplit)
+		c, err := r.checkedArm(d.Name, "opt", optNetlist, mode)
 		if err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}

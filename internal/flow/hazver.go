@@ -17,7 +17,7 @@ import (
 // carry no burst provenance; they are counted as skipped and rest on
 // simulation. Unlike the flow gate, error findings do not abort: the
 // report is the product. Callers wanting the optimized arm cluster the
-// netlist first (core.OptimizeOpt) and pass techmap.SpeedSplit.
+// netlist first (PrepareArm) and pass techmap.SpeedSplit.
 func HazverNetlist(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) (hazver.Result, error) {
 	r := newRunner(ctx, opt)
 	s, err := r.synthesizeNetlist(n, mode)

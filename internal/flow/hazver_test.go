@@ -108,28 +108,40 @@ func synthHazverUnits(t testing.TB, n *core.Netlist, mode techmap.Mode) []synthU
 			continue
 		}
 		seen[key] = true
-		sp, err := chtobm.Compile(comp)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", comp.Name, err)
-		}
-		ctrl, err := minimalist.Synthesize(sp)
+		su, err := synthShapeUnit(t, comp, mode, lib)
 		if err != nil {
 			t.Fatalf("%s: synthesize: %v", comp.Name, err)
 		}
-		nl, err := techmap.MapController(ctrl, mode, lib)
-		if err != nil {
-			t.Fatalf("%s: map: %v", comp.Name, err)
-		}
-		out = append(out, synthUnit{ctrl: ctrl, nl: nl, unit: hazver.Unit{
-			Name:        comp.Name,
-			Vars:        ctrl.Vars,
-			Outputs:     ctrl.Spec.Outputs,
-			StateBits:   ctrl.StateBits,
-			Transitions: ctrl.Transitions,
-			Netlist:     nl,
-		}})
+		out = append(out, su)
 	}
 	return out
+}
+
+// synthShapeUnit synthesizes and maps one component directly. Compile
+// and map failures are fatal; a minimalist rejection comes back as the
+// error.
+func synthShapeUnit(t testing.TB, comp *ch.Program, mode techmap.Mode, lib *cell.Library) (synthUnit, error) {
+	t.Helper()
+	sp, err := chtobm.Compile(comp)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", comp.Name, err)
+	}
+	ctrl, err := minimalist.Synthesize(sp)
+	if err != nil {
+		return synthUnit{}, err
+	}
+	nl, err := techmap.MapController(ctrl, mode, lib)
+	if err != nil {
+		t.Fatalf("%s: map: %v", comp.Name, err)
+	}
+	return synthUnit{ctrl: ctrl, nl: nl, unit: hazver.Unit{
+		Name:        comp.Name,
+		Vars:        ctrl.Vars,
+		Outputs:     ctrl.Spec.Outputs,
+		StateBits:   ctrl.StateBits,
+		Transitions: ctrl.Transitions,
+		Netlist:     nl,
+	}}, nil
 }
 
 // tamperOutput flips the cell driving the netlist's first primary
@@ -353,7 +365,7 @@ func TestHazverCatchesTamperedCachedBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl := NewMemoryControllerCache()
-	if _, err := SynthesizeCheckedCtx(ctx, d.Name, "opt", n, techmap.SpeedSplit, &Options{Controllers: ctl}); err != nil {
+	if _, err := SynthesizeCheckedCtx(ctx, d.Name, "opt", d.Control(), &Options{Controllers: ctl}); err != nil {
 		t.Fatalf("seeding run: %v", err)
 	}
 
@@ -362,7 +374,7 @@ func TestHazverCatchesTamperedCachedBlob(t *testing.T) {
 	if !ok {
 		t.Fatalf("%s failed to canonicalize", comp.Name)
 	}
-	key := ControllerKey(techmap.SpeedSplit, true, canon.Digest())
+	key := ControllerKey(techmap.SpeedSplit, canon.Digest())
 	blob, ok := ctl.GetController(key)
 	if !ok {
 		t.Fatal("seeding run cached no blob for the first component")
@@ -385,7 +397,7 @@ func TestHazverCatchesTamperedCachedBlob(t *testing.T) {
 	ctl.PutController(key, blob)
 
 	met := &Metrics{}
-	_, err = SynthesizeCheckedCtx(ctx, d.Name, "opt", n, techmap.SpeedSplit, &Options{Controllers: ctl, Metrics: met})
+	_, err = SynthesizeCheckedCtx(ctx, d.Name, "opt", d.Control(), &Options{Controllers: ctl, Metrics: met})
 	if met.ControllersReused.Load() == 0 || met.ControllersCorrupt.Load() != 0 {
 		t.Fatalf("tampered blob not spliced in: %d reused, %d corrupt", met.ControllersReused.Load(), met.ControllersCorrupt.Load())
 	}

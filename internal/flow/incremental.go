@@ -75,19 +75,19 @@ func (c *MemoryControllerCache) Len() int {
 
 // ControllerKey is the cache key of one controller synthesis: the
 // canonical subtree digest qualified by everything else that affects
-// the synthesized netlist — the mapping mode and whether the hazard
-// audit gates the result — and by the blob format version, so blobs
-// of an older format are misses rather than decode failures. Wire
-// names are deliberately absent: they are exactly what Rename
-// substitutes on reuse, which is how a cached controller crosses
-// designs.
-func ControllerKey(mode techmap.Mode, audit bool, digest string) string {
-	return fmt.Sprintf("ctl|%s|%s|audit=%t|%s", controllerBlobVersion, mode, audit, digest)
+// the synthesized netlist — the mapping mode — and by the blob format
+// version, so blobs of an older format are misses rather than decode
+// failures. Wire names are deliberately absent: they are exactly what
+// Rename substitutes on reuse, which is how a cached controller
+// crosses designs.
+func ControllerKey(mode techmap.Mode, digest string) string {
+	return fmt.Sprintf("ctl|%s|%s|%s", controllerBlobVersion, mode, digest)
 }
 
 // controllerBlobVersion tags the controllerBlob format inside
-// ControllerKey. v2 added the verification provenance.
-const controllerBlobVersion = "v2"
+// ControllerKey. v2 added the verification provenance; v3 dropped the
+// audit bit from the key, so refs written under v2 miss.
+const controllerBlobVersion = "v3"
 
 // controllerBlob is the durable form of one synthesized controller:
 // the seeding component's wires in canonical channel order (what

@@ -177,7 +177,7 @@ func TestIncrementalCorruptBlobFallsThrough(t *testing.T) {
 	if !ok {
 		t.Fatal("stage1 failed to canonicalize")
 	}
-	key := ControllerKey(techmap.SpeedSplit, true, canon.Digest())
+	key := ControllerKey(techmap.SpeedSplit, canon.Digest())
 
 	ctl := NewMemoryControllerCache()
 	ctl.PutController(key, []byte("not json"))
@@ -222,7 +222,7 @@ func TestControllerBlobRequiresProvenance(t *testing.T) {
 	if !ok {
 		t.Fatal("stage1 failed to canonicalize")
 	}
-	key := ControllerKey(techmap.SpeedSplit, true, canon.Digest())
+	key := ControllerKey(techmap.SpeedSplit, canon.Digest())
 	good, _ := ctl.GetController(key)
 	e, err := decodeController(good)
 	if err != nil {
@@ -291,7 +291,7 @@ func TestControllerBlobHandLibrary(t *testing.T) {
 	if !ok {
 		t.Fatal("stage1 failed to canonicalize")
 	}
-	blob, ok := ctl.GetController(ControllerKey(techmap.AreaShared, true, canon.Digest()))
+	blob, ok := ctl.GetController(ControllerKey(techmap.AreaShared, canon.Digest()))
 	if !ok {
 		t.Fatal("no baseline blob for stage1")
 	}
@@ -307,9 +307,9 @@ func TestControllerBlobHandLibrary(t *testing.T) {
 	}
 }
 
-// Blobs written under the previous key format (no blob version tag)
-// are never looked up: an old ctlrefs/ entry is a miss, not a decode
-// failure.
+// Blobs written under the previous key formats (no blob version tag,
+// and v2 with its audit bit) are never looked up: an old ctlrefs/
+// entry is a miss, not a decode failure.
 func TestControllerKeyVersionedMiss(t *testing.T) {
 	n := parseIncr(t, incrSource)
 	ctl := NewMemoryControllerCache()
@@ -318,8 +318,12 @@ func TestControllerKeyVersionedMiss(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s failed to canonicalize", comp.Name)
 		}
-		oldKey := fmt.Sprintf("ctl|%s|audit=%t|%s", techmap.SpeedSplit, true, canon.Digest())
-		ctl.PutController(oldKey, []byte(`{"wires":[],"result":{},"netlist":{}}`))
+		for _, oldKey := range []string{
+			fmt.Sprintf("ctl|%s|audit=%t|%s", techmap.SpeedSplit, true, canon.Digest()),
+			fmt.Sprintf("ctl|v2|%s|audit=%t|%s", techmap.SpeedSplit, true, canon.Digest()),
+		} {
+			ctl.PutController(oldKey, []byte(`{"wires":[],"result":{},"netlist":{}}`))
+		}
 	}
 	_, _, met := synthAll(t, incrSource, ctl, 0)
 	if met.ControllersCorrupt.Load() != 0 || met.ControllersReused.Load() != 0 || met.ControllersResynthesized.Load() != 2 {
@@ -339,7 +343,7 @@ func TestControllerBlobRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stage2 failed to canonicalize")
 	}
-	blob, okGet := ctl.GetController(ControllerKey(techmap.SpeedSplit, true, canon.Digest()))
+	blob, okGet := ctl.GetController(ControllerKey(techmap.SpeedSplit, canon.Digest()))
 	if !okGet {
 		t.Fatal("stage2 blob missing after seeding run")
 	}
@@ -393,16 +397,15 @@ func TestIsomorphSpliceMatchesDirect(t *testing.T) {
 	}
 }
 
-// ControllerKey must separate mapping mode, audit setting, and digest —
-// a blob synthesized under one configuration must never serve another.
+// ControllerKey must separate mapping mode and digest — a blob
+// synthesized under one configuration must never serve another.
 func TestControllerKeySeparation(t *testing.T) {
 	keys := map[string]bool{
-		ControllerKey(techmap.SpeedSplit, true, "d1"):  true,
-		ControllerKey(techmap.SpeedSplit, false, "d1"): true,
-		ControllerKey(techmap.AreaShared, true, "d1"):  true,
-		ControllerKey(techmap.SpeedSplit, true, "d2"):  true,
+		ControllerKey(techmap.SpeedSplit, "d1"): true,
+		ControllerKey(techmap.AreaShared, "d1"): true,
+		ControllerKey(techmap.SpeedSplit, "d2"): true,
 	}
-	if len(keys) != 4 {
+	if len(keys) != 3 {
 		t.Fatalf("key collisions: %v", keys)
 	}
 }

@@ -38,7 +38,7 @@ func NetlintGate(design, arm string, mapped []*gates.Netlist, lib *cell.Library,
 // merged circuit, naming them "<design>.<arm>.<controller>" and
 // "<design>.<arm>". Unlike the flow gate, error findings do not abort:
 // the report is the product. Callers wanting the optimized arm cluster
-// the netlist first (core.OptimizeOpt) and pass techmap.SpeedSplit.
+// the netlist first (PrepareArm) and pass techmap.SpeedSplit.
 func NetlintNetlist(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) ([]netlint.Result, netlint.Result, error) {
 	r := newRunner(ctx, opt)
 	s, err := r.synthesizeNetlist(n, mode)

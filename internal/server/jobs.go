@@ -698,19 +698,13 @@ func parseSource(req api.JobRequest) (*core.Netlist, error) {
 	return nil, fmt.Errorf("server: unknown source format %q", req.Format)
 }
 
-// synthClusterCheckpoint is the payload of a KindSynth job's completed
-// clustering stage: the clustered netlist round-trips as CH text, the
-// report in its wire form.
-type synthClusterCheckpoint struct {
-	Netlist string          `json:"netlist"`
-	Report  *api.ReportJSON `json:"report"`
-}
-
-// runSynth is the executor for submitted designs: optional clustering,
-// then synthesis and mapping of every controller, returning summary
-// numbers and structural Verilog per controller. The clustering stage
-// checkpoints to ck (when durable), so a daemon interrupted mid-job
-// resumes with the clustered netlist instead of re-deriving it.
+// runSynth is the executor for submitted designs: the lint gate, then
+// the flow's checked arm — clustering for opt (checkpointed to ck as
+// "synth/cluster" when durable, so a daemon interrupted mid-job
+// resumes with the clustered netlist instead of re-deriving it), the
+// bmlint gate, one synthesis of every controller, and the netlint and
+// hazver gates — returning summary numbers and structural Verilog per
+// controller.
 func runSynth(ctx context.Context, n *core.Netlist, mode string, cfg api.FlowConfig, met *flow.Metrics, ck flow.CheckpointSink, ctl flow.ControllerCache) (*api.JobResult, error) {
 	// Pre-synthesis lint gate, mirroring the flow's runDesign: error
 	// findings fail the job before clustering or synthesis start;
@@ -718,42 +712,14 @@ func runSynth(ctx context.Context, n *core.Netlist, mode string, cfg api.FlowCon
 	if err := flow.LintNetlist(n, "submitted", met); err != nil {
 		return nil, err
 	}
-	out := &api.SynthResultJSON{Mode: mode}
-	tmMode := techmap.AreaShared
-	if mode == api.ModeOpt {
-		tmMode = techmap.SpeedSplit
-		if clustered, rep, ok := loadSynthCluster(ck); ok {
-			n, out.Report = clustered, rep
-			met.CheckpointLoads.Add(1)
-		} else {
-			var rep *core.Report
-			var err error
-			start := time.Now()
-			n, rep, err = core.OptimizeOpt(n, core.Options{
-				MaxStates: cfg.MaxStates, Workers: cfg.Workers, Ctx: ctx,
-			})
-			met.Timings.Observe("cluster", time.Since(start))
-			if err != nil {
-				return nil, err
-			}
-			out.Report = api.FromReport(rep)
-			saveSynthCluster(ck, n, out.Report)
-			if ck != nil {
-				met.CheckpointSaves.Add(1)
-			}
-		}
-	}
-	// The flow's checked arm: the bmlint gate fails the job on an
-	// ill-formed Burst-Mode spec before the minimizer sees it; every
-	// controller then synthesizes once; the netlint gate fails it on a
-	// miswired merged circuit and the hazver gate on a statically
-	// detectable hazard in the shipped netlists, before any Verilog
-	// ships. Warnings and the BM200/NL200/HZ200 reports stream to
-	// subscribers and count toward the daemon's per-code totals; the
-	// netlint and hazver reports ride on the result.
+	// Gate errors fail the job before any Verilog ships. Warnings and
+	// the BM200/NL200/HZ200 reports stream to subscribers and count
+	// toward the daemon's per-code totals; the netlint and hazver
+	// reports ride on the result.
 	opts := cfg.Options(met)
+	opts.Checkpoint = ck
 	opts.Controllers = ctl
-	c, err := flow.SynthesizeCheckedCtx(ctx, "synth", mode, n, tmMode, opts)
+	c, err := flow.SynthesizeCheckedCtx(ctx, "synth", mode, n, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -762,7 +728,7 @@ func runSynth(ctx context.Context, n *core.Netlist, mode string, cfg api.FlowCon
 		lib = cell.AMS035()
 	}
 	nlRep, hzRep := api.NetlintReport(c.Netlint), api.HazverReport(c.Hazver)
-	out.Netlint, out.Hazver = &nlRep, &hzRep
+	out := &api.SynthResultJSON{Mode: mode, Report: api.FromReport(c.Report), Netlint: &nlRep, Hazver: &hzRep}
 	for i, nl := range c.Mapped {
 		out.Controllers = append(out.Controllers, api.SynthControllerJSON{
 			Controller: api.FromControllerResult(c.Controllers[i]),

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"balsabm/internal/api"
-	"balsabm/internal/core"
 	"balsabm/internal/flow"
 	"balsabm/internal/store"
 )
@@ -186,42 +185,4 @@ func (s *jobSink) Save(stage string, data []byte) {
 	s.dir.Save(stage, data)
 	s.m.store.AppendCheckpoint(s.j.ID, s.j.Key, stage)
 	s.j.events.publish(api.Event{Type: "checkpoint", Stage: stage})
-}
-
-// stageSynthCluster is the one checkpointable stage of a KindSynth
-// job's server-side preamble (the flow stages inside SynthesizeNetlist
-// are per-controller and cheap to redo; clustering is the expensive
-// sequential prefix).
-const stageSynthCluster = "cluster"
-
-// loadSynthCluster restores a KindSynth job's clustering stage. Any
-// miss, decode failure or unparseable netlist is a plain miss.
-func loadSynthCluster(ck flow.CheckpointSink) (*core.Netlist, *api.ReportJSON, bool) {
-	if ck == nil {
-		return nil, nil, false
-	}
-	data, ok := ck.Load(stageSynthCluster)
-	if !ok {
-		return nil, nil, false
-	}
-	var cp synthClusterCheckpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, nil, false
-	}
-	n, err := core.ParseNetlist(cp.Netlist)
-	if err != nil {
-		return nil, nil, false
-	}
-	return n, cp.Report, true
-}
-
-func saveSynthCluster(ck flow.CheckpointSink, n *core.Netlist, rep *api.ReportJSON) {
-	if ck == nil {
-		return
-	}
-	data, err := json.Marshal(synthClusterCheckpoint{Netlist: n.Format(), Report: rep})
-	if err != nil {
-		return
-	}
-	ck.Save(stageSynthCluster, data)
 }

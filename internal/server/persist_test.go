@@ -364,3 +364,98 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 		t.Fatalf("cluster ran %d times, want 0 (restored from checkpoint)", s.Count)
 	}
 }
+
+// TestE2EResumeSynthFromCheckpoint: an opt KindSynth job clusters
+// through the flow's checkpointed path, so a daemon that crashed after
+// its "synth/cluster" stage resumes the job from that payload, finishes
+// it without clustering again, and answers the bytes of an
+// uninterrupted run.
+func TestE2EResumeSynthFromCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes the stack's clustered control netlist")
+	}
+	req := api.JobRequest{Kind: api.KindSynth, Source: designs.Stack().Control().Format(),
+		Config: api.FlowConfig{Workers: 2}}
+
+	mRef := NewManager(Config{Workers: 2})
+	jRef, err := mRef.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-jRef.Done()
+	if st := jRef.Status(); st.State != api.StateDone {
+		t.Fatalf("reference job state = %s (err %q), want done", st.State, st.Error)
+	}
+	ref, err := api.Encode(jRef.Result())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mRef.Close()
+
+	// Capture the clustering payload the executor saves, then stage the
+	// crash state: clustering persisted, the job not finished.
+	sink := &memSink{stages: map[string][]byte{}}
+	n, err := parseSource(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSynth(context.Background(), n, api.ModeOpt, req.Config, &flow.Metrics{}, sink, nil); err != nil {
+		t.Fatal(err)
+	}
+	const ckCluster = "synth/" + flow.StageCluster
+	if len(sink.stages) != 1 || sink.stages[ckCluster] == nil {
+		t.Fatalf("synth executor saved %d stages, want exactly %q", len(sink.stages), ckCluster)
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, key, err := prepare(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Checkpoints(key).Save(ckCluster, sink.stages[ckCluster])
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.AppendSubmit("j00001", key, req.Kind, body, "2026-01-02T03:04:05Z")
+	st.AppendStart("j00001", "2026-01-02T03:04:06Z")
+	st.AppendCheckpoint("j00001", key, ckCluster)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	m := NewManager(Config{Workers: 2, Store: st2})
+	defer m.Close()
+	j, ok := m.Get("j00001")
+	if !ok {
+		t.Fatal("interrupted job not replayed")
+	}
+	<-j.Done()
+	jst := j.Status()
+	if jst.State != api.StateDone || jst.ResumedFrom != ckCluster {
+		t.Fatalf("resumed job: state=%s (err %q) resumedFrom=%q, want done from %q", jst.State, jst.Error, jst.ResumedFrom, ckCluster)
+	}
+	got, err := api.Encode(j.Result())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ref, got) {
+		t.Fatalf("resumed result differs from uninterrupted run:\n--- reference ---\n%s\n--- resumed ---\n%s", ref, got)
+	}
+	met := m.Metrics()
+	if met.CheckpointsRestored != 1 || met.CheckpointsSaved != 0 {
+		t.Fatalf("checkpoints restored=%d saved=%d, want 1/0", met.CheckpointsRestored, met.CheckpointsSaved)
+	}
+	if s := met.Stages["cluster"]; s.Count != 0 {
+		t.Fatalf("cluster ran %d times, want 0 (restored from checkpoint)", s.Count)
+	}
+}

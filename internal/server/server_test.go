@@ -323,3 +323,77 @@ func TestMetricsTextFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipAuditAcceptedAndIgnored: older clients still send
+// "config":{"skipAudit":true}. The daemon accepts the field and ignores
+// it — the flow has no mapped-logic audit left to skip. A job carrying
+// it dedupes against the same job without it, and a netlint request
+// answers the same bytes either way.
+func TestSkipAuditAcceptedAndIgnored(t *testing.T) {
+	_, hs, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	post := func(path, body string, want int) []byte {
+		t.Helper()
+		resp, err := hs.Client().Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: HTTP %d, want %d: %s", path, resp.StatusCode, want, out)
+		}
+		return out
+	}
+	src, err := json.Marshal(twoSequencers)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain := post("/api/v1/netlint", `{"source":`+string(src)+`,"name":"pair"}`, http.StatusOK)
+	skip := post("/api/v1/netlint", `{"source":`+string(src)+`,"name":"pair","config":{"skipAudit":true}}`, http.StatusOK)
+	if string(plain) != string(skip) {
+		t.Fatalf("netlint answer changed with skipAudit:\n%s\n%s", plain, skip)
+	}
+
+	st, err := c.Submit(ctx, api.JobRequest{Kind: api.KindSynth, Source: twoSequencers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.State != api.StateDone {
+		t.Fatalf("plain job: %+v, %v", st, err)
+	}
+	var st2 api.JobStatus
+	if err := json.Unmarshal(post("/api/v1/jobs", `{"kind":"synth","source":`+string(src)+`,"config":{"skipAudit":true}}`, http.StatusAccepted), &st2); err != nil {
+		t.Fatal(err)
+	}
+	if st2.Key != st.Key {
+		t.Fatalf("skipAudit changed the dedup key: %s vs %s", st2.Key, st.Key)
+	}
+	if st2, err = c.Wait(ctx, st2.ID); err != nil || st2.State != api.StateDone || !st2.Dedup {
+		t.Fatalf("skipAudit job: %+v, %v; want done and deduplicated", st2, err)
+	}
+	res, err := c.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := c.Result(ctx, st2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, _ := api.Encode(res)
+	b2, _ := api.Encode(res2)
+	if string(b1) != string(b2) {
+		t.Fatal("skipAudit job answered different bytes")
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.DedupHits != 1 {
+		t.Fatalf("balsabmd_dedup_hits_total = %d, want 1", m.DedupHits)
+	}
+}

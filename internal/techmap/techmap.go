@@ -425,6 +425,13 @@ func (r Report) String() string {
 // AreaShared netlists are not pointwise-identical (the C-element
 // peephole folds outputs into feedback state); they are validated
 // dynamically by driving them through the specification (package sim).
+//
+// The flow does not run this check: its hazver gate verifies every
+// netlist the flow ships, and hazver's endpoint passes cover every
+// point fundamental mode reaches (flow.TestHazverSubsumesCheckMapped).
+// The remaining callers are balsabm audit's "mapped" checker
+// (flow.AuditDesign), cmd/bmsynth, the root package's AuditMapped and
+// the benchmark's traced replay.
 func CheckMapped(ctrl *minimalist.Controller, nl *gates.Netlist, lib *cell.Library) error {
 	return CheckMappedOpt(ctrl, nl, lib, CheckOptions{})
 }
