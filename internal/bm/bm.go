@@ -149,6 +149,10 @@ func Parse(src string) (*Spec, error) {
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("bm: line %d: %s takes a signal name", lineNo+1, fields[0])
 			}
+			// Every signal starts low (Check's all-zero initial values).
+			if len(fields) > 2 && fields[2] != "0" {
+				return nil, fmt.Errorf("bm: line %d: %s %s: initial value %q: only 0 is supported", lineNo+1, fields[0], fields[1], fields[2])
+			}
 			if fields[0] == "input" {
 				sp.Inputs = append(sp.Inputs, fields[1])
 			} else {

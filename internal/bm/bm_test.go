@@ -145,11 +145,11 @@ func TestStateValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vals[0]["a_r"] || vals[0]["a_a"] {
-		t.Fatalf("state 0 should be all zero: %v", vals[0])
+	if vals.Get(0, "a_r") || vals.Get(0, "a_a") {
+		t.Fatal("state 0 should be all zero")
 	}
-	if !vals[1]["a_r"] || !vals[1]["b_a"] {
-		t.Fatalf("state 1: %v", vals[1])
+	if !vals.Get(1, "a_r") || !vals.Get(1, "b_a") {
+		t.Fatal("state 1 should have a_r and b_a high")
 	}
 }
 
@@ -201,5 +201,44 @@ func TestIsInputAndSignals(t *testing.T) {
 	sigs := sp.Signals()
 	if len(sigs) != 4 || sigs[0] != "a_a" {
 		t.Fatalf("signals %v", sigs)
+	}
+}
+
+// A signal declared twice is one variable; synthesis must never see it
+// as two.
+func TestCheckDuplicateDeclaration(t *testing.T) {
+	sp, err := Parse("name x\ninput a 0\ninput a 0\noutput b 0\n0 1 a+ | b+\n1 0 a- | b-\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := sp.Violations()
+	if len(vs) != 1 || vs[0].Kind != KindDeclaration || vs[0].Sig != "a" {
+		t.Fatalf("violations %v, want one KindDeclaration on a", vs)
+	}
+	if err := sp.Check(); err == nil || !strings.Contains(err.Error(), "signal a is declared twice") {
+		t.Fatalf("Check = %v", err)
+	}
+}
+
+func TestCheckInputOutputDeclaration(t *testing.T) {
+	sp, err := Parse("name x\ninput a 0\noutput a 0\noutput b 0\n0 1 a+ | b+\n1 0 a- | b-\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.StateValues(); err == nil || !strings.Contains(err.Error(), "signal a is declared as both input and output") {
+		t.Fatalf("StateValues error = %v", err)
+	}
+}
+
+// Check assumes every signal starts low, so any other initial value is
+// a parse error rather than a silently dropped one.
+func TestParseRejectsNonzeroInitialValue(t *testing.T) {
+	for _, src := range []string{
+		"name x\ninput a 1\noutput b 0\n0 1 a- | b+\n1 0 a+ | b-\n",
+		"name x\ninput a 0\noutput b 1\n0 1 a+ | b-\n1 0 a- | b+\n",
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "only 0 is supported") {
+			t.Errorf("Parse(%q) = %v, want an initial-value error", src, err)
+		}
 	}
 }

@@ -15,89 +15,51 @@ func (e *CheckError) Error() string { return fmt.Sprintf("bm: %s: %s", e.Spec, e
 
 // Check verifies the Burst-Mode well-formedness conditions:
 //
-//  1. every arc's input burst is non-empty;
-//  2. outputs never appear in input bursts and vice versa;
-//  3. the maximal-set property: for any two distinct arcs leaving the
+//  1. every signal is declared once, as an input or as an output;
+//  2. every arc's input burst is non-empty;
+//  3. outputs never appear in input bursts and vice versa;
+//  4. the maximal-set property: for any two distinct arcs leaving the
 //     same state, neither input burst is a subset of the other (so the
 //     machine can always tell which burst has completed);
-//  4. polarity consistency: starting from the all-zero initial values,
+//  5. polarity consistency: starting from the all-zero initial values,
 //     every transition on every reachable path toggles its signal from
 //     the value it actually holds (no x+ when x is already 1);
-//  5. every reachable state has at least one outgoing arc (our
+//  6. every reachable state has at least one outgoing arc (our
 //     controllers are non-terminating), and all states are reachable.
 //
-// Check is a thin wrapper over Violations — the accumulating checker
-// shared with bmlint — returning the first violation found, so the
-// two can never disagree on what is well-formed.
+// Check returns the first of the violations the walk behind Violations
+// (shared with bmlint and StateValues) finds, so the three can never
+// disagree on what is well-formed.
 func (sp *Spec) Check() error {
-	if vs := sp.Violations(); len(vs) > 0 {
-		return &CheckError{Spec: sp.Name, Msg: vs[0].Msg}
-	}
-	return nil
+	_, err := sp.StateValues()
+	return err
 }
 
-// StateValues returns, for each state, the signal-value vector with
-// which the state is entered (inputs and outputs, after the entering
-// arc's bursts complete). Valid only for specs that pass Check.
-func (sp *Spec) StateValues() ([]map[string]bool, error) {
-	if err := sp.Check(); err != nil {
-		return nil, err
-	}
-	values := make([]map[string]bool, sp.NStates)
-	start := map[string]bool{}
-	for _, s := range sp.Inputs {
-		start[s] = false
-	}
-	for _, s := range sp.Outputs {
-		start[s] = false
-	}
-	values[sp.Start] = start
-	queue := []int{sp.Start}
-	seen := map[int]bool{sp.Start: true}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for _, a := range sp.ArcsFrom(s) {
-			if seen[a.To] {
-				continue
-			}
-			next := cloneVals(values[s])
-			for _, sig := range append(a.In.Clone(), a.Out...) {
-				next[sig.Name] = sig.Rise
-			}
-			values[a.To] = next
-			seen[a.To] = true
-			queue = append(queue, a.To)
-		}
-	}
-	return values, nil
+// Values holds the signal values with which each state of a
+// well-formed spec is entered, one bit per signal.
+type Values struct {
+	index  map[string]int
+	stride int      // words per state
+	bits   []uint64 // state s's values start at bits[s*stride]
 }
 
-func cloneVals(v map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(v))
-	for k, val := range v {
-		out[k] = val
-	}
-	return out
+// Get reports the value signal name holds on entry to state, after the
+// entering arc's bursts complete. Names the spec does not declare read
+// as 0.
+func (v Values) Get(state int, name string) bool {
+	i, ok := v.index[name]
+	return ok && v.bits[state*v.stride+i/64]>>(i%64)&1 != 0
 }
 
-func sameVals(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
+// StateValues returns the signal values (inputs and outputs) with which
+// each state is entered. It fails with Check's error on a spec that is
+// not well-formed; both come from the same walk.
+func (sp *Spec) StateValues() (Values, error) {
+	vs, vals := sp.walk()
+	if len(vs) > 0 {
+		return Values{}, &CheckError{Spec: sp.Name, Msg: vs[0].Msg}
 	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func boolBit(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return vals, nil
 }
 
 // Signals returns all signal names (inputs then outputs), sorted.

@@ -11,10 +11,11 @@
 // a stable BMxxx code, at three tiers:
 //
 //   - BM-errors subsume bm.Check (which is now a thin wrapper over the
-//     shared bm.Violations core, so the two can never disagree): empty
-//     input bursts, signal-role confusion, duplicate signals in a
-//     burst, maximal-set violations, polarity inconsistency,
-//     inconsistent entry values, unreachable states, terminal states.
+//     shared bm.Violations core, so the two can never disagree):
+//     duplicate or conflicting signal declarations, empty input
+//     bursts, signal-role confusion, duplicate signals in a burst,
+//     maximal-set violations, polarity inconsistency, inconsistent
+//     entry values, unreachable states, terminal states.
 //   - BM-warnings cover semantics Check never sees: non-unique entry
 //     points (parallel entry arcs), mergeable sibling arcs, redundant
 //     states suggesting state minimization, outputs never toggled,
@@ -122,6 +123,7 @@ var Codes = map[string]string{
 	"BM007": "state unreachable from the start state",
 	"BM008": "terminal state: no outgoing arcs",
 	"BM009": "start state out of range",
+	"BM010": "signal declared twice, or as both input and output",
 	"BM100": "parallel entry arcs with differing output bursts (entry point not unique)",
 	"BM101": "mergeable sibling arcs: same source, target and output burst",
 	"BM102": "redundant state: outgoing behavior identical to another state",
@@ -142,6 +144,7 @@ var violationCode = map[bm.Kind]string{
 	bm.KindUnreachable: "BM007",
 	bm.KindTerminal:    "BM008",
 	bm.KindStart:       "BM009",
+	bm.KindDeclaration: "BM010",
 }
 
 // Reporter collects diagnostics during a pass run.

@@ -254,4 +254,24 @@ func TestEveryPassCodeRegistered(t *testing.T) {
 			t.Errorf("violation code %s not registered", code)
 		}
 	}
+	for k := bm.KindEmptyInput; k <= bm.KindDeclaration; k++ {
+		if violationCode[k] == "" {
+			t.Errorf("violation kind %d has no code", k)
+		}
+	}
+}
+
+// Declaration errors reach bmlint's stream with their own codes: BM010
+// from the walk, BM000 from the parser.
+func TestLintSourceDeclarations(t *testing.T) {
+	for src, want := range map[string]string{
+		"name x\ninput a 0\ninput a 0\noutput b 0\n0 1 a+ | b+\n1 0 a- | b-\n":  "BM010",
+		"name x\ninput a 0\noutput a 0\noutput b 0\n0 1 a+ | b+\n1 0 a- | b-\n": "BM010",
+		"name x\ninput a 1\noutput b 0\n0 1 a- | b+\n1 0 a+ | b-\n":             "BM000",
+	} {
+		res := LintSource(src)
+		if len(res.Diags) == 0 || res.Diags[0].Code != want || res.Diags[0].Severity != SevError {
+			t.Errorf("LintSource(%q): %v, want %s first", src, codes(res.Diags), want)
+		}
+	}
 }

@@ -432,8 +432,8 @@ func TestMergedStateValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vals[3]["c_r"] != true {
-		t.Fatalf("state 3 should have c_r high: %v", vals[3])
+	if !vals.Get(3, "c_r") {
+		t.Fatal("state 3 should have c_r high")
 	}
 	_ = bm.Sig{}
 }

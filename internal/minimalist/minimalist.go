@@ -143,7 +143,8 @@ func Synthesize(sp *bm.Spec) (*Controller, error) {
 
 // SynthesizeOpt runs the full flow on a checked specification.
 func SynthesizeOpt(sp *bm.Spec, opt Options) (*Controller, error) {
-	if err := sp.Check(); err != nil {
+	values, err := sp.StateValues() // fails with Check's error
+	if err != nil {
 		return nil, err
 	}
 	// Extra state bits are named y0, y1, ...; signal names must not
@@ -155,19 +156,14 @@ func SynthesizeOpt(sp *bm.Spec, opt Options) (*Controller, error) {
 			}
 		}
 	}
-	values, err := sp.StateValues()
-	if err != nil {
-		return nil, err
-	}
 	inputs := append([]string(nil), sp.Inputs...)
 	arcs := make([]arcInfo, len(sp.Arcs))
 	for i, a := range sp.Arcs {
-		entry := values[a.From]
 		xs := make([]bool, len(inputs))
 		xe := make([]bool, len(inputs))
 		for j, in := range inputs {
-			xs[j] = entry[in]
-			xe[j] = entry[in]
+			xs[j] = values.Get(a.From, in)
+			xe[j] = xs[j]
 		}
 		for _, s := range a.In {
 			for j, in := range inputs {
@@ -185,7 +181,7 @@ func SynthesizeOpt(sp *bm.Spec, opt Options) (*Controller, error) {
 	for s := 0; s < sp.NStates; s++ {
 		vec := make([]bool, len(sp.Outputs))
 		for i, z := range sp.Outputs {
-			vec[i] = values[s][z]
+			vec[i] = values.Get(s, z)
 		}
 		outVec[s] = vec
 	}
@@ -249,7 +245,7 @@ func SynthesizeOpt(sp *bm.Spec, opt Options) (*Controller, error) {
 			code := make([]bool, 0, len(outVec[s])+len(extra[s]))
 			codes[s] = append(append(code, outVec[s]...), extra[s]...)
 		}
-		ctrl, conflict, err := buildAndMinimize(sp, inputs, arcs, values, codes, len(extra[0]), opt)
+		ctrl, conflict, err := buildAndMinimize(sp, inputs, arcs, codes, len(extra[0]), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +412,7 @@ type fnSpec struct {
 // given full-state encoding (fed-back outputs ++ nExtra extra bits) and
 // minimizes each; on a value conflict it returns the dichotomy that
 // would separate the clashing arcs.
-func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map[string]bool, codes [][]bool, nExtra int, opt Options) (*Controller, *dichotomy, error) {
+func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, codes [][]bool, nExtra int, opt Options) (*Controller, *dichotomy, error) {
 	nOut := len(sp.Outputs)
 	vars := make([]string, 0, len(inputs)+nOut+nExtra)
 	vars = append(vars, inputs...)
@@ -430,18 +426,24 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 		out = append(out, code...)
 		return out
 	}
-	// fnName maps a code position to its function name: fed-back
-	// outputs are their own excitation.
-	fnName := func(pos int) string {
-		if pos < nOut {
-			return sp.Outputs[pos]
-		}
-		return fmt.Sprintf("y%d", pos-nOut)
-	}
+	// The function at code position pos is named vars[len(inputs)+pos]:
+	// fed-back outputs are their own excitation.
+	names := vars[len(inputs):]
 
-	fns := map[string][]fnSpec{}
-	addTr := func(name string, arcIdx int, start, end []bool, from, to bool) {
-		fns[name] = append(fns[name], fnSpec{
+	// Every function gets one T1 per arc and one T2 per arc whose code
+	// changes, so each list is made at its final size.
+	perFn := len(arcs)
+	for _, ai := range arcs {
+		if !sameCode(codes[ai.arc.From], codes[ai.arc.To]) {
+			perFn++
+		}
+	}
+	fns := make([][]fnSpec, len(names))
+	for pos := range fns {
+		fns[pos] = make([]fnSpec, 0, perFn)
+	}
+	addTr := func(pos, arcIdx int, start, end []bool, from, to bool) {
+		fns[pos] = append(fns[pos], fnSpec{
 			tr:   hfmin.Transition{Start: start, End: end, From: from, To: to},
 			arcA: arcIdx,
 		})
@@ -455,7 +457,7 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 		A1 := point(ai.xStart, codes[from])
 		B1 := point(ai.xEnd, codes[from])
 		for pos := 0; pos < len(codes[from]); pos++ {
-			addTr(fnName(pos), i, A1, B1, codes[from][pos], codes[to][pos])
+			addTr(pos, i, A1, B1, codes[from][pos], codes[to][pos])
 		}
 		// Vertical transition T2: the code burst (outputs firing plus
 		// extra-bit changes) at the new input point; every function
@@ -464,7 +466,7 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 			A2 := point(ai.xEnd, codes[from])
 			B2 := point(ai.xEnd, codes[to])
 			for pos := 0; pos < len(codes[from]); pos++ {
-				addTr(fnName(pos), i, A2, B2, codes[to][pos], codes[to][pos])
+				addTr(pos, i, A2, B2, codes[to][pos], codes[to][pos])
 			}
 		}
 	}
@@ -472,8 +474,8 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 	// Conflict pre-check with arc attribution, in deterministic
 	// function order so refinement (and thus the final encoding) is
 	// reproducible run to run.
-	for pos := 0; pos < len(codes[0]); pos++ {
-		if d := findConflict(fns[fnName(pos)], arcs); d != nil {
+	for _, specs := range fns {
+		if d := findConflict(specs, arcs); d != nil {
 			return nil, d, nil
 		}
 	}
@@ -497,8 +499,7 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 		res *hfmin.Result
 	}
 	minimizeOne := func(pos int) (fnOut, error) {
-		name := fnName(pos)
-		specs := fns[name]
+		specs := fns[pos]
 		trs := make([]hfmin.Transition, len(specs))
 		for i, s := range specs {
 			trs[i] = s.tr
@@ -506,7 +507,7 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 		prob := &hfmin.Problem{Vars: len(vars), Names: vars, Transitions: trs}
 		res, err := prob.Minimize()
 		if err != nil {
-			return fnOut{}, fmt.Errorf("minimalist: %s/%s: %w", sp.Name, name, err)
+			return fnOut{}, fmt.Errorf("minimalist: %s/%s: %w", sp.Name, names[pos], err)
 		}
 		return fnOut{trs: trs, res: res}, nil
 	}
@@ -532,7 +533,7 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, values []map
 		}
 	}
 	for pos, o := range outs {
-		name := fnName(pos)
+		name := names[pos]
 		ctrl.Transitions[name] = o.trs
 		ctrl.Stats.observe(o.res)
 		if pos < nOut {

@@ -56,7 +56,7 @@ func walk(t *testing.T, sp *bm.Spec, c *Controller, steps int, seed int64) {
 	state := sp.Start
 	x := make([]bool, len(c.Inputs))
 	for i, in := range c.Inputs {
-		x[i] = values[state][in]
+		x[i] = values.Get(state, in)
 	}
 	y := append([]bool(nil), c.Codes[state]...)
 	outs, y, err := settle(c, x, y)
@@ -93,8 +93,8 @@ func walk(t *testing.T, sp *bm.Spec, c *Controller, steps int, seed int64) {
 		}
 		// After the complete burst: outputs match the spec.
 		want := map[string]bool{}
-		for k, v := range values[arc.From] {
-			want[k] = v
+		for _, z := range sp.Outputs {
+			want[z] = values.Get(arc.From, z)
 		}
 		for _, sig := range append(arc.In.Clone(), arc.Out...) {
 			want[sig.Name] = sig.Rise
@@ -302,4 +302,17 @@ func containsStr(s, sub string) bool {
 		}
 		return false
 	})()
+}
+
+// A doubly declared signal must not reach synthesis as two variables.
+func TestSynthesizeRejectsDoubleDeclarations(t *testing.T) {
+	for _, decl := range []string{"input a 0\ninput a 0", "input a 0\noutput a 0"} {
+		sp, err := bm.Parse("name x\n" + decl + "\noutput b 0\n0 1 a+ | b+\n1 0 a- | b-\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := Synthesize(sp); err == nil {
+			t.Errorf("%q: synthesized over %v", decl, c.Vars)
+		}
+	}
 }

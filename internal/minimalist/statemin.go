@@ -31,7 +31,7 @@ func MinimizeStates(sp *bm.Spec) (*bm.Spec, error) {
 	for s := 0; s < sp.NStates; s++ {
 		key := ""
 		for _, sig := range sigs {
-			if values[s][sig] {
+			if values.Get(s, sig) {
 				key += "1"
 			} else {
 				key += "0"

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"balsabm/internal/cell"
@@ -24,18 +23,55 @@ type event struct {
 	fn   func(*Simulator)
 }
 
+// eventHeap is a binary min-heap of events ordered by (time, seq),
+// with container/heap's sift-up and sift-down on the typed slice, so
+// no event is boxed. Every scheduled event takes a fresh seq, so the
+// order is total and the pop order does not depend on the heap's shape.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	q[n] = event{} // drop the callback so the queue does not retain it
+	*h = q[:n]
+	return e
+}
 
 // gateInst is a placed cell with inertial-delay bookkeeping: at most
 // one output change is in flight; re-evaluations that return to the
@@ -193,7 +229,7 @@ func (s *Simulator) Schedule(name string, val bool, delay float64) {
 // ScheduleNet sets a net by id after the given delay.
 func (s *Simulator) ScheduleNet(net int, val bool, delay float64) {
 	s.seq++
-	heap.Push(&s.queue, event{time: s.Time + delay, seq: s.seq, net: net, val: val, gate: -1})
+	s.queue.push(event{time: s.Time + delay, seq: s.seq, net: net, val: val, gate: -1})
 }
 
 // evalGate recomputes a gate and manages its pending output event.
@@ -220,14 +256,14 @@ func (s *Simulator) evalGate(gi int) {
 		g.hasPending = true
 		g.pendingVal = out
 		g.pendingSeq = s.seq
-		heap.Push(&s.queue, event{time: s.Time + g.delay, seq: s.seq, net: g.out, val: out, gate: gi})
+		s.queue.push(event{time: s.Time + g.delay, seq: s.seq, net: g.out, val: out, gate: gi})
 	}
 }
 
 // After schedules a callback to run at the given delay from now.
 func (s *Simulator) After(delay float64, fn func(*Simulator)) {
 	s.seq++
-	heap.Push(&s.queue, event{time: s.Time + delay, seq: s.seq, fn: fn})
+	s.queue.push(event{time: s.Time + delay, seq: s.seq, fn: fn})
 }
 
 // Stop halts the current Run after the present event.
@@ -276,8 +312,8 @@ func (s *Simulator) Init() error {
 // the event budget is exhausted, or Stop is called.
 func (s *Simulator) Run(until float64, maxEvents int64) error {
 	s.stopped = false
-	for s.queue.Len() > 0 && !s.stopped {
-		e := heap.Pop(&s.queue).(event)
+	for len(s.queue) > 0 && !s.stopped {
+		e := s.queue.pop()
 		if e.time > until {
 			s.Time = until
 			return fmt.Errorf("sim: time limit %.2f ns exceeded", until)
@@ -313,4 +349,4 @@ func (s *Simulator) Run(until float64, maxEvents int64) error {
 }
 
 // Quiet reports whether no events are pending.
-func (s *Simulator) Quiet() bool { return s.queue.Len() == 0 }
+func (s *Simulator) Quiet() bool { return len(s.queue) == 0 }
