@@ -74,7 +74,7 @@
 // Flags (before the subcommand):
 //
 //	-j N      bound the flow's worker pool at N parallel leaf tasks
-//	          (controller syntheses, clustering probes, simulations);
+//	          (controller syntheses, clustering runs, simulations);
 //	          0, the default, uses all CPU cores. Results are
 //	          identical at any setting.
 //	-stats    after flow runs, print synthesis-cache hit/miss counts
@@ -588,7 +588,7 @@ func designArms(ctx context.Context, check func(design, arm string, n *core.Netl
 	var results []checkResult
 	for _, d := range designs.All() {
 		for _, arm := range []string{api.ModeUnopt, api.ModeOpt} {
-			n, mode, err := flow.PrepareArm(ctx, d.Control(), arm, core.Options{Workers: *workersFlag})
+			n, mode, err := flow.PrepareArm(ctx, d.Control(), arm, core.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -129,10 +129,14 @@ func (sp *Spec) String() string {
 	return sb.String()
 }
 
-// Parse reads the .bms-style text format produced by String.
+// Parse reads the .bms-style text format produced by String. State
+// numbers may not exceed the spec's arc count: k arcs reach at most k+1
+// states from state 0, so a larger number always leaves a state
+// unreachable, and rejecting it keeps every table sized by NStates
+// bounded by the input's length rather than by a number written in it.
 func Parse(src string) (*Spec, error) {
 	sp := &Spec{}
-	maxState := -1
+	maxState, maxLine := -1, 0
 	for lineNo, line := range strings.Split(src, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, ";") || strings.HasPrefix(line, "#") {
@@ -190,13 +194,13 @@ func Parse(src string) (*Spec, error) {
 			arc.In.Sort()
 			arc.Out.Sort()
 			sp.Arcs = append(sp.Arcs, arc)
-			if from > maxState {
-				maxState = from
-			}
-			if to > maxState {
-				maxState = to
+			if max(from, to) > maxState {
+				maxState, maxLine = max(from, to), lineNo+1
 			}
 		}
+	}
+	if maxState > len(sp.Arcs) {
+		return nil, fmt.Errorf("bm: line %d: state %d exceeds the spec's arc count %d", maxLine, maxState, len(sp.Arcs))
 	}
 	sp.NStates = maxState + 1
 	sort.Strings(sp.Inputs)

@@ -1,6 +1,7 @@
 package bmlint
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -193,6 +194,23 @@ func TestLintSourceParseError(t *testing.T) {
 	}
 	if res.Diags[0].Severity != SevError {
 		t.Fatalf("BM000 severity = %v", res.Diags[0].Severity)
+	}
+}
+
+// A state number past the arc count is a parse error, so a spec's size
+// follows its length: one arc to state 100000 reports one BM000 instead
+// of sizing the walk, and a diagnostic per state, by the number.
+func TestLintSourceStateBound(t *testing.T) {
+	const src = "input a 0\noutput b 0\n0 100000 a+ | b+\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := LintSource(src)
+	runtime.ReadMemStats(&after)
+	if len(res.Diags) != 1 || res.Diags[0].Code != "BM000" {
+		t.Fatalf("diags = %v, want one BM000", codes(res.Diags[:min(len(res.Diags), 5)]))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("linting a %d-byte spec allocated %d bytes", len(src), got)
 	}
 }
 

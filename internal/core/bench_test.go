@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkCluster runs T2 clustering over the four Table 3 control
-// netlists on one worker; compiles/op counts the candidate merges
-// compiled per op (one per distinct channel and body pair).
+// netlists; compiles/op counts the candidate merges compiled per op
+// (one per distinct channel and body pair the sequential sweeps probe).
 func BenchmarkCluster(b *testing.B) {
 	var nets []*core.Netlist
 	for _, d := range designs.All() {
@@ -21,7 +21,7 @@ func BenchmarkCluster(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, n := range nets {
 			m := core.NewVerdicts()
-			if _, _, err := m.T2(n, core.Options{Workers: 1}); err != nil {
+			if _, _, err := m.T2(n, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 			compiles += m.Compiles()

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
 
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
-	"balsabm/internal/parallel"
 )
 
 // Merge records one successful activation-channel removal.
@@ -174,50 +172,6 @@ func ActivationChannelRemoval(channel string, x, y *ch.Program) (*ch.Program, er
 	return &ch.Program{Name: x.Name, Body: body}, nil
 }
 
-// Options tune the clustering algorithms.
-//
-// MaxStates bounds the Burst-Mode state count of a clustered
-// controller: merges whose result would exceed it are rejected, exactly
-// like merges that fail the Burst-Mode aware checks. The paper's
-// conclusions discuss this knob ("elaborate a set of restrictions such
-// that the synthesis step becomes manageable") as the alternative to a
-// post-clustering decomposition step; 0 means unlimited.
-type Options struct {
-	MaxStates int
-	// Workers bounds the concurrency of the candidate legality probes
-	// (each a memo lookup, plus an activation-channel removal and a
-	// CH-to-BM compilation the first time a candidate is seen); 0 means
-	// GOMAXPROCS.
-	Workers int
-	// Pool, when set, shares an existing worker pool (e.g. the flow's)
-	// instead of creating one from Workers, so clustering and synthesis
-	// draw from one global budget.
-	Pool *parallel.Pool
-	// Ctx, when set, cancels a clustering run in flight: legality
-	// probes still waiting for a pool slot are abandoned and the run
-	// returns the context's error. Nil means context.Background().
-	Ctx context.Context
-}
-
-// ctx resolves the run's cancellation context.
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
-
-// pool resolves the worker pool the clustering run should use.
-func (o Options) pool() *parallel.Pool {
-	if o.Pool != nil {
-		return o.Pool
-	}
-	if o.Workers > 0 {
-		return parallel.NewPool(o.Workers)
-	}
-	return parallel.Default()
-}
-
 // synthesizable reports whether the program compiles to a well-formed
 // Burst-Mode specification (Table 1 legality + full CH-to-BM check)
 // within the configured state bound.
@@ -230,30 +184,28 @@ func synthesizable(p *ch.Program, opt Options) bool {
 }
 
 // verdicts memoizes T1 legality verdicts for one T1ClusteringOpt or
-// T2ClusteringOpt call: the parallel probes of a sweep, the re-fan after
-// each commit, repeat sweeps and the rounds of T2 all share it. A
-// verdict is "ActivationChannelRemoval succeeds and the merged program
-// is synthesizable". It depends only on the channel and the two bodies
-// (not on component names, and the options are fixed for the call), so
-// it is keyed by the channel and the interned bodies of the activator
-// and the activated component. Only the verdict is cached: a commit
-// rebuilds the merged program from the current pair, whose activator
-// names it.
+// T2ClusteringOpt call: repeat sweeps and the rounds of T2 all share
+// it. A verdict is "ActivationChannelRemoval succeeds and the merged
+// program is synthesizable". It depends only on the channel and the two
+// bodies (not on component names, and the options are fixed for the
+// call), so it is keyed by the channel and the interned bodies of the
+// activator and the activated component. Only the verdict is cached: a
+// commit rebuilds the merged program from the current pair, whose
+// activator names it.
 type verdicts struct {
-	memo parallel.Memo[bool]
+	memo map[string]bool
 	// ids interns body text (ch.ToSexp, which round-trips structurally,
 	// so equal text means equal bodies) to short ids; body holds the id
-	// of each component of the current T1 run's working netlist. Both
-	// are written only between fan-outs, as components enter the
-	// netlist, and only read by the probes.
+	// of each component of the current T1 run's working netlist,
+	// interned as the component enters it.
 	ids  map[string]string
 	body map[*ch.Program]string
 	// compiles counts the CH-to-BM compilations the memo ran.
-	compiles parallel.Counter
+	compiles int64
 }
 
 func newVerdicts() *verdicts {
-	return &verdicts{ids: map[string]string{}}
+	return &verdicts{memo: map[string]bool{}, ids: map[string]string{}}
 }
 
 // enter interns the body of a component entering the working netlist.
@@ -270,14 +222,15 @@ func (v *verdicts) enter(p *ch.Program) {
 // legal reports whether merging y into x over the channel is legal,
 // computing the verdict once per (channel, x body, y body).
 func (v *verdicts) legal(channel string, x, y *ch.Program, opt Options) bool {
-	ok, _, _ := v.memo.Do(channel+" "+v.body[x]+" "+v.body[y], func() (bool, error) {
-		merged, err := ActivationChannelRemoval(channel, x, y)
-		if err != nil {
-			return false, nil
+	key := channel + " " + v.body[x] + " " + v.body[y]
+	ok, seen := v.memo[key]
+	if !seen {
+		if merged, err := ActivationChannelRemoval(channel, x, y); err == nil {
+			v.compiles++
+			ok = synthesizable(merged, opt)
 		}
-		v.compiles.Add(1)
-		return synthesizable(merged, opt), nil
-	})
+		v.memo[key] = ok
+	}
 	return ok
 }
 
@@ -296,7 +249,6 @@ func T1Clustering(n *Netlist) (*Netlist, *Report, error) {
 
 // T1ClusteringOpt is T1Clustering with tunable limits.
 func T1ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
-	opt.Pool = opt.pool()
 	return t1Cluster(n.Clone(), opt, newVerdicts())
 }
 
@@ -322,22 +274,13 @@ func t1Cluster(out *Netlist, opt Options, v *verdicts) (*Netlist, *Report, error
 	return out, rep, nil
 }
 
-// t1Candidate is one channel's evaluation against the current netlist:
-// the activator x and the activated y, both nil when the channel is not
-// committable (skipped).
-type t1Candidate struct {
-	x, y *ch.Program
-}
-
-// t1Evaluate probes one channel for a legal merge. It only reads the
-// netlist (ActivationChannelRemoval and the synthesizability check
-// clone everything they rewrite, and the verdict memo is safe for
-// concurrent use), so candidates for many channels can be evaluated
-// concurrently against the same netlist state.
-func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Options, v *verdicts) t1Candidate {
+// t1Evaluate probes one channel for a legal merge against the current
+// netlist. It returns the activator x and the activated y, both nil
+// when the channel is not committable (skipped).
+func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Options, v *verdicts) (x, y *ch.Program) {
 	us := uses[channel]
 	if len(us) != 2 {
-		return t1Candidate{}
+		return nil, nil
 	}
 	// x activates (active side); y is activated (passive side).
 	var xName, yName string
@@ -347,83 +290,70 @@ func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Opt
 	case us[0].Port.Act == ch.Passive && us[1].Port.Act == ch.Active:
 		xName, yName = us[1].Component, us[0].Component
 	default:
-		return t1Candidate{}
+		return nil, nil
 	}
 	if xName == yName {
-		return t1Candidate{}
+		return nil, nil
 	}
-	x, y := out.Find(xName), out.Find(yName)
+	x, y = out.Find(xName), out.Find(yName)
 	if !v.legal(channel, x, y, opt) {
-		return t1Candidate{}
+		return nil, nil
 	}
-	return t1Candidate{x: x, y: y}
+	return x, y
 }
 
-// t1Sweep performs one pass over the current internal channels,
-// reporting whether any merge committed.
-//
-// Commit order is that of the sequential algorithm: the remaining
-// channels are probed in parallel across the worker pool against the
-// current netlist, the first committable one (in channel order)
-// commits, and the channels after it are probed again against the
-// updated netlist — exactly the states the sequential sweep would have
-// probed, so merges, skips and the final netlist are byte-for-byte the
-// same at any worker count. Most probes repeat an earlier one: the
-// re-fan after a commit re-probes channels whose two components did not
-// change, the last sweep re-probes every channel to confirm that nothing
-// merges, and each T2 round re-runs T1. So a probe is a lookup in the
-// call's verdict memo, and only a candidate never seen before pays for
-// the channel removal and the CH-to-BM compilation.
+// t1Sweep performs one pass of the sequential algorithm over the
+// current internal channels, in channel order, reporting whether any
+// merge committed. Each channel is probed against the netlist as the
+// earlier commits of the sweep left it, and a legal merge commits at
+// once; the channel uses are recomputed only when a probe follows a
+// commit. Most probes repeat an earlier one: the last sweep re-probes
+// every channel to confirm that nothing merges, and each T2 round
+// re-runs T1. So a probe is a lookup in the call's verdict memo, and
+// only a candidate never seen before pays for the channel removal and
+// the CH-to-BM compilation.
 func t1Sweep(out *Netlist, rep *Report, opt Options, v *verdicts) (bool, error) {
 	channels, err := out.InternalPToP()
 	if err != nil {
 		return false, err
 	}
+	ctx := opt.ctx()
+	var uses map[string][]ChanUse // nil before the first probe and after each commit
 	anyMerge := false
-	for i := 0; i < len(channels); {
-		uses, err := out.ChannelUses()
-		if err != nil {
+	for _, channel := range channels {
+		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		rest := channels[i:]
-		cands, err := parallel.MapCtx(opt.ctx(), opt.Pool, len(rest), func(k int) (t1Candidate, error) {
-			return t1Evaluate(out, rest[k], uses, opt, v), nil
-		})
-		if err != nil {
-			return false, err
-		}
-		committed := -1
-		for k, cand := range cands {
-			if cand.x == nil {
-				rep.Skipped = append(rep.Skipped, rest[k])
-				continue
-			}
-			// Commit: rebuild the merge from the current pair and
-			// replace x and y with it.
-			merged, err := ActivationChannelRemoval(rest[k], cand.x, cand.y)
-			if err != nil {
+		if uses == nil {
+			if uses, err = out.ChannelUses(); err != nil {
 				return false, err
 			}
-			out.remove(cand.x.Name)
-			out.remove(cand.y.Name)
-			out.Components = append(out.Components, merged)
-			v.enter(merged)
-			for orig, cont := range rep.Containment {
-				if cont == cand.y.Name || cont == cand.x.Name {
-					rep.Containment[orig] = merged.Name
-				}
+		}
+		x, y := t1Evaluate(out, channel, uses, opt, v)
+		if x == nil {
+			rep.Skipped = append(rep.Skipped, channel)
+			continue
+		}
+		// Commit: rebuild the merge from the current pair and replace x
+		// and y with it.
+		merged, err := ActivationChannelRemoval(channel, x, y)
+		if err != nil {
+			return false, err
+		}
+		out.remove(x.Name)
+		out.remove(y.Name)
+		out.Components = append(out.Components, merged)
+		v.enter(merged)
+		for orig, cont := range rep.Containment {
+			if cont == y.Name || cont == x.Name {
+				rep.Containment[orig] = merged.Name
 			}
-			rep.Merges = append(rep.Merges, Merge{
-				Channel: rest[k], Activator: cand.x.Name, Activated: cand.y.Name, Result: merged.Name,
-			})
-			anyMerge = true
-			committed = k
-			break
 		}
-		if committed < 0 {
-			break // every remaining channel skipped; sweep is done
-		}
-		i += committed + 1
+		rep.Merges = append(rep.Merges, Merge{
+			Channel: channel, Activator: x.Name, Activated: y.Name, Result: merged.Name,
+		})
+		anyMerge = true
+		uses = nil
 	}
 	return anyMerge, nil
 }
@@ -511,7 +441,6 @@ func T2ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
 // t2Cluster runs T2 clustering rounds until no call is restored; every
 // round's T1 run shares the verdict memo v.
 func t2Cluster(n *Netlist, opt Options, v *verdicts) (*Netlist, *Report, error) {
-	opt.Pool = opt.pool()
 	noSplit := map[string]bool{}
 	var allRestored []string
 	for {

@@ -443,14 +443,13 @@ func TestMergedStateValues(t *testing.T) {
 // rebuilt from the current pair, so it carries the new name. A changed
 // body misses.
 func TestVerdictMemoKeysBodies(t *testing.T) {
-	opt := Options{Workers: 1}
-	opt.Pool = opt.pool()
+	opt := Options{}
 	v := newVerdicts()
 	first, _, err := t1Cluster(dwSeqNetlist(t), opt, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.compiles.Load(); got != 1 {
+	if got := v.compiles; got != 1 {
 		t.Fatalf("first run compiled %d candidates, want 1", got)
 	}
 
@@ -460,7 +459,7 @@ func TestVerdictMemoKeysBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.compiles.Load(); got != 1 {
+	if got := v.compiles; got != 1 {
 		t.Errorf("renamed activator compiled again: %d compiles", got)
 	}
 	want := Merge{Channel: "o2", Activator: "dw2", Activated: "seq", Result: "dw2"}
@@ -480,7 +479,7 @@ func TestVerdictMemoKeysBodies(t *testing.T) {
 	if _, _, err := t1Cluster(changed, opt, v); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.compiles.Load(); got != 2 {
+	if got := v.compiles; got != 2 {
 		t.Errorf("changed activated body: %d compiles, want 2", got)
 	}
 }

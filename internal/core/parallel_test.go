@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -8,74 +10,109 @@ import (
 	"balsabm/internal/designs"
 )
 
-// Clustering commits merges in sequential channel order no matter how
-// many workers probe candidate legality, so the clustered netlist and
-// the report are identical at any worker count. wagging-register and
-// ssem restore a call, so there the verdict memo spans T2 rounds; a
-// state bound of 12 rejects merges a run without one keeps.
-func TestClusteringWorkerDeterminism(t *testing.T) {
+// The sequential sweep commits exactly what the speculative one did:
+// the same clustered netlist and the same report, Skipped included, on
+// every built-in and Balsa-compiled design, at state bounds that reject
+// a growing share of merges, under T1 alone and under T2. The reference
+// runs at 1 and 8 workers, so its own commit order is also checked not
+// to depend on the worker count. wagging-register and ssem restore a
+// call, so there the comparison spans T2 rounds.
+func TestClusteringMatchesSpeculativeSweep(t *testing.T) {
 	render := func(n *core.Netlist, rep *core.Report) string {
 		return n.Format() + fmt.Sprintf("%+v", *rep)
 	}
+	balsa, err := designs.AllBalsa()
+	if err != nil {
+		t.Fatal(err)
+	}
+	algos := []struct {
+		name        string
+		seq         func(*core.Netlist, core.Options) (*core.Netlist, *core.Report, error)
+		speculative func(*core.Netlist, core.Options, int) (*core.Netlist, *core.Report, error)
+	}{
+		{"T1", core.T1ClusteringOpt, core.SpeculativeT1},
+		{"T2", core.T2ClusteringOpt, core.SpeculativeT2},
+	}
+	for _, d := range append(designs.All(), balsa...) {
+		for _, maxStates := range []int{0, 6, 8, 12, 16} {
+			opt := core.Options{MaxStates: maxStates}
+			for _, a := range algos {
+				n, rep, err := a.seq(d.Control(), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := render(n, rep)
+				for _, workers := range []int{1, 8} {
+					rn, rrep, err := a.speculative(d.Control(), opt, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := render(rn, rrep); got != want {
+						t.Errorf("%s %s MaxStates=%d: sequential sweep and speculative sweep at %d workers disagree:\n--- sequential ---\n%s\n--- speculative ---\n%s",
+							d.Name, a.name, maxStates, workers, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A clustering run checks its context before every probe: a run whose
+// context is already cancelled returns the context's error without
+// compiling a candidate.
+func TestClusteringCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, d := range designs.All() {
-		for _, maxStates := range []int{0, 12} {
-			n1, r1, err := core.T2ClusteringOpt(d.Control(), core.Options{Workers: 1, MaxStates: maxStates})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n8, r8, err := core.T2ClusteringOpt(d.Control(), core.Options{Workers: 8, MaxStates: maxStates})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := render(n1, r1), render(n8, r8); a != b {
-				t.Errorf("%s MaxStates=%d: Workers=1 and Workers=8 disagree:\n--- serial ---\n%s\n--- wide ---\n%s",
-					d.Name, maxStates, a, b)
-			}
+		m := core.NewVerdicts()
+		if _, _, err := m.T2(d.Control(), core.Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled run returned %v, want context.Canceled", d.Name, err)
+		}
+		if got := m.Compiles(); got != 0 {
+			t.Errorf("%s: cancelled run compiled %d candidates, want 0", d.Name, got)
 		}
 	}
 }
 
 // tableThreeCompiles is how many candidate merges T2 clustering
 // compiles per Table 3 design: one per distinct (channel, activator
-// body, activated body). Compiling on every probe takes 24, 196, 78
-// and 16.
+// body, activated body) the sequential sweeps probe. Compiling on every
+// probe would take 8, 27, 12 and 7.
 var tableThreeCompiles = map[string]int64{
-	"systolic-counter": 12,
-	"wagging-register": 51,
-	"stack":            32,
+	"systolic-counter": 8,
+	"wagging-register": 23,
+	"stack":            12,
 	"ssem":             4,
 }
 
-// Clustering compiles each distinct candidate once, at any worker
-// count.
+// Clustering compiles each distinct candidate once.
 func TestClusteringCompileCount(t *testing.T) {
 	for _, d := range designs.All() {
 		want, ok := tableThreeCompiles[d.Name]
 		if !ok {
 			t.Fatalf("no compile count pinned for %s", d.Name)
 		}
-		for _, workers := range []int{1, 8} {
-			m := core.NewVerdicts()
-			if _, _, err := m.T2(d.Control(), core.Options{Workers: workers}); err != nil {
-				t.Fatal(err)
-			}
-			if got := m.Compiles(); got != want {
-				t.Errorf("%s Workers=%d: %d compiles, want %d", d.Name, workers, got, want)
-			}
+		m := core.NewVerdicts()
+		if _, _, err := m.T2(d.Control(), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Compiles(); got != want {
+			t.Errorf("%s: %d compiles, want %d", d.Name, got, want)
 		}
 	}
 }
 
 // A T2 restoration round re-runs T1 on a netlist that shares most
 // components with the round before; every pair the earlier round
-// already judged is a memo hit, so a pair compiles once per call.
+// already judged is a memo hit, so a later round compiles only the
+// pairs no earlier round judged (wagging-register: 14, then 9).
 func TestClusteringMemoSpansRounds(t *testing.T) {
 	for _, name := range []string{"wagging-register", "ssem"} {
 		d, err := designs.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := core.Options{Workers: 2}
+		opt := core.Options{}
 		m := core.NewVerdicts()
 		restored, err := m.T2Round(d.Control(), map[string]bool{}, opt)
 		if err != nil {

@@ -383,22 +383,6 @@ func (b *Builder) EnvConsumePush(ch string, delay float64, f func(val uint64)) {
 	})
 }
 
-// SyncActivation performs one four-phase activation of ch, calling done
-// when it completes.
-func (b *Builder) SyncActivation(ch string, delay float64, done func(s *sim.Simulator)) {
-	b.S.Schedule(req(ch), true, delay)
-	fired := false
-	b.onRise(ack(ch), func(s *sim.Simulator) {
-		s.Schedule(req(ch), false, delay)
-	})
-	b.onFall(ack(ch), func(s *sim.Simulator) {
-		if !fired {
-			fired = true
-			done(s)
-		}
-	})
-}
-
 // Activator repeatedly activates a sync channel, counting completions.
 type Activator struct {
 	Ch        string

@@ -141,7 +141,7 @@ func TestCheckpointCorruptPayloadRecomputes(t *testing.T) {
 // clustering stage is free — the netlist is not formatted to CH text
 // only to be dropped.
 func TestCheckpointNilSinkSaveClusterAllocs(t *testing.T) {
-	n, rep, err := core.OptimizeOpt(designs.Stack().Control(), core.Options{Workers: 1})
+	n, rep, err := core.OptimizeOpt(designs.Stack().Control(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

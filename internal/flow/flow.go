@@ -253,9 +253,8 @@ type Options struct {
 	TimeLimit  float64
 	EventLimit int64
 	// Workers bounds the number of concurrently executing leaf tasks
-	// (controller syntheses, clustering legality probes, benchmark
-	// simulations); 0 means GOMAXPROCS. Results are identical at any
-	// setting.
+	// (controller syntheses, clustering runs, benchmark simulations);
+	// 0 means GOMAXPROCS. Results are identical at any setting.
 	Workers int
 	// Metrics, when non-nil, receives cache and timing counters for
 	// the run.
@@ -668,16 +667,17 @@ func SynthesizeCheckedCtx(ctx context.Context, design, arm string, n *core.Netli
 // it (under cl, cancelled with ctx) for speed-split mapping; "unopt"
 // keeps it for area-shared mapping.
 func PrepareArm(ctx context.Context, n *core.Netlist, arm string, cl core.Options) (*core.Netlist, techmap.Mode, error) {
-	n, _, mode, err := newRunner(ctx, &Options{Cluster: cl, Workers: cl.Workers}).prepare("", arm, n)
+	n, _, mode, err := newRunner(ctx, &Options{Cluster: cl}).prepare("", arm, n)
 	return n, mode, err
 }
 
 // prepare readies a control netlist for one arm of the run: the unopt
 // arm keeps it for area-shared mapping; the opt arm clusters it for
-// speed-split mapping, on the run's pool and context. The clustering
-// is the design's "cluster" checkpoint stage: restored from the run's
-// sink when saved there, saved after computing otherwise. It is the
-// flow's one clustering path for an arm.
+// speed-split mapping, cancelled with the run's context. A clustering
+// run is one pool leaf: it probes its channels sequentially and waits
+// for no other slot. It is the design's "cluster" checkpoint stage:
+// restored from the run's sink when saved there, saved after computing
+// otherwise. It is the flow's one clustering path for an arm.
 func (r *runner) prepare(design, arm string, n *core.Netlist) (*core.Netlist, *core.Report, techmap.Mode, error) {
 	if arm != "opt" {
 		return n, nil, techmap.AreaShared, nil
@@ -687,11 +687,15 @@ func (r *runner) prepare(design, arm string, n *core.Netlist) (*core.Netlist, *c
 		return cn, rep, techmap.SpeedSplit, nil
 	}
 	cl := r.opt.Cluster
-	cl.Pool = r.pool // clustering probes draw from the same budget
-	cl.Ctx = r.ctx   // and cancel with the same run
-	start := time.Now()
-	cn, rep, err := core.OptimizeOpt(n, cl)
-	r.met.Timings.Observe("cluster", time.Since(start))
+	cl.Ctx = r.ctx
+	var cn *core.Netlist
+	var rep *core.Report
+	err := r.pool.RunCtx(r.ctx, func() (err error) {
+		start := time.Now()
+		cn, rep, err = core.OptimizeOpt(n, cl)
+		r.met.Timings.Observe("cluster", time.Since(start))
+		return err
+	})
 	if err == nil {
 		ck.saveCluster(cn, rep)
 	}
@@ -737,7 +741,7 @@ func (r *runner) simulate(d *designs.Design, mapped []*gates.Netlist) (simTime, 
 
 // runDesign executes both arms of the flow for one design, side by
 // side. The arms are composite tasks (plain goroutines); only their
-// leaves — individual controller syntheses, clustering probes and the
+// leaves — individual controller syntheses, the clustering run and the
 // benchmark simulations — occupy pool slots, so nesting cannot
 // deadlock even with a single worker.
 func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
@@ -817,10 +821,11 @@ func RunDesign(d *designs.Design, opt *Options) (*DesignResult, error) {
 }
 
 // RunDesignCtx is RunDesign with cancellation. Cancelling ctx stops
-// the run at the next leaf boundary: syntheses, clustering probes and
-// simulations still waiting for a worker slot are abandoned, running
-// simulations stop at their next scheduler quantum, and the call
-// returns the context's error. No pool goroutines outlive the call.
+// the run at the next leaf boundary: syntheses, clustering runs and
+// simulations still waiting for a worker slot are abandoned, a running
+// clustering stops before its next legality probe, running simulations
+// stop at their next scheduler quantum, and the call returns the
+// context's error. No pool goroutines outlive the call.
 func RunDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*DesignResult, error) {
 	return newRunner(ctx, opt).runDesign(d)
 }

@@ -5,10 +5,10 @@
 // timing counters.
 //
 // The pool admits *leaf* units of work (one controller synthesis, one
-// clustering legality probe, one conformance pair, one benchmark
-// simulation). Composite tasks — a whole flow arm, a whole design —
-// run as plain goroutines via All and only their leaves take pool
-// slots, so nested fan-out can never deadlock the pool.
+// clustering run, one conformance pair, one benchmark simulation).
+// Composite tasks — a whole flow arm, a whole design — run as plain
+// goroutines via All and only their leaves take pool slots, so nested
+// fan-out can never deadlock the pool.
 package parallel
 
 import (

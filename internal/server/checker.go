@@ -150,7 +150,7 @@ func prepareArm(ctx context.Context, req api.NetlintRequest) (*armSource, error)
 	if a.name == "" {
 		a.name = "design"
 	}
-	a.n, a.mode, err = flow.PrepareArm(ctx, n, a.arm, core.Options{MaxStates: req.Config.MaxStates, Workers: req.Config.Workers})
+	a.n, a.mode, err = flow.PrepareArm(ctx, n, a.arm, core.Options{MaxStates: req.Config.MaxStates})
 	if err != nil {
 		return nil, err
 	}

@@ -27,9 +27,9 @@ import (
 // Config tunes the job manager.
 type Config struct {
 	// Workers is the number of jobs executing concurrently; 0 means 1.
-	// Each job additionally fans its own leaf work (syntheses, probes,
-	// simulations) across the flow's per-run pool, bounded by the
-	// request's FlowConfig.Workers.
+	// Each job additionally fans its own leaf work (syntheses, the
+	// clustering run, simulations) across the flow's per-run pool,
+	// bounded by the request's FlowConfig.Workers.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting to run; submissions
 	// beyond it are rejected (the HTTP layer answers 503). 0 means 64.

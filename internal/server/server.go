@@ -105,13 +105,23 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorJSON{Error: err.Error()})
 }
 
-// decode reads a JSON request body into v, rejecting unknown fields;
-// on failure it answers 400 itself and reports false.
+// maxBodyBytes caps a request body, far above any design's source: the
+// 64 netlists of the benchmark corpus come to 46 KB in all.
+const maxBodyBytes = 8 << 20
+
+// decode reads a JSON request body of at most maxBodyBytes into v,
+// rejecting unknown fields; on failure it answers itself (413 for an
+// over-cap body, 400 otherwise) and reports false.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decoding request: %w", err))
 		return false
 	}
 	return true

@@ -75,6 +75,40 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes the server reads of a request body.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// A body over the cap answers 413 with the JSON error body, and the
+// server stops reading near the cap instead of reading it in full.
+func TestRequestBodyCap(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{Workers: 1})
+	body := `{"source":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, path := range []string{"/api/v1/jobs", "/api/v1/bmlint"} {
+		cr := &countingReader{r: strings.NewReader(body)}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, cr))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: HTTP %d, want 413", path, rec.Code)
+		}
+		var e errorJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: error body %q (%v)", path, rec.Body.String(), err)
+		}
+		if cr.n >= len(body) {
+			t.Errorf("%s: server read all %d bytes of an over-cap body", path, cr.n)
+		}
+	}
+}
+
 func TestNotFoundAndHealth(t *testing.T) {
 	_, hs, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()

@@ -139,20 +139,3 @@ func (d *SpecDriver) advance(s *Simulator) {
 
 // State returns the driver's current specification state.
 func (d *SpecDriver) State() int { return d.state }
-
-// HandshakeCounter counts four-phase handshakes on a channel by
-// watching the rising edges of its request net.
-type HandshakeCounter struct {
-	Count int
-}
-
-// NewHandshakeCounter attaches a counter to a request net.
-func NewHandshakeCounter(s *Simulator, reqNet string) *HandshakeCounter {
-	h := &HandshakeCounter{}
-	s.Watch(reqNet, func(_ *Simulator, _ int, val bool) {
-		if val {
-			h.Count++
-		}
-	})
-	return h
-}

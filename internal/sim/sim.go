@@ -161,9 +161,6 @@ func (s *Simulator) Net(name string) int {
 	return id
 }
 
-// NetName returns the name of a net id.
-func (s *Simulator) NetName(net int) string { return s.names[net] }
-
 // Value reads a net by name.
 func (s *Simulator) Value(name string) bool {
 	return s.values[s.Net(name)]
