@@ -62,6 +62,7 @@ var Codes = map[string]string{
 	"CH011": "channel connected to more than two components",
 	"CH012": "conflicting declarations of one channel",
 	"CH013": "component shares no channel with the rest of the netlist",
+	"CH014": "two components with one name",
 	"CH020": "unreachable: preceding expression always breaks",
 	"CH021": "unreachable: preceding rep loop never terminates",
 	"CH022": "rep body always breaks; loop runs at most once",

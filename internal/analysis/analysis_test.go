@@ -157,6 +157,23 @@ func TestChannelsPass(t *testing.T) {
 	if !found {
 		t.Fatalf("want CH013 for component c:\n%s", Format(ds, ""))
 	}
+
+	// Two components with one name: one CH014 error at the later
+	// declaration, with a note at the first.
+	src = `(program a (rep (enc-early (p-to-p passive go) (p-to-p active c))))
+(program b (rep (enc-early (p-to-p passive c) (p-to-p active out))))
+(program a (rep (enc-early (p-to-p passive go2) (p-to-p active out2))))`
+	ds = lint(t, src)
+	var dups []Diag
+	for _, d := range ds {
+		if d.Code == "CH014" {
+			dups = append(dups, d)
+		}
+	}
+	if len(dups) != 1 || dups[0].Severity != SevError || dups[0].Loc.Line != 3 ||
+		len(dups[0].Notes) != 1 || !strings.Contains(dups[0].Notes[0], "at 1:1") {
+		t.Fatalf("want one CH014 error at line 3 with a note at 1:1:\n%s", Format(ds, ""))
+	}
 }
 
 func TestUnreachablePass(t *testing.T) {

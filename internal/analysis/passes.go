@@ -159,12 +159,22 @@ func occurrences(p *ch.Program) []struct {
 // conflicting redeclarations within a component (CH012), channels
 // touching more than two components (CH011), internal channels whose
 // two ends have the same activity — driven twice or listening twice —
-// (CH010), and components sharing no channel with the rest of a
-// multi-component netlist (CH013).
+// (CH010), components sharing no channel with the rest of a
+// multi-component netlist (CH013), and two components with one name
+// (CH014), which clustering and the simulator key components by.
 var ChannelsPass = &Pass{
 	Name: "channels",
-	Doc:  "undeclared/conflicting, multiply-driven and disconnected channels (CH010-CH013)",
+	Doc:  "undeclared/conflicting, multiply-driven and disconnected channels, duplicate component names (CH010-CH014)",
 	Run: func(n *core.Netlist, r *Reporter) {
+		firstNamed := map[string]*ch.Program{}
+		for _, p := range n.Components {
+			if first, ok := firstNamed[p.Name]; ok {
+				r.Errorf(p.Pos, "CH014", "two components named %q", p.Name)
+				r.Note("first component named %q at %s", p.Name, first.Pos)
+				continue
+			}
+			firstNamed[p.Name] = p
+		}
 		type compUse struct {
 			comp  string
 			first chanOcc

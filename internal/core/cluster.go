@@ -1,9 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
@@ -193,28 +193,39 @@ func synthesizable(p *ch.Program, opt Options) bool {
 // commit rebuilds the merged program from the current pair, whose
 // activator names it.
 type verdicts struct {
-	memo map[string]bool
-	// ids interns body text (ch.ToSexp, which round-trips structurally,
-	// so equal text means equal bodies) to short ids; body holds the id
-	// of each component of the current T1 run's working netlist,
-	// interned as the component enters it.
-	ids  map[string]string
-	body map[*ch.Program]string
+	memo map[verdictKey]bool
+	// ids interns body keys (appendBody) to small ids; body holds the
+	// id of each component of the current T1 run's working netlist,
+	// interned as the component enters it. buf is the key scratch.
+	ids  map[string]int
+	body map[*ch.Program]int
+	buf  []byte
 	// compiles counts the CH-to-BM compilations the memo ran.
 	compiles int64
+	// indexed, when set (tests only), sees the working netlist and its
+	// channel index after the index is built and after every commit.
+	indexed func(*Netlist, *chanIndex)
+}
+
+// verdictKey names one legality probe: the channel and the body ids of
+// the activator x and the activated y.
+type verdictKey struct {
+	channel string
+	x, y    int
 }
 
 func newVerdicts() *verdicts {
-	return &verdicts{memo: map[string]bool{}, ids: map[string]string{}}
+	return &verdicts{memo: map[verdictKey]bool{}, ids: map[string]int{}}
 }
 
 // enter interns the body of a component entering the working netlist.
+// A body seen before allocates nothing; a new one allocates its key.
 func (v *verdicts) enter(p *ch.Program) {
-	text := ch.ToSexp(p.Body).String()
-	id, ok := v.ids[text]
+	v.buf = appendBody(v.buf[:0], p.Body)
+	id, ok := v.ids[string(v.buf)]
 	if !ok {
-		id = strconv.Itoa(len(v.ids))
-		v.ids[text] = id
+		id = len(v.ids)
+		v.ids[string(v.buf)] = id
 	}
 	v.body[p] = id
 }
@@ -222,7 +233,7 @@ func (v *verdicts) enter(p *ch.Program) {
 // legal reports whether merging y into x over the channel is legal,
 // computing the verdict once per (channel, x body, y body).
 func (v *verdicts) legal(channel string, x, y *ch.Program, opt Options) bool {
-	key := channel + " " + v.body[x] + " " + v.body[y]
+	key := verdictKey{channel, v.body[x], v.body[y]}
 	ok, seen := v.memo[key]
 	if !seen {
 		if merged, err := ActivationChannelRemoval(channel, x, y); err == nil {
@@ -232,6 +243,157 @@ func (v *verdicts) legal(channel string, x, y *ch.Program, opt Options) bool {
 		v.memo[key] = ok
 	}
 	return ok
+}
+
+// Body-key tags, one per node kind ch.ToSexp tells apart.
+const (
+	keyOther byte = iota // every node ToSexp renders as "?"
+	keyVoid
+	keyBreak
+	keyRep
+	keyPToP
+	keyMult
+	keyVerb
+	keyMuxAck
+	keyMuxReq
+	keyOp
+)
+
+// appendBody appends the body key of e: a prefix-free encoding of
+// exactly the fields ch.ToSexp renders, so two keys are equal exactly
+// when the two ToSexp texts are (for channel and signal names that are
+// s-expression atoms, which is all the parser produces). Strings are
+// length-prefixed; a verb's name and activity, a p-to-p's N and every
+// Pos are left out, as ToSexp leaves them out, and a verb transition's
+// direction is only "in or not", as ToSexp prints it.
+func appendBody(b []byte, e ch.Expr) []byte {
+	switch n := e.(type) {
+	case *ch.Void:
+		return append(b, keyVoid)
+	case *ch.Break:
+		return append(b, keyBreak)
+	case *ch.Rep:
+		return appendBody(append(b, keyRep), n.Body)
+	case *ch.Chan:
+		switch n.Kind {
+		case ch.PToP:
+			b = binary.AppendVarint(append(b, keyPToP), int64(n.Act))
+			return appendKeyString(b, n.Name)
+		case ch.MultReq, ch.MultAck:
+			b = binary.AppendVarint(append(b, keyMult, byte(n.Kind)), int64(n.Act))
+			return binary.AppendVarint(appendKeyString(b, n.Name), int64(n.N))
+		case ch.Verb:
+			b = append(b, keyVerb)
+			for _, ev := range n.Ev {
+				for _, it := range ev {
+					if t, ok := it.(ch.Trans); ok {
+						flags := byte(1) // nonzero: a transition, not the event's end
+						if t.Dir == ch.In {
+							flags |= 2
+						}
+						if t.Rise {
+							flags |= 4
+						}
+						b = appendKeyString(append(b, flags), t.Signal)
+					}
+				}
+				b = append(b, 0)
+			}
+			return b
+		}
+	case *ch.MuxAck:
+		return appendArms(appendKeyString(append(b, keyMuxAck), n.Name), n.Arms)
+	case *ch.MuxReq:
+		return appendArms(appendKeyString(append(b, keyMuxReq), n.Name), n.Arms)
+	case *ch.Op:
+		b = binary.AppendVarint(append(b, keyOp), int64(n.Kind))
+		return appendBody(appendBody(b, n.A), n.B)
+	}
+	return append(b, keyOther)
+}
+
+func appendArms(b []byte, arms []ch.MuxArm) []byte {
+	b = binary.AppendUvarint(b, uint64(len(arms)))
+	for _, arm := range arms {
+		b = appendBody(binary.AppendVarint(b, int64(arm.Op)), arm.Arg)
+	}
+	return b
+}
+
+func appendKeyString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// chanIndex is ChannelUses of a T1 run's working netlist, kept up to
+// date across commits instead of rebuilt: each component's ports, and
+// each channel's uses in component order. A commit removes the two
+// merged components and appends their merge last, so dropping their
+// uses and appending the merge's leaves every list exactly as a
+// rebuild would order it.
+type chanIndex struct {
+	ports map[string][]ch.Port
+	uses  map[string][]ChanUse
+	// channels is the current sweep's channel list, reused across
+	// sweeps.
+	channels []string
+}
+
+func newChanIndex(n *Netlist) (*chanIndex, error) {
+	if err := duplicateName(n.Components); err != nil {
+		return nil, err
+	}
+	ix := &chanIndex{ports: make(map[string][]ch.Port, len(n.Components)), uses: map[string][]ChanUse{}}
+	for _, c := range n.Components {
+		if err := ix.add(c); err != nil {
+			return nil, err
+		}
+	}
+	return ix, nil
+}
+
+// add appends the uses of a component placed after every other one.
+func (ix *chanIndex) add(c *ch.Program) error {
+	ports, err := ch.Ports(c.Body)
+	if err != nil {
+		return fmt.Errorf("core: component %s: %w", c.Name, err)
+	}
+	ix.ports[c.Name] = ports
+	for _, p := range ports {
+		ix.uses[p.Name] = append(ix.uses[p.Name], ChanUse{Component: c.Name, Port: p})
+	}
+	return nil
+}
+
+// drop removes the uses of the named component.
+func (ix *chanIndex) drop(name string) {
+	for _, p := range ix.ports[name] {
+		us := ix.uses[p.Name][:0]
+		for _, u := range ix.uses[p.Name] {
+			if u.Component != name {
+				us = append(us, u)
+			}
+		}
+		if len(us) == 0 {
+			delete(ix.uses, p.Name)
+		} else {
+			ix.uses[p.Name] = us
+		}
+	}
+	delete(ix.ports, name)
+}
+
+// duplicateName reports the first name two components share. The
+// channel index, Find and remove all key components by name, so
+// clustering rejects such a netlist before its first probe.
+func duplicateName(cs []*ch.Program) error {
+	seen := make(map[string]bool, len(cs))
+	for _, c := range cs {
+		if seen[c.Name] {
+			return fmt.Errorf("core: two components named %q", c.Name)
+		}
+		seen[c.Name] = true
+	}
+	return nil
 }
 
 // T1Clustering implements procedure T1_clustering of Section 4.4: it
@@ -255,14 +417,21 @@ func T1ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
 // t1Cluster runs T1 clustering on a netlist it owns and rewrites in
 // place, sharing the call's verdict memo.
 func t1Cluster(out *Netlist, opt Options, v *verdicts) (*Netlist, *Report, error) {
+	ix, err := newChanIndex(out)
+	if err != nil {
+		return nil, nil, err
+	}
+	if v.indexed != nil {
+		v.indexed(out, ix)
+	}
 	rep := &Report{Containment: map[string]string{}}
-	v.body = make(map[*ch.Program]string, len(out.Components))
+	v.body = make(map[*ch.Program]int, len(out.Components))
 	for _, c := range out.Components {
 		rep.Containment[c.Name] = c.Name
 		v.enter(c)
 	}
 	for {
-		merged, err := t1Sweep(out, rep, opt, v)
+		merged, err := t1Sweep(out, rep, opt, v, ix)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -274,11 +443,10 @@ func t1Cluster(out *Netlist, opt Options, v *verdicts) (*Netlist, *Report, error
 	return out, rep, nil
 }
 
-// t1Evaluate probes one channel for a legal merge against the current
-// netlist. It returns the activator x and the activated y, both nil
-// when the channel is not committable (skipped).
-func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Options, v *verdicts) (x, y *ch.Program) {
-	us := uses[channel]
+// t1Evaluate probes one channel, whose uses are us, for a legal merge
+// against the current netlist. It returns the activator x and the
+// activated y, both nil when the channel is not committable (skipped).
+func t1Evaluate(out *Netlist, channel string, us []ChanUse, opt Options, v *verdicts) (x, y *ch.Program) {
 	if len(us) != 2 {
 		return nil, nil
 	}
@@ -306,30 +474,21 @@ func t1Evaluate(out *Netlist, channel string, uses map[string][]ChanUse, opt Opt
 // current internal channels, in channel order, reporting whether any
 // merge committed. Each channel is probed against the netlist as the
 // earlier commits of the sweep left it, and a legal merge commits at
-// once; the channel uses are recomputed only when a probe follows a
-// commit. Most probes repeat an earlier one: the last sweep re-probes
-// every channel to confirm that nothing merges, and each T2 round
-// re-runs T1. So a probe is a lookup in the call's verdict memo, and
-// only a candidate never seen before pays for the channel removal and
-// the CH-to-BM compilation.
-func t1Sweep(out *Netlist, rep *Report, opt Options, v *verdicts) (bool, error) {
-	channels, err := out.InternalPToP()
-	if err != nil {
-		return false, err
-	}
+// once, updating the channel index ix for the probes after it. Most
+// probes repeat an earlier one: the last sweep re-probes every channel
+// to confirm that nothing merges, and each T2 round re-runs T1. So a
+// probe is a lookup in the call's verdict memo, and only a candidate
+// never seen before pays for the channel removal and the CH-to-BM
+// compilation.
+func t1Sweep(out *Netlist, rep *Report, opt Options, v *verdicts, ix *chanIndex) (bool, error) {
+	ix.channels = internalPToP(ix.channels[:0], ix.uses)
 	ctx := opt.ctx()
-	var uses map[string][]ChanUse // nil before the first probe and after each commit
 	anyMerge := false
-	for _, channel := range channels {
+	for _, channel := range ix.channels {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		if uses == nil {
-			if uses, err = out.ChannelUses(); err != nil {
-				return false, err
-			}
-		}
-		x, y := t1Evaluate(out, channel, uses, opt, v)
+		x, y := t1Evaluate(out, channel, ix.uses[channel], opt, v)
 		if x == nil {
 			rep.Skipped = append(rep.Skipped, channel)
 			continue
@@ -343,6 +502,14 @@ func t1Sweep(out *Netlist, rep *Report, opt Options, v *verdicts) (bool, error) 
 		out.remove(x.Name)
 		out.remove(y.Name)
 		out.Components = append(out.Components, merged)
+		ix.drop(x.Name)
+		ix.drop(y.Name)
+		if err := ix.add(merged); err != nil {
+			return false, err
+		}
+		if v.indexed != nil {
+			v.indexed(out, ix)
+		}
 		v.enter(merged)
 		for orig, cont := range rep.Containment {
 			if cont == y.Name || cont == x.Name {
@@ -353,7 +520,6 @@ func t1Sweep(out *Netlist, rep *Report, opt Options, v *verdicts) (bool, error) 
 			Channel: channel, Activator: x.Name, Activated: y.Name, Result: merged.Name,
 		})
 		anyMerge = true
-		uses = nil
 	}
 	return anyMerge, nil
 }
@@ -441,6 +607,9 @@ func T2ClusteringOpt(n *Netlist, opt Options) (*Netlist, *Report, error) {
 // t2Cluster runs T2 clustering rounds until no call is restored; every
 // round's T1 run shares the verdict memo v.
 func t2Cluster(n *Netlist, opt Options, v *verdicts) (*Netlist, *Report, error) {
+	if err := duplicateName(n.Components); err != nil {
+		return nil, nil, err
+	}
 	noSplit := map[string]bool{}
 	var allRestored []string
 	for {

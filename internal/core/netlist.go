@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -95,7 +96,12 @@ func (n *Netlist) InternalPToP() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []string
+	return internalPToP(nil, uses), nil
+}
+
+// internalPToP lists, sorted, the channels of uses that InternalPToP
+// lists, reusing dst's storage.
+func internalPToP(dst []string, uses map[string][]ChanUse) []string {
 	for name, us := range uses {
 		if len(us) != 2 {
 			continue
@@ -107,10 +113,10 @@ func (n *Netlist) InternalPToP() ([]string, error) {
 		if a.Act == b.Act {
 			continue // miswired; leave to validation elsewhere
 		}
-		out = append(out, name)
+		dst = append(dst, name)
 	}
-	sort.Strings(out)
-	return out, nil
+	slices.Sort(dst)
+	return dst
 }
 
 // ExternalChannels lists channels used by exactly one component: the

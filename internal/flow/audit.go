@@ -210,7 +210,7 @@ func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*Audi
 				return nil, err
 			}
 		}
-		s, err := r.synthesizeNetlist(n, mode)
+		s, err := r.compileAndSynthesize(n, mode)
 		if err != nil {
 			return nil, fmt.Errorf("%s arm: %w", arm, err)
 		}

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"balsabm/internal/bm"
 	"balsabm/internal/bmlint"
 	"balsabm/internal/chtobm"
 	"balsabm/internal/core"
+	"balsabm/internal/parallel"
 )
 
 // BmlintNetlist compiles every component of a control netlist to its
@@ -15,15 +17,31 @@ import (
 // returning one result per component in netlist order. Unlike the
 // flow gate, error findings do not abort: the report is the product.
 func BmlintNetlist(n *core.Netlist) ([]bmlint.Result, error) {
-	results := make([]bmlint.Result, 0, len(n.Components))
-	for _, p := range n.Components {
+	_, results, err := bmlintSpecs(n, nil)
+	return results, err
+}
+
+// bmlintSpecs is BmlintNetlist keeping the specs: both come back in
+// netlist order. Each compile is observed on tm (nil drops them) as a
+// "compile" stage run, and the audits together as one "bmlint" run.
+func bmlintSpecs(n *core.Netlist, tm *parallel.Timings) ([]*bm.Spec, []bmlint.Result, error) {
+	specs := make([]*bm.Spec, len(n.Components))
+	for i, p := range n.Components {
+		start := time.Now()
 		sp, err := chtobm.CompileLoose(p)
+		tm.Observe("compile", time.Since(start))
 		if err != nil {
-			return nil, fmt.Errorf("bmlint: %s: %w", p.Name, err)
+			return nil, nil, fmt.Errorf("bmlint: %s: %w", p.Name, err)
 		}
-		results = append(results, bmlint.Audit(sp))
+		specs[i] = sp
 	}
-	return results, nil
+	start := time.Now()
+	results := make([]bmlint.Result, len(specs))
+	for i, sp := range specs {
+		results[i] = bmlint.Audit(sp)
+	}
+	tm.Observe("bmlint", time.Since(start))
+	return specs, results, nil
 }
 
 // BmlintGate audits every compiled spec of an arm's control netlist
@@ -34,15 +52,8 @@ func BmlintNetlist(n *core.Netlist) ([]bmlint.Result, error) {
 // The per-component audit results are returned either way so callers
 // can report them.
 func BmlintGate(design, arm string, n *core.Netlist, met *Metrics) ([]bmlint.Result, error) {
-	start := time.Now()
-	results, err := BmlintNetlist(n)
-	if met != nil {
-		met.Timings.Observe("bmlint", time.Since(start))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return results, splitSpecs(design, arm, results, met)
+	_, results, err := newRunner(nil, &Options{Metrics: met}).bmlintGate(design, arm, n)
+	return results, err
 }
 
 // splitSpecs runs the gate split over each spec's audit in netlist
@@ -58,12 +69,20 @@ func splitSpecs(design, arm string, results []bmlint.Result, met *Metrics) error
 	return first
 }
 
-// bmlintGate is the post-compile gate of checkedArm: before an arm's
-// components are synthesized, every compiled spec is audited.
-// It runs sequentially over the netlist (the specs are cheap to
-// compile), so recorded findings are in deterministic netlist order
-// at any worker count.
-func (r *runner) bmlintGate(design, arm string, n *core.Netlist) error {
-	_, err := BmlintGate(design, arm, n, r.met)
-	return err
+// bmlintGate is the post-compile gate of checkedArm: every component
+// compiles once and every spec is audited (bmlintSpecs). It runs
+// sequentially over the netlist (the specs are cheap to compile), so
+// recorded findings are in deterministic netlist order at any worker
+// count. It returns the specs and their audits in netlist order, the
+// audits also on a gate error. A spec that passes the gate is the one
+// chtobm.Compile would return: Compile is CompileLoose plus a
+// read-only Check, and every Check violation is a bmlint error
+// (bmlint.WellFormedPass). So synthesis takes the gate's specs and
+// compiles nothing itself.
+func (r *runner) bmlintGate(design, arm string, n *core.Netlist) ([]*bm.Spec, []bmlint.Result, error) {
+	specs, results, err := bmlintSpecs(n, &r.met.Timings)
+	if err != nil {
+		return nil, nil, err
+	}
+	return specs, results, splitSpecs(design, arm, results, r.met)
 }

@@ -137,16 +137,26 @@ func TestBmlintGateRecordsFindings(t *testing.T) {
 	}
 }
 
-// TestBmlintGateTimed: the in-flow gate observes its stage timing and
-// passes on every Table 3 design's unoptimized control netlist.
+// TestBmlintGateTimed: the in-flow gate passes on a Table 3 design's
+// unoptimized control netlist, returns one spec per component, and
+// observes one compile per component and one bmlint run for the audits.
 func TestBmlintGateTimed(t *testing.T) {
 	d := designs.All()[0]
 	r := newRunner(nil, nil)
-	if err := r.bmlintGate(d.Name, "unopt", d.Control()); err != nil {
+	n := d.Control()
+	specs, results, err := r.bmlintGate(d.Name, "unopt", n)
+	if err != nil {
 		t.Fatalf("gate failed on paper design: %v", err)
 	}
-	if s, ok := r.met.Timings.Snapshot()["bmlint"]; !ok || s.Count != 1 {
-		t.Errorf("bmlint stage not observed: %+v", r.met.Timings.Snapshot())
+	if len(specs) != len(n.Components) || len(results) != len(n.Components) {
+		t.Fatalf("gate returned %d specs and %d audits for %d components", len(specs), len(results), len(n.Components))
+	}
+	snap := r.met.Timings.Snapshot()
+	if s, ok := snap["bmlint"]; !ok || s.Count != 1 {
+		t.Errorf("bmlint stage not observed once: %+v", snap)
+	}
+	if s, ok := snap["compile"]; !ok || s.Count != int64(len(n.Components)) {
+		t.Errorf("compile stage not observed once per component: %+v", snap)
 	}
 }
 

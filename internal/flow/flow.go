@@ -7,6 +7,10 @@
 // the design's datapath and benchmark environment to produce the speed
 // and area numbers of Table 3.
 //
+// Each controller compiles once outside the clustering probes: the
+// bmlint gate compiles and audits every component's spec, and
+// synthesis takes the gate's spec instead of compiling again.
+//
 // The flow is concurrent: controllers synthesize in parallel across a
 // bounded worker pool, the two arms of a design run side by side, and
 // rename-isomorphic controllers share one synthesis through a
@@ -336,48 +340,42 @@ func newRunner(ctx context.Context, opt *Options) *runner {
 	return r
 }
 
-// synthesize runs the full per-controller pipeline (compile, two-level
-// synthesis or hand-library lookup, mapping) with no caching. It is
-// the flow's only synthesis of a controller: the returned entry
-// carries the hazver unit of the netlist it ships, which the hazver
-// gate verifies. It is a composite task: the compile/hclib and map
-// stages each take one pool slot, and the per-function minimizations
-// inside minimalist.SynthesizeOpt are individually pool-admitted
-// leaves — no slot is ever held while waiting for another.
-func (r *runner) synthesize(comp *ch.Program, mode techmap.Mode) (*synthEntry, error) {
+// synthesize runs the per-controller pipeline from a compiled spec
+// (two-level synthesis or hand-library lookup, mapping) with no
+// caching. It is the flow's only synthesis of a controller: the
+// returned entry carries the hazver unit of the netlist it ships, which
+// the hazver gate verifies. sp is comp's spec, compiled by the bmlint
+// gate or by compileAndSynthesize; synthesize compiles nothing. It is a
+// composite task: the hclib lookup and the map stage each take one
+// pool slot, and the per-function minimizations inside
+// minimalist.SynthesizeOpt are individually pool-admitted leaves — no
+// slot is ever held while waiting for another.
+func (r *runner) synthesize(comp *ch.Program, sp *bm.Spec, mode techmap.Mode) (*synthEntry, error) {
 	tm := &r.met.Timings
-	var sp *bm.Spec
-	var hclibNl *gates.Netlist
-	err := r.pool.RunCtx(r.ctx, func() error {
-		start := time.Now()
-		var err error
-		sp, err = chtobm.Compile(comp)
-		tm.Observe("compile", time.Since(start))
-		if err != nil {
-			return fmt.Errorf("flow: %s: %w", comp.Name, err)
-		}
-		if mode == techmap.AreaShared {
-			start = time.Now()
+	if mode == techmap.AreaShared {
+		var hclibNl *gates.Netlist
+		err := r.pool.RunCtx(r.ctx, func() error {
+			start := time.Now()
 			nl, ok := hclib.Build(comp)
 			tm.Observe("hclib", time.Since(start))
 			if ok {
 				hclibNl = nl
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if hclibNl != nil {
-		return &synthEntry{netlist: hclibNl, res: ControllerResult{
-			Name:     comp.Name,
-			States:   sp.NStates,
-			Cells:    len(hclibNl.Instances),
-			Area:     hclibNl.Area(r.opt.Lib),
-			Critical: hclibNl.CriticalDelay(r.opt.Lib),
-			Exact:    true, // hand-designed circuit: nothing minimized
-		}, unit: hazver.Unit{Name: comp.Name}}, nil
+		if hclibNl != nil {
+			return &synthEntry{netlist: hclibNl, res: ControllerResult{
+				Name:     comp.Name,
+				States:   sp.NStates,
+				Cells:    len(hclibNl.Instances),
+				Area:     hclibNl.Area(r.opt.Lib),
+				Critical: hclibNl.CriticalDelay(r.opt.Lib),
+				Exact:    true, // hand-designed circuit: nothing minimized
+			}, unit: hazver.Unit{Name: comp.Name}}, nil
+		}
 	}
 	start := time.Now()
 	ctrl, err := minimalist.SynthesizeOpt(sp, minimalist.Options{Pool: r.pool, Ctx: r.ctx})
@@ -434,15 +432,16 @@ type shipped struct {
 	shape string
 }
 
-// synthOne synthesizes one controller through the canonical-form
-// cache: rename-isomorphic components (same canonical key, see
-// ch.Canonicalize) synthesize once; later occurrences reuse the cached
-// netlist with their own wire names substituted in. Components the
-// canonicalizer rejects (verb channels) synthesize directly.
-func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (shipped, error) {
+// synthOne synthesizes one controller, compiled to sp, through the
+// canonical-form cache: rename-isomorphic components (same canonical
+// key, see ch.Canonicalize) synthesize once; later occurrences reuse
+// the cached netlist with their own wire names substituted in.
+// Components the canonicalizer rejects (verb channels) synthesize
+// directly.
+func (r *runner) synthOne(comp *ch.Program, sp *bm.Spec, mode techmap.Mode) (shipped, error) {
 	canon, ok := ch.CanonicalizeProgram(comp)
 	if !ok {
-		e, err := r.synthesize(comp, mode)
+		e, err := r.synthesize(comp, sp, mode)
 		if err != nil {
 			return shipped{}, err
 		}
@@ -470,7 +469,7 @@ func (r *runner) synthOne(comp *ch.Program, mode techmap.Mode) (shipped, error) 
 				r.met.ControllersCorrupt.Add(1)
 			}
 		}
-		e, err := r.synthesize(comp, mode)
+		e, err := r.synthesize(comp, sp, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -556,12 +555,13 @@ type synthesis struct {
 }
 
 // synthesizeNetlist fans the components of a control netlist out as
-// composite tasks (their compile, per-function minimization and map
-// stages are the pool-admitted leaves), returning what they
-// ship in component order with sequential first-error semantics.
-func (r *runner) synthesizeNetlist(n *core.Netlist, mode techmap.Mode) (*synthesis, error) {
+// composite tasks (their hclib lookup, per-function minimization and
+// map stages are the pool-admitted leaves), component i from its
+// compiled spec specs[i], returning what they ship in component order
+// with sequential first-error semantics.
+func (r *runner) synthesizeNetlist(n *core.Netlist, specs []*bm.Spec, mode techmap.Mode) (*synthesis, error) {
 	outs, err := parallel.MapAllCtx(r.ctx, len(n.Components), func(i int) (shipped, error) {
-		return r.synthOne(n.Components[i], mode)
+		return r.synthOne(n.Components[i], specs[i], mode)
 	})
 	if err != nil {
 		return nil, err
@@ -581,6 +581,28 @@ func (r *runner) synthesizeNetlist(n *core.Netlist, mode techmap.Mode) (*synthes
 	return s, nil
 }
 
+// compileAndSynthesize is synthesizeNetlist for the entry points that
+// run no bmlint gate to hand it the specs: every component first
+// compiles strictly (chtobm.Compile), in netlist order, each observed
+// as a "compile" stage run, so the first compile error in netlist
+// order aborts before any synthesis starts.
+func (r *runner) compileAndSynthesize(n *core.Netlist, mode techmap.Mode) (*synthesis, error) {
+	specs := make([]*bm.Spec, len(n.Components))
+	for i, comp := range n.Components {
+		if err := r.ctx.Err(); err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		sp, err := chtobm.Compile(comp)
+		r.met.Timings.Observe("compile", time.Since(start))
+		if err != nil {
+			return nil, fmt.Errorf("flow: %s: %w", comp.Name, err)
+		}
+		specs[i] = sp
+	}
+	return r.synthesizeNetlist(n, specs, mode)
+}
+
 // SynthesizeNetlist compiles, synthesizes and maps every component of a
 // control netlist with the given mapping mode, returning the mapped
 // netlists and per-controller reports.
@@ -598,7 +620,7 @@ func SynthesizeNetlist(n *core.Netlist, mode techmap.Mode, opt *Options) ([]*gat
 // component syntheses still waiting for a worker slot when ctx is
 // cancelled are abandoned and the call returns the context's error.
 func SynthesizeNetlistCtx(ctx context.Context, n *core.Netlist, mode techmap.Mode, opt *Options) ([]*gates.Netlist, []ControllerResult, error) {
-	s, err := newRunner(ctx, opt).synthesizeNetlist(n, mode)
+	s, err := newRunner(ctx, opt).compileAndSynthesize(n, mode)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -619,16 +641,18 @@ type CheckedArm struct {
 }
 
 // checkedArm is the gated synthesis of one arm, shared by both arms of
-// runDesign and the daemon's synth executor: the bmlint gate on the
-// compiled specs, synthesis of every controller, the netlint gate on
-// the merged circuit, and the hazver gate on the shipped netlists.
-// Gate errors abort as a *GateError, unwrapped; non-error findings land
-// on the metrics sink in gate order.
+// runDesign and the daemon's synth executor: the bmlint gate, which
+// compiles every component once, synthesis of every controller from
+// the spec the gate compiled for it, the netlint gate on the merged
+// circuit, and the hazver gate on the shipped netlists. Gate errors
+// abort as a *GateError, unwrapped; non-error findings land on the
+// metrics sink in gate order.
 func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mode) (*CheckedArm, error) {
-	if err := r.bmlintGate(design, arm, n); err != nil {
+	specs, _, err := r.bmlintGate(design, arm, n)
+	if err != nil {
 		return nil, err
 	}
-	s, err := r.synthesizeNetlist(n, mode)
+	s, err := r.synthesizeNetlist(n, specs, mode)
 	if err != nil {
 		return nil, err
 	}

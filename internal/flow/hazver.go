@@ -20,7 +20,7 @@ import (
 // netlist first (PrepareArm) and pass techmap.SpeedSplit.
 func HazverNetlist(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) (hazver.Result, error) {
 	r := newRunner(ctx, opt)
-	s, err := r.synthesizeNetlist(n, mode)
+	s, err := r.compileAndSynthesize(n, mode)
 	if err != nil {
 		return hazver.Result{}, err
 	}
@@ -57,7 +57,7 @@ func (r *runner) hazverGate(design, arm string, units []hazver.Unit) (hazver.Res
 // SynthesizeCheckedCtx, which synthesizes once for every gate.
 func HazverGate(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) (hazver.Result, error) {
 	r := newRunner(ctx, opt)
-	s, err := r.synthesizeNetlist(n, mode)
+	s, err := r.compileAndSynthesize(n, mode)
 	if err != nil {
 		return hazver.Result{}, err
 	}

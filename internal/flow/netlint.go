@@ -41,7 +41,7 @@ func NetlintGate(design, arm string, mapped []*gates.Netlist, lib *cell.Library,
 // the netlist first (PrepareArm) and pass techmap.SpeedSplit.
 func NetlintNetlist(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) ([]netlint.Result, netlint.Result, error) {
 	r := newRunner(ctx, opt)
-	s, err := r.synthesizeNetlist(n, mode)
+	s, err := r.compileAndSynthesize(n, mode)
 	if err != nil {
 		return nil, netlint.Result{}, err
 	}

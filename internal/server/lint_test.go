@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -14,6 +15,8 @@ import (
 
 	"balsabm/internal/analysis"
 	"balsabm/internal/api"
+	"balsabm/internal/ch"
+	"balsabm/internal/flow"
 )
 
 // TestLintEndpointByteIdentity: for every examples/lint corpus file,
@@ -109,6 +112,23 @@ func TestSynthJobLintGate(t *testing.T) {
 	}
 	if !contains(err.Error(), "CH010") {
 		t.Fatalf("error does not carry the lint code: %v", err)
+	}
+}
+
+// TestRunSynthRejectsDuplicateNames: two components named "a" fail
+// the lint gate with CH014 in both modes, where the opt arm once
+// clustered the netlist down to 1 controller instead of 2.
+func TestRunSynthRejectsDuplicateNames(t *testing.T) {
+	src, err := os.ReadFile("../../examples/lint/duplicate.ch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{api.ModeOpt, api.ModeUnopt} {
+		_, err := RunSynth(context.Background(), api.JobRequest{Kind: api.KindSynth, Source: string(src), Mode: mode}, &flow.Metrics{}, nil)
+		var ge *flow.GateError[ch.Pos]
+		if !errors.As(err, &ge) || ge.Tier != flow.TierLint || !contains(err.Error(), `CH014: two components named "a"`) {
+			t.Errorf("mode %s: got %v, want the lint gate's CH014 error", mode, err)
+		}
 	}
 }
 
