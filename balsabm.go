@@ -26,6 +26,7 @@ package balsabm
 
 import (
 	"context"
+	"fmt"
 
 	"balsabm/internal/balsa"
 	"balsabm/internal/bm"
@@ -36,6 +37,7 @@ import (
 	"balsabm/internal/designs"
 	"balsabm/internal/flow"
 	"balsabm/internal/gates"
+	"balsabm/internal/hazver"
 	"balsabm/internal/hc"
 	"balsabm/internal/minimalist"
 	"balsabm/internal/techmap"
@@ -118,10 +120,20 @@ func Map(ctrl *Controller, mode techmap.Mode, lib *Library) (*GateNetlist, error
 	return techmap.MapController(ctrl, mode, lib)
 }
 
-// AuditMapped verifies a speed-split-mapped controller implements its
-// hazard-free covers exactly (the Section 5 hazard-freedom argument).
+// AuditMapped statically verifies a speed-split-mapped controller
+// hazard-free with hazver, the flow's own mapped-logic check (the
+// Section 5 hazard-freedom argument): on every burst the minimizer
+// specified, each output and state function must hold glitch-free and
+// match its hazard-free cover at both endpoints. It returns an error
+// naming the first HZ error finding, or nil when there is none.
 func AuditMapped(ctrl *Controller, nl *GateNetlist, lib *Library) error {
-	return techmap.CheckMapped(ctrl, nl, lib)
+	res := hazver.Audit(nl.Name, []hazver.Unit{hazver.ControllerUnit(nl.Name, ctrl, nl)}, lib, hazver.Options{})
+	for _, d := range res.Diags {
+		if d.Severity == hazver.SevError {
+			return fmt.Errorf("hazver: %s", d.Render(res.Name))
+		}
+	}
+	return nil
 }
 
 // DefaultLibrary returns the bundled 0.35µm-class cell library.

@@ -39,6 +39,63 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// TestAuditMappedRejectsFlippedCells: AuditMapped rejects every
+// single-cell flip of the quickstart sequencer's speed-split mapping —
+// each cell swapped for its complement, which inverts the net it drives
+// — with an error naming the first HZ finding.
+func TestAuditMappedRejectsFlippedCells(t *testing.T) {
+	body, err := ParseCH(`(rep (enc-early (p-to-p passive P)
+	    (seq (p-to-p active A1) (p-to-p active A2))))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := CompileCH(&CHProgram{Name: "sequencer", Body: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := Synthesize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := DefaultLibrary()
+	complement := func(c string) string {
+		switch {
+		case c == "INV":
+			return "BUF"
+		case c == "BUF":
+			return "INV"
+		case strings.HasPrefix(c, "NAND"), strings.HasPrefix(c, "NOR"):
+			return c[1:]
+		case strings.HasPrefix(c, "AND"), strings.HasPrefix(c, "OR"):
+			return "N" + c
+		}
+		t.Fatalf("no complement for cell %s", c)
+		return ""
+	}
+	mapped, err := Map(ctrl, MapSpeedSplit, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(mapped.Instances); n != 29 {
+		t.Fatalf("quickstart sequencer maps to %d cells, want 29", n)
+	}
+	for i := range mapped.Instances {
+		nl, err := Map(ctrl, MapSpeedSplit, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := &nl.Instances[i]
+		from := inst.Cell
+		inst.Cell = complement(from)
+		err = AuditMapped(ctrl, nl, lib)
+		if err == nil {
+			t.Errorf("cell %d (%s -> %s): tampered mapping passes AuditMapped", i, from, inst.Cell)
+		} else if !strings.HasPrefix(err.Error(), "hazver: sequencer: fn ") {
+			t.Errorf("cell %d: error %q does not name the finding", i, err)
+		}
+	}
+}
+
 func TestFacadeDesigns(t *testing.T) {
 	if len(Designs()) != 4 {
 		t.Fatalf("want 4 designs")

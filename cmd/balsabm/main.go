@@ -38,14 +38,13 @@
 //	                          by -mode (default opt); no files: verify
 //	                          every built-in design, both arms. Exit
 //	                          status 1 on HZ-errors.
-//	balsabm audit [design...] run the six-checker static audit stack
-//	                          (chlint, bmlint, hazard-free cover
-//	                          re-verification, mapped-logic audit,
-//	                          netlint, hazver) on built-in designs; one
-//	                          summary line per design (-json: the
-//	                          api.AuditResultJSON wire form with
-//	                          per-checker counts). Exit status 1 on
-//	                          failures.
+//	balsabm audit [design...] run the flow's four checker tiers
+//	                          (chlint, then per arm bmlint, netlint and
+//	                          hazver) on built-in designs, checking the
+//	                          netlists each arm ships; one summary line
+//	                          per design (-json: the api.AuditResultJSON
+//	                          wire form with per-checker counts). Exit
+//	                          status 1 on error findings.
 //	balsabm synth <file.ch>   synthesize a CH control netlist (no
 //	                          simulation): clustering + speed-split
 //	                          mapping by default (-mode unopt for the
@@ -709,11 +708,11 @@ func hazverCmd(ctx context.Context, args []string) error {
 		})
 }
 
-// auditCmd runs the unified static audit stack on built-in designs
-// (all of them, or the named ones), in process only: chlint,
-// Burst-Mode spec checks, hazard-free cover re-verification, the
-// speed-split mapped-logic audit, netlint on every controller and
-// merged circuit, and hazver on every specified burst.
+// auditCmd runs the static audit on built-in designs (all of them, or
+// the named ones), in process only: chlint on the control netlist, then
+// each arm through the flow's own gated synthesis — bmlint on every
+// compiled spec, netlint on every mapped controller and the merged
+// circuit, and hazver on every specified burst of the shipped netlists.
 func auditCmd(ctx context.Context, args []string) error {
 	if *serverFlag != "" {
 		return fmt.Errorf("usage: balsabm audit [design...] (audits run in process only; drop -server)")

@@ -8,7 +8,9 @@
 //
 // The input is the .bms text format (see chc bms). Output: a
 // Minimalist-style .sol report, a mapping summary, and optionally
-// structural Verilog.
+// structural Verilog. A speed-mode mapping is verified by hazver, the
+// flow's static hazard check, on every specified burst; every mapping
+// is audited by netlint. Either tier's error findings exit 1.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 
 	"balsabm/internal/bm"
 	"balsabm/internal/cell"
+	"balsabm/internal/hazver"
 	"balsabm/internal/minimalist"
 	"balsabm/internal/netlint"
 	"balsabm/internal/techmap"
@@ -31,6 +34,12 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: bmsynth [-mode speed|area] [-verilog] file.bms")
 		os.Exit(2)
+	}
+	m := techmap.SpeedSplit
+	if *mode == "area" {
+		m = techmap.AreaShared
+	} else if *mode != "speed" {
+		fail(fmt.Errorf("unknown mode %q (want speed or area)", *mode))
 	}
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -49,22 +58,25 @@ func main() {
 	}
 	fmt.Print(ctrl.Sol())
 
-	m := techmap.SpeedSplit
-	if *mode == "area" {
-		m = techmap.AreaShared
-	} else if *mode != "speed" {
-		fail(fmt.Errorf("unknown mode %q", *mode))
-	}
 	lib := cell.AMS035()
 	nl, err := techmap.MapController(ctrl, m, lib)
 	if err != nil {
 		fail(err)
 	}
 	if m == techmap.SpeedSplit {
-		if err := techmap.CheckMapped(ctrl, nl, lib); err != nil {
-			fail(fmt.Errorf("hazard audit: %w", err))
+		// Static hazard verification of the mapped netlist on every
+		// specified burst: HZ-errors are fatal, warnings print as
+		// comments, and the HZ200 static report becomes a summary line.
+		res := hazver.Audit(nl.Name, []hazver.Unit{hazver.ControllerUnit(nl.Name, ctrl, nl)}, lib, hazver.Options{})
+		for _, d := range res.Diags {
+			if d.Severity != hazver.SevInfo {
+				fmt.Printf("; hazver: %s\n", d.String())
+			}
 		}
-		fmt.Println("; hazard audit: mapped logic matches the hazard-free covers")
+		if hazver.HasErrors(res.Diags) {
+			fail(fmt.Errorf("hazver: mapped logic can glitch or diverge on a specified burst"))
+		}
+		fmt.Printf("; hazver static: %s\n", res.Stats)
 	}
 	// Structural audit of the mapped netlist: NL-errors are fatal (a
 	// miswired single controller must not ship as Verilog), warnings

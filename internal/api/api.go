@@ -1035,24 +1035,23 @@ func (r *HazverResultJSON) Text() string {
 }
 
 // AuditCheckerJSON is one checker's tally inside an audit: its
-// error/warning counts and how many items it covered (specs, covers,
-// mapped controllers, circuits, bursts — whichever the checker
-// counts).
+// error/warning counts and how many items it covered (specs, circuits,
+// bursts — whichever the checker counts).
 type AuditCheckerJSON struct {
 	Errors   int `json:"errors"`
 	Warnings int `json:"warnings"`
 	Checked  int `json:"checked"`
 }
 
-// AuditResultJSON is one design's six-checker audit in machine form —
+// AuditResultJSON is one design's four-tier audit in machine form —
 // the body emitted per design by `balsabm audit -json`. Checkers is
-// keyed "chlint", "bmlint", "covers", "mapped", "netlint", "hazver".
+// keyed "chlint", "bmlint", "netlint", "hazver"; the last three count
+// what the flow's gates checked on the netlists it ships.
 type AuditResultJSON struct {
 	Design   string                      `json:"design"`
 	OK       bool                        `json:"ok"`
 	Summary  string                      `json:"summary"`
 	Checkers map[string]AuditCheckerJSON `json:"checkers"`
-	Failures []string                    `json:"failures,omitempty"`
 	Errors   int                         `json:"errors"`
 	Warnings int                         `json:"warnings"`
 }
@@ -1068,7 +1067,6 @@ func FromAuditResult(a *flow.AuditResult) *AuditResultJSON {
 		OK:       a.OK(),
 		Summary:  a.Summary(),
 		Checkers: checkers,
-		Failures: a.Failures,
 		Errors:   a.Errors(),
 		Warnings: a.Warnings(),
 	}

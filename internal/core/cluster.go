@@ -396,6 +396,15 @@ func duplicateName(cs []*ch.Program) error {
 	return nil
 }
 
+// componentNames is the set of the netlist's component names.
+func componentNames(n *Netlist) map[string]bool {
+	names := make(map[string]bool, len(n.Components))
+	for _, c := range n.Components {
+		names[c.Name] = true
+	}
+	return names
+}
+
 // T1Clustering implements procedure T1_clustering of Section 4.4: it
 // iterates over the point-to-point channels of the netlist; for each,
 // it forms the clustered component of the two connected components and
@@ -574,12 +583,21 @@ func callShape(p *ch.Program) (passives []string, active string, ok bool) {
 
 // splitCall breaks an n-way call into n fragments, each enclosing a
 // handshake on a replica of the call's active channel within one of the
-// original passive channels (Section 4.2).
-func splitCall(p *ch.Program, passives []string, active string) []*ch.Program {
+// original passive channels (Section 4.2). Fragment i takes the next
+// name "<call>#<k>" not in used, and adds it there, so no fragment
+// shares a name with a component or another fragment.
+func splitCall(p *ch.Program, passives []string, active string, used map[string]bool) []*ch.Program {
 	frags := make([]*ch.Program, len(passives))
+	k := 0
 	for i, pc := range passives {
+		name := ""
+		for name == "" || used[name] {
+			k++
+			name = fmt.Sprintf("%s#%d", p.Name, k)
+		}
+		used[name] = true
 		frags[i] = &ch.Program{
-			Name: fmt.Sprintf("%s#%d", p.Name, i+1),
+			Name: name,
 			Body: &ch.Rep{Body: &ch.Op{
 				Kind: ch.EncEarly,
 				A:    &ch.Chan{Kind: ch.PToP, Act: ch.Passive, Name: pc},
@@ -642,13 +660,14 @@ func t2Round(n *Netlist, noSplit map[string]bool, opt Options, v *verdicts) (*Ne
 	var calls []callInfo
 	var split []*ch.Program
 	kept := &Netlist{}
+	used := componentNames(work)
 	for _, c := range work.Components {
 		passives, active, ok := callShape(c)
 		if !ok || noSplit[c.Name] {
 			kept.Components = append(kept.Components, c)
 			continue
 		}
-		frags := splitCall(c, passives, active)
+		frags := splitCall(c, passives, active, used)
 		info := callInfo{orig: c.Clone()}
 		for _, f := range frags {
 			info.frags = append(info.frags, f.Name)

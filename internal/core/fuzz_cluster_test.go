@@ -27,7 +27,8 @@ const (
 // that repeats a name is only checked to be rejected.
 //
 // Seeds: the lint corpus (examples/lint, whose duplicate.ch repeats a
-// name) and the control netlists of every built-in and Balsa design.
+// name), the control netlists of every built-in and Balsa design, and
+// a netlist with a component named like a call fragment.
 func FuzzCluster(f *testing.F) {
 	files, err := filepath.Glob("../../examples/*/*.ch")
 	if err != nil || len(files) == 0 {
@@ -47,6 +48,7 @@ func FuzzCluster(f *testing.F) {
 	for _, d := range append(designs.All(), balsa...) {
 		f.Add(d.Control().Format())
 	}
+	f.Add(collidingFragments)
 	render := func(n *core.Netlist, rep *core.Report) string {
 		return n.Format() + fmt.Sprintf("%+v", *rep)
 	}
@@ -81,9 +83,6 @@ func FuzzCluster(f *testing.F) {
 					t.Fatalf("%s: got %v on a netlist that repeats %q, want an error naming it", a.name, err, dup)
 				}
 				continue
-			}
-			if err != nil && strings.Contains(err.Error(), "two components named") {
-				continue // T2's call fragments took a name in use; the reference would drop a component
 			}
 			rout, rrep, rerr := a.speculative(n, core.Options{}, 1)
 			if fmt.Sprint(err) != fmt.Sprint(rerr) {

@@ -300,3 +300,37 @@ func TestClusteringRejectsDuplicateNames(t *testing.T) {
 		t.Errorf("OptimizeOpt: got %v, want an error naming the duplicate", err)
 	}
 }
+
+// collidingFragments has a 2-way call c on channel x and a component
+// already named "c#1", the name T2 once gave c's first fragment.
+const collidingFragments = `
+(program caller (rep (enc-early (p-to-p passive go) (p-to-p active act))))
+(program c (rep (mutex (enc-early (p-to-p passive act) (p-to-p active x)) (enc-early (p-to-p passive c2) (p-to-p active x)))))
+(program user (rep (enc-early (p-to-p passive x) (p-to-p active out))))
+(program c#1 (rep (enc-early (p-to-p passive go3) (p-to-p active c2))))`
+
+// TestCallFragmentsAvoidNamesInUse: T2 names a call's fragments
+// "<call>#<k>" with the next k no component or fragment has, so a
+// component named like a fragment clusters instead of failing as a
+// duplicate name. c's fragments (c#2, c#3) end in different
+// controllers, so c is restored and then absorbs user: 3 controllers.
+func TestCallFragmentsAvoidNamesInUse(t *testing.T) {
+	n, err := core.ParseNetlist(collidingFragments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, rep, err := core.OptimizeOpt(n, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range out.Components {
+		names = append(names, c.Name)
+	}
+	if got := strings.Join(names, " "); got != "c c#1 caller" {
+		t.Errorf("clustered components %q, want \"c c#1 caller\"", got)
+	}
+	if fmt.Sprint(rep.CallsRestored) != "[c]" || rep.Containment["c#1"] != "c#1" || rep.Containment["user"] != "c" {
+		t.Errorf("report: restored %v, containment %v", rep.CallsRestored, rep.Containment)
+	}
+}

@@ -168,13 +168,14 @@ func t2RoundRef(n *Netlist, noSplit map[string]bool, opt Options, pool *parallel
 	var calls []callInfo
 	var split []*ch.Program
 	kept := &Netlist{}
+	used := componentNames(work)
 	for _, c := range work.Components {
 		passives, active, ok := callShape(c)
 		if !ok || noSplit[c.Name] {
 			kept.Components = append(kept.Components, c)
 			continue
 		}
-		frags := splitCall(c, passives, active)
+		frags := splitCall(c, passives, active, used)
 		info := callInfo{orig: c.Clone()}
 		for _, f := range frags {
 			info.frags = append(info.frags, f.Name)

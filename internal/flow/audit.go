@@ -2,49 +2,35 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"balsabm/internal/analysis"
 	"balsabm/internal/bmlint"
-	"balsabm/internal/ch"
-	"balsabm/internal/chtobm"
 	"balsabm/internal/designs"
 	"balsabm/internal/diag"
 	"balsabm/internal/hazver"
-	"balsabm/internal/hfmin"
-	"balsabm/internal/minimalist"
 	"balsabm/internal/netlint"
-	"balsabm/internal/techmap"
 )
 
-// AuditResult aggregates the repo's full six-checker stack over one
-// design: chlint on the CH control netlist, bmlint on every compiled
-// Burst-Mode specification (subsuming the old bm.Spec.Check row), a
-// hazard-free re-verification of every synthesized cover
-// (hfmin.CheckCover) per controller shape, the speed-split
-// mapped-logic audit (techmap.CheckMapped), netlint on every mapped
-// controller plus the merged circuit of each arm, and hazver — the
-// static gate-level hazard verification of the netlists each arm
-// ships, one per controller shape, by two-pass ternary evaluation.
+// AuditResult aggregates the flow's four checker tiers over one
+// design, on exactly the netlists the flow ships: chlint on the CH
+// control netlist, then for each arm the bmlint gate on every compiled
+// Burst-Mode specification, netlint on every mapped controller plus the
+// arm's merged circuit, and the hazver gate, which statically verifies
+// the shipped netlists hazard-free on their specified bursts by
+// two-pass ternary evaluation. Each arm runs through the flow's own
+// gated synthesis (checkedArm), so the audit synthesizes nothing the
+// flow would not.
 type AuditResult struct {
 	Design string
 	// LintDiags are the chlint findings on the control netlist.
 	LintDiags []analysis.Diag
-	// Specs are the bmlint audits of each unique controller shape's
-	// compiled Burst-Mode specification, in audit order.
+	// Specs are the bmlint gate's audits, one per component per arm,
+	// named "<design>.<arm>.<component>".
 	Specs []bmlint.Result
-	// SpecsChecked counts controller shapes whose compiled Burst-Mode
-	// specification carried no BM-error (the bm.Spec.Check
-	// conditions, accumulated); CoversChecked counts two-level covers
-	// re-verified hazard-free; MappedChecked counts speed-split
-	// mapped controllers whose gate logic passed the
-	// hazard-non-increasing mapping audit.
-	SpecsChecked  int
-	CoversChecked int
-	MappedChecked int
 	// Circuits are the netlint audits, in audit order: each arm's
 	// mapped controllers (named "<design>.<arm>.<controller>") followed
 	// by the arm's merged circuit ("<design>.<arm>").
@@ -55,18 +41,11 @@ type AuditResult struct {
 	// by two-pass ternary evaluation; hand-library circuits, which carry
 	// no burst provenance, are counted as skipped.
 	Hazver []hazver.Result
-	// Failures are hard checker failures: a spec, cover or mapping
-	// audit that did not pass.
-	Failures []string
-}
-
-func (a *AuditResult) fail(format string, args ...any) {
-	a.Failures = append(a.Failures, fmt.Sprintf(format, args...))
 }
 
 // CheckerCount is one checker's tally in an audit: its error and
-// warning findings and how many items it covered (specs, covers, mapped
-// controllers, circuits, bursts — whichever the checker counts).
+// warning findings and how many items it covered (specs, circuits,
+// bursts — whichever the checker counts).
 type CheckerCount struct {
 	Errors, Warnings, Checked int
 }
@@ -79,12 +58,12 @@ func tally[L diag.Loc](c *CheckerCount, ds []diag.Diag[L]) {
 }
 
 // Checkers tallies every checker of the stack, keyed "chlint",
-// "bmlint", "covers", "mapped", "netlint" and "hazver"; hazver counts
-// verified bursts as checked.
+// "bmlint", "netlint" and "hazver"; hazver counts verified bursts as
+// checked.
 func (a *AuditResult) Checkers() map[string]CheckerCount {
 	lint := CheckerCount{Checked: 1}
 	tally(&lint, a.LintDiags)
-	bm := CheckerCount{Checked: a.SpecsChecked}
+	bm := CheckerCount{Checked: len(a.Specs)}
 	for _, s := range a.Specs {
 		tally(&bm, s.Diags)
 	}
@@ -100,24 +79,21 @@ func (a *AuditResult) Checkers() map[string]CheckerCount {
 	return map[string]CheckerCount{
 		"chlint":  lint,
 		"bmlint":  bm,
-		"covers":  {Checked: a.CoversChecked},
-		"mapped":  {Checked: a.MappedChecked},
 		"netlint": nl,
 		"hazver":  hz,
 	}
 }
 
-// Errors counts everything that must fail an audit: checker failures
-// and error-severity findings from any of the four linters.
+// Errors counts the error-severity findings of the four checkers.
 func (a *AuditResult) Errors() int {
-	n := len(a.Failures)
+	n := 0
 	for _, c := range a.Checkers() {
 		n += c.Errors
 	}
 	return n
 }
 
-// Warnings counts warning-severity findings from the four linters.
+// Warnings counts the warning-severity findings of the four checkers.
 func (a *AuditResult) Warnings() int {
 	n := 0
 	for _, c := range a.Checkers() {
@@ -130,9 +106,9 @@ func (a *AuditResult) Warnings() int {
 func (a *AuditResult) OK() bool { return a.Errors() == 0 }
 
 // Summary renders the audit as one line with per-checker diagnostic
-// counts for the six-checker stack, e.g.
+// counts, e.g.
 //
-//	stack: audit OK: chlint 0e/0w; bmlint 0e/0w, 7 specs; 69 covers; 2 mapped; netlint 0e/60w, 18 circuits; hazver 0e/0w, 1224 bursts; 0 errors, 60 warnings
+//	stack: audit OK: chlint 0e/0w; bmlint 0e/0w, 16 specs; netlint 0e/60w, 18 circuits; hazver 0e/0w, 1224 bursts; 0 errors, 60 warnings
 func (a *AuditResult) Summary() string {
 	status := "OK"
 	if !a.OK() {
@@ -140,20 +116,15 @@ func (a *AuditResult) Summary() string {
 	}
 	c := a.Checkers()
 	lint, bm, nl, hz := c["chlint"], c["bmlint"], c["netlint"], c["hazver"]
-	return fmt.Sprintf("%s: audit %s: chlint %de/%dw; bmlint %de/%dw, %d specs; %d covers; %d mapped; netlint %de/%dw, %d circuits; hazver %de/%dw, %d bursts; %d errors, %d warnings",
+	return fmt.Sprintf("%s: audit %s: chlint %de/%dw; bmlint %de/%dw, %d specs; netlint %de/%dw, %d circuits; hazver %de/%dw, %d bursts; %d errors, %d warnings",
 		a.Design, status, lint.Errors, lint.Warnings, bm.Errors, bm.Warnings, bm.Checked,
-		a.CoversChecked, a.MappedChecked, nl.Errors, nl.Warnings,
-		nl.Checked, hz.Errors, hz.Warnings, hz.Checked, a.Errors(), a.Warnings())
+		nl.Errors, nl.Warnings, nl.Checked, hz.Errors, hz.Warnings, hz.Checked, a.Errors(), a.Warnings())
 }
 
-// Details renders every failure and every error/warning finding,
-// vet-style, one per line. Empty when the audit is fully clean of
-// errors and warnings.
+// Details renders every error and warning finding, vet-style, one per
+// line. Empty when the audit is fully clean of errors and warnings.
 func (a *AuditResult) Details() string {
 	var sb strings.Builder
-	for _, f := range a.Failures {
-		fmt.Fprintf(&sb, "%s: %s\n", a.Design, f)
-	}
 	writeFindings(&sb, "", a.LintDiags)
 	for _, s := range a.Specs {
 		writeFindings(&sb, s.Name, s.Diags)
@@ -183,10 +154,12 @@ func AuditDesign(d *designs.Design, opt *Options) (*AuditResult, error) {
 	return AuditDesignCtx(context.Background(), d, opt)
 }
 
-// AuditDesignCtx is AuditDesign with cancellation. It returns an error
-// only for infrastructure failures (clustering or synthesis breaking,
-// cancellation); checker verdicts — including hard checker failures —
-// land in the result.
+// AuditDesignCtx is AuditDesign with cancellation. Each arm runs the
+// flow's own preparation and gated synthesis, so the audit checks the
+// netlists the flow ships. A gate error ends its arm, whose findings
+// are already in the result. AuditDesignCtx returns an error only for
+// infrastructure failures (clustering, compilation or synthesis
+// breaking, cancellation).
 func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*AuditResult, error) {
 	r := newRunner(ctx, opt)
 	a := &AuditResult{Design: d.Name}
@@ -195,115 +168,35 @@ func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*Audi
 	a.LintDiags = analysis.Analyze(d.Control())
 	r.met.Timings.Observe("lint", time.Since(start))
 
-	seenSpec := map[string]bool{}   // shapes spec/cover-checked
-	seenMapped := map[string]bool{} // shapes mapping-audited
 	for _, arm := range []string{"unopt", "opt"} {
 		n, _, mode, err := r.prepare(d.Name, arm, d.Control())
 		if err != nil {
 			return nil, fmt.Errorf("clustering: %w", err)
 		}
-		for _, comp := range n.Components {
-			if err := r.ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := r.auditComponent(a, comp, mode, seenSpec, seenMapped); err != nil {
-				return nil, err
-			}
-		}
-		s, err := r.compileAndSynthesize(n, mode)
-		if err != nil {
+		c, err := r.checkedArm(d.Name, arm, n, mode)
+		var gate interface{ Findings() []Finding }
+		if err != nil && !errors.As(err, &gate) {
 			return nil, fmt.Errorf("%s arm: %w", arm, err)
 		}
+		unit := d.Name + "." + arm + "."
+		for _, s := range c.Bmlint {
+			s.Name = unit + s.Name
+			a.Specs = append(a.Specs, s)
+		}
+		if c.Mapped == nil {
+			continue // the bmlint gate failed
+		}
 		start = time.Now()
-		for _, nl := range s.mapped {
+		for _, nl := range c.Mapped {
 			res := netlint.Audit(nl, r.opt.Lib)
-			res.Name = d.Name + "." + arm + "." + nl.Name
+			res.Name = unit + nl.Name
 			a.Circuits = append(a.Circuits, res)
 		}
-		a.Circuits = append(a.Circuits, NetlintMerged(d.Name, arm, s.mapped, r.opt.Lib))
 		r.met.Timings.Observe("netlint", time.Since(start))
-		a.Hazver = append(a.Hazver, r.hazverAudit(d.Name, arm, s.units))
+		a.Circuits = append(a.Circuits, c.Netlint)
+		if c.Hazver.Name != "" { // the netlint gate passed
+			a.Hazver = append(a.Hazver, c.Hazver)
+		}
 	}
 	return a, nil
-}
-
-// auditComponent runs the specification-level checkers on one
-// controller shape: bm.Spec.Check on the compiled Burst-Mode spec, a
-// hazard-free re-verification of every synthesized cover against its
-// specified transitions, and — in speed-split arms — the mapped-logic
-// hazard audit. Rename-isomorphic shapes (same ch.Canonicalize key)
-// are checked once per checker.
-func (r *runner) auditComponent(a *AuditResult, comp *ch.Program, mode techmap.Mode, seenSpec, seenMapped map[string]bool) error {
-	key := "raw|" + comp.Name
-	if canon, ok := ch.CanonicalizeProgram(comp); ok {
-		key = canon.Key
-	}
-	needSpec := !seenSpec[key]
-	needMapped := mode == techmap.SpeedSplit && !seenMapped[key]
-	if !needSpec && !needMapped {
-		return nil
-	}
-	seenSpec[key] = true
-	if mode == techmap.SpeedSplit {
-		seenMapped[key] = true
-	}
-
-	sp, err := chtobm.CompileLoose(comp)
-	if err != nil {
-		a.fail("%s: compile: %v", comp.Name, err)
-		return nil
-	}
-	if needSpec {
-		res := bmlint.Audit(sp)
-		a.Specs = append(a.Specs, res)
-		if bmlint.HasErrors(res.Diags) {
-			// The BM-error diagnostics carry the verdict; synthesizing
-			// an ill-formed spec would only cascade.
-			return nil
-		}
-		a.SpecsChecked++
-	}
-	ctrl, err := minimalist.SynthesizeOpt(sp, minimalist.Options{Pool: r.pool, Ctx: r.ctx})
-	if err != nil {
-		if r.ctx.Err() != nil {
-			return r.ctx.Err()
-		}
-		a.fail("%s: synthesis: %v", comp.Name, err)
-		return nil
-	}
-	if needSpec {
-		names := make([]string, 0, len(ctrl.Outputs))
-		for name := range ctrl.Outputs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := hfmin.CheckCover(ctrl.Outputs[name], ctrl.Transitions[name]); err != nil {
-				a.fail("%s: cover %s: %v", comp.Name, name, err)
-			} else {
-				a.CoversChecked++
-			}
-		}
-		for i, cv := range ctrl.NextState {
-			name := fmt.Sprintf("y%d", i)
-			if err := hfmin.CheckCover(cv, ctrl.Transitions[name]); err != nil {
-				a.fail("%s: cover %s: %v", comp.Name, name, err)
-			} else {
-				a.CoversChecked++
-			}
-		}
-	}
-	if needMapped {
-		nl, err := techmap.MapController(ctrl, techmap.SpeedSplit, r.opt.Lib)
-		if err != nil {
-			a.fail("%s: map: %v", comp.Name, err)
-			return nil
-		}
-		if err := techmap.CheckMappedOpt(ctrl, nl, r.opt.Lib, techmap.CheckOptions{Pool: r.pool, Ctx: r.ctx}); err != nil {
-			a.fail("%s: mapped-logic audit: %v", comp.Name, err)
-		} else {
-			a.MappedChecked++
-		}
-	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -160,49 +161,114 @@ func TestBmlintGateTimed(t *testing.T) {
 	}
 }
 
-// TestAuditSixCheckerStack: the audit summary names all six checkers
-// with per-checker counts, and the paper designs pass clean at the
-// spec tier and the static hazard tier. hazver checks the netlists the
-// flow ships: the baseline arm ships hand-library circuits only, which
-// carry no burst provenance, so its report skips every controller
-// (simulation covers them) and the optimized arm's verifies bursts.
+// TestAuditSixCheckerStack: the audit reports the flow's four checker
+// tiers on the netlists the flow ships, and the paper designs pass
+// clean at the spec tier and the static hazard tier. bmlint checks one
+// spec per component per arm — exactly the specs the audit's compile
+// stage compiled. The netlint circuits, hazver bursts and finding
+// counts are pinned at the values the audit reported when it
+// synthesized every shape a second time, so checking the shipped
+// netlists instead loses no finding. The baseline arm ships
+// hand-library circuits only, which carry no burst provenance, so its
+// hazver report skips every controller (simulation covers them) and
+// the optimized arm's verifies bursts.
 func TestAuditSixCheckerStack(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a full design audit")
+		t.Skip("runs a full audit of every design")
 	}
-	d := designs.All()[0]
-	a, err := AuditDesign(d, nil)
+	want := map[string]map[string]CheckerCount{
+		"systolic-counter": {"chlint": {0, 0, 1}, "bmlint": {0, 0, 7}, "netlint": {0, 0, 9}, "hazver": {0, 0, 360}},
+		"wagging-register": {"chlint": {0, 1, 1}, "bmlint": {0, 0, 21}, "netlint": {0, 104, 23}, "hazver": {0, 0, 628}},
+		"stack":            {"chlint": {0, 0, 1}, "bmlint": {0, 0, 16}, "netlint": {0, 60, 18}, "hazver": {0, 0, 1224}},
+		"ssem":             {"chlint": {0, 1, 1}, "bmlint": {0, 0, 14}, "netlint": {0, 102, 16}, "hazver": {0, 0, 404}},
+	}
+	for _, d := range designs.All() {
+		met := &Metrics{}
+		a, err := AuditDesign(d, &Options{Metrics: met})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := a.Checkers()
+		if !reflect.DeepEqual(got, want[d.Name]) {
+			t.Errorf("%s: checkers %v, want %v", d.Name, got, want[d.Name])
+		}
+		if n := met.Timings.Snapshot()["compile"].Count; int64(got["bmlint"].Checked) != n {
+			t.Errorf("%s: bmlint checked %d specs, the compile stage ran %d times", d.Name, got["bmlint"].Checked, n)
+		}
+		sum := a.Summary()
+		for _, part := range []string{"chlint ", "bmlint ", "netlint ", "hazver "} {
+			if !strings.Contains(sum, part) {
+				t.Errorf("summary misses %q: %s", part, sum)
+			}
+		}
+		if len(a.Hazver) != 2 {
+			t.Errorf("%s: audit recorded %d hazver reports, want one per arm", d.Name, len(a.Hazver))
+		}
+		for _, h := range a.Hazver {
+			if hazver.HasErrors(h.Diags) {
+				t.Errorf("%s: paper-design arm has static hazards:\n%s", h.Name, hazver.Format(h.Diags, h.Name))
+			}
+		}
+		if len(a.Hazver) == 2 {
+			if st := a.Hazver[0].Stats; st.Units != 0 || st.Skipped == 0 || st.Bursts != 0 {
+				t.Errorf("%s: want every hand-library controller skipped: %+v", a.Hazver[0].Name, st)
+			}
+			if st := a.Hazver[1].Stats; st.Units == 0 || st.Skipped != 0 || st.Bursts == 0 {
+				t.Errorf("%s: want synthesized controllers verified: %+v", a.Hazver[1].Name, st)
+			}
+		}
+		for _, s := range a.Specs {
+			if bmlint.HasErrors(s.Diags) {
+				t.Errorf("%s: paper-design spec has BM errors:\n%s", s.Name, bmlint.Format(s.Diags, s.Name))
+			}
+		}
+	}
+}
+
+// BenchmarkAuditDesign is one `balsabm -j 1 audit`: the four Table 3
+// designs audited one after another at one worker.
+func BenchmarkAuditDesign(b *testing.B) {
+	all := designs.All()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, d := range all {
+			a, err := AuditDesign(d, &Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !a.OK() {
+				b.Fatal(a.Summary())
+			}
+		}
+	}
+}
+
+// TestAuditReportsGateErrors: a spec with a BM-error ends its arm at
+// the bmlint gate, and the audit reports the finding, under the gate's
+// unit, instead of failing: nothing past the gate ran, so the arm has
+// no netlint circuits and no hazver report.
+func TestAuditReportsGateErrors(t *testing.T) {
+	n, err := core.ParseNetlist(`(program m (rep (mutex (enc-early (p-to-p passive a) (p-to-p active x)) (enc-early (p-to-p passive a) (p-to-p active y)))))`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := a.Summary()
-	for _, part := range []string{"chlint ", "bmlint ", " covers; ", " mapped; ", "netlint ", "hazver "} {
-		if !strings.Contains(sum, part) {
-			t.Errorf("summary misses %q: %s", part, sum)
-		}
+	d := &designs.Design{Name: "bad", Control: n.Clone}
+	a, err := AuditDesign(d, nil)
+	if err != nil {
+		t.Fatalf("a gate error must land in the audit, not fail it: %v", err)
 	}
-	if len(a.Specs) == 0 || a.SpecsChecked == 0 {
-		t.Errorf("audit recorded no spec results: %d specs, %d checked", len(a.Specs), a.SpecsChecked)
+	if a.OK() {
+		t.Fatalf("audit passes a BM-error spec: %s", a.Summary())
 	}
-	if len(a.Hazver) != 2 {
-		t.Errorf("audit recorded %d hazver reports, want one per arm", len(a.Hazver))
+	if bm := a.Checkers()["bmlint"]; bm.Errors != 2 || bm.Checked != 2 {
+		t.Errorf("bmlint %+v, want one BM-error in each arm's one spec", bm)
 	}
-	for _, h := range a.Hazver {
-		if hazver.HasErrors(h.Diags) {
-			t.Errorf("%s: paper-design arm has static hazards:\n%s", h.Name, hazver.Format(h.Diags, h.Name))
-		}
+	if len(a.Circuits) != 0 || len(a.Hazver) != 0 {
+		t.Errorf("gates past bmlint ran: %d circuits, %d hazver reports", len(a.Circuits), len(a.Hazver))
 	}
-	if len(a.Hazver) == 2 {
-		if st := a.Hazver[0].Stats; st.Units != 0 || st.Skipped == 0 || st.Bursts != 0 {
-			t.Errorf("%s: want every hand-library controller skipped: %+v", a.Hazver[0].Name, st)
-		}
-		if st := a.Hazver[1].Stats; st.Units == 0 || st.Skipped != 0 || st.Bursts == 0 {
-			t.Errorf("%s: want synthesized controllers verified: %+v", a.Hazver[1].Name, st)
-		}
-	}
-	for _, s := range a.Specs {
-		if bmlint.HasErrors(s.Diags) {
-			t.Errorf("%s: paper-design spec has BM errors:\n%s", s.Name, bmlint.Format(s.Diags, s.Name))
+	for _, unit := range []string{"bad.unopt.m: state 0: error: BM004", "bad.opt.m: state 0: error: BM004"} {
+		if !strings.Contains(a.Details(), unit) {
+			t.Errorf("details miss %q:\n%s", unit, a.Details())
 		}
 	}
 }

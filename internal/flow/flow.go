@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"balsabm/internal/bm"
+	"balsabm/internal/bmlint"
 	"balsabm/internal/cell"
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
@@ -411,14 +412,7 @@ func (r *runner) synthesize(comp *ch.Program, sp *bm.Spec, mode techmap.Mode) (*
 		Area:      nl.Area(r.opt.Lib),
 		Critical:  nl.CriticalDelay(r.opt.Lib),
 		Exact:     st.Exact(),
-	}, unit: hazver.Unit{
-		Name:        comp.Name,
-		Vars:        ctrl.Vars,
-		Outputs:     ctrl.Spec.Outputs,
-		StateBits:   ctrl.StateBits,
-		Transitions: ctrl.Transitions,
-		Netlist:     nl,
-	}}, nil
+	}, unit: hazver.ControllerUnit(comp.Name, ctrl, nl)}, nil
 }
 
 // shipped is one component's controller as the flow emits it: the
@@ -628,11 +622,12 @@ func SynthesizeNetlistCtx(ctx context.Context, n *core.Netlist, mode techmap.Mod
 }
 
 // CheckedArm is one arm synthesized once and passed through every
-// checker gate: the mapped controllers and their reports in component
-// order, the netlint report of the merged circuit, the hazver report
-// of the netlists the synthesis shipped, and — for the opt arm — the
-// clustering report.
+// checker gate: the bmlint gate's audit of each component's spec, the
+// mapped controllers and their reports in component order, the netlint
+// report of the merged circuit, the hazver report of the netlists the
+// synthesis shipped, and — for the opt arm — the clustering report.
 type CheckedArm struct {
+	Bmlint      []bmlint.Result
 	Mapped      []*gates.Netlist
 	Controllers []ControllerResult
 	Netlint     netlint.Result
@@ -641,29 +636,31 @@ type CheckedArm struct {
 }
 
 // checkedArm is the gated synthesis of one arm, shared by both arms of
-// runDesign and the daemon's synth executor: the bmlint gate, which
-// compiles every component once, synthesis of every controller from
-// the spec the gate compiled for it, the netlint gate on the merged
-// circuit, and the hazver gate on the shipped netlists. Gate errors
-// abort as a *GateError, unwrapped; non-error findings land on the
-// metrics sink in gate order.
+// runDesign, the daemon's synth executor and the audit: the bmlint
+// gate, which compiles every component once, synthesis of every
+// controller from the spec the gate compiled for it, the netlint gate
+// on the merged circuit, and the hazver gate on the shipped netlists.
+// Gate errors abort as a *GateError, unwrapped, together with the arm
+// as far as it got: the results of every gate that ran, the failing
+// one's included. Non-error findings land on the metrics sink in gate
+// order.
 func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mode) (*CheckedArm, error) {
-	specs, _, err := r.bmlintGate(design, arm, n)
+	c := &CheckedArm{}
+	specs, results, err := r.bmlintGate(design, arm, n)
+	c.Bmlint = results
 	if err != nil {
-		return nil, err
+		return c, err
 	}
 	s, err := r.synthesizeNetlist(n, specs, mode)
 	if err != nil {
-		return nil, err
+		return c, err
 	}
-	c := &CheckedArm{Mapped: s.mapped, Controllers: s.ctrls}
+	c.Mapped, c.Controllers = s.mapped, s.ctrls
 	if c.Netlint, err = NetlintGate(design, arm, s.mapped, r.opt.Lib, r.met); err != nil {
-		return nil, err
+		return c, err
 	}
-	if c.Hazver, err = r.hazverGate(design, arm, s.units); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c.Hazver, err = r.hazverGate(design, arm, s.units)
+	return c, err
 }
 
 // SynthesizeCheckedCtx runs one arm's gated synthesis the way the

@@ -134,14 +134,7 @@ func synthShapeUnit(t testing.TB, comp *ch.Program, mode techmap.Mode, lib *cell
 	if err != nil {
 		t.Fatalf("%s: map: %v", comp.Name, err)
 	}
-	return synthUnit{ctrl: ctrl, nl: nl, unit: hazver.Unit{
-		Name:        comp.Name,
-		Vars:        ctrl.Vars,
-		Outputs:     ctrl.Spec.Outputs,
-		StateBits:   ctrl.StateBits,
-		Transitions: ctrl.Transitions,
-		Netlist:     nl,
-	}}, nil
+	return synthUnit{ctrl: ctrl, nl: nl, unit: hazver.ControllerUnit(comp.Name, ctrl, nl)}, nil
 }
 
 // tamperOutput flips the cell driving the netlist's first primary

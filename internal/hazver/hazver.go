@@ -1,6 +1,6 @@
 // Package hazver implements static gate-level hazard verification of
-// mapped burst-mode controllers — the sixth and final tier of the
-// lint stack (chlint → bmlint → netlint → hazver), and the one that
+// mapped burst-mode controllers — the fourth and final tier of the
+// checker stack (chlint → bmlint → netlint → hazver), and the one that
 // closes the gap between the minimizer's hazard-freedom proof over
 // two-level covers (hfmin.CheckCover) and the multi-level netlist the
 // back-end actually emits.
@@ -46,6 +46,7 @@ import (
 	"balsabm/internal/gates"
 	"balsabm/internal/hfmin"
 	"balsabm/internal/logic"
+	"balsabm/internal/minimalist"
 	"balsabm/internal/parallel"
 )
 
@@ -126,6 +127,20 @@ type Unit struct {
 	StateBits   int
 	Transitions map[string][]hfmin.Transition
 	Netlist     *gates.Netlist
+}
+
+// ControllerUnit is the Unit of a synthesized controller mapped to nl:
+// the bursts minimalist proved its covers hazard-free on, to be checked
+// on the netlist that implements them.
+func ControllerUnit(name string, ctrl *minimalist.Controller, nl *gates.Netlist) Unit {
+	return Unit{
+		Name:        name,
+		Vars:        ctrl.Vars,
+		Outputs:     ctrl.Spec.Outputs,
+		StateBits:   ctrl.StateBits,
+		Transitions: ctrl.Transitions,
+		Netlist:     nl,
+	}
 }
 
 // Options tunes an audit.
@@ -499,6 +514,13 @@ func (a *auditor) runBatch(ev *gates.TernaryEval, b int, out *batchOut) {
 		hi = len(a.passes)
 	}
 	ev.Reset()
+	// The tied-low net is a source at 0, as netlint and the Verilog
+	// treat it; Reset left it at X.
+	if c := a.merged.Const0; c >= 0 {
+		for ln := uint(0); ln < lanes; ln++ {
+			ev.Assign(c, ln, gates.T0)
+		}
+	}
 	for pi := lo; pi < hi; pi++ {
 		p := &a.passes[pi]
 		cube := a.assignment(p)
@@ -548,6 +570,9 @@ func (a *auditor) runBatch(ev *gates.TernaryEval, b int, out *batchOut) {
 func (a *auditor) runInterp(vals, xd []uint8, p *tpass, out *batchOut) {
 	for i := range vals {
 		vals[i] = gates.TX
+	}
+	if c := a.merged.Const0; c >= 0 {
+		vals[c] = gates.T0
 	}
 	fn := &a.fns[p.fn]
 	cube := a.assignment(p)
@@ -724,14 +749,14 @@ func traceX(nl *gates.Netlist, drv []int, forced map[int]bool, net int, at func(
 }
 
 // interpDepth mirrors TernaryEval.DriverXDepth on the interpreted
-// path: the longest chain of X nets feeding the function's driver,
-// plus one when the driver output itself is X.
+// path: the longest chain of X nets feeding the function's driver plus
+// one when the driver output is X, and 0 when it is binary.
 func (a *auditor) interpDepth(vals, xd []uint8, net int, v uint8) int {
-	a.interpXD(vals, xd)
 	di := a.drv[net]
-	if di < 0 {
+	if di < 0 || v != gates.TX {
 		return 0
 	}
+	a.interpXD(vals, xd)
 	best := 0
 	for _, in := range a.merged.Instances[di].Inputs {
 		if vals[in] == gates.TX {
@@ -740,10 +765,7 @@ func (a *auditor) interpDepth(vals, xd []uint8, net int, v uint8) int {
 			}
 		}
 	}
-	if v == gates.TX {
-		best++
-	}
-	return best
+	return best + 1
 }
 
 // interpXD computes per-net X depths into xd by fixed-point sweeps:

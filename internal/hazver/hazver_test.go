@@ -2,14 +2,18 @@ package hazver
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
+	"balsabm/internal/bm"
 	"balsabm/internal/cell"
 	"balsabm/internal/diag"
 	"balsabm/internal/gates"
 	"balsabm/internal/hfmin"
+	"balsabm/internal/minimalist"
 	"balsabm/internal/parallel"
+	"balsabm/internal/techmap"
 )
 
 // unit1 builds a one-output unit over the given variables with the
@@ -256,6 +260,50 @@ func TestCompiledVsInterpretedAgreement(t *testing.T) {
 			}
 			if res.Stats.MaxXDepth != base.Stats.MaxXDepth {
 				t.Fatalf("j=%d interpreted=%v: X depth %d, want %d", j, interp, res.Stats.MaxXDepth, base.Stats.MaxXDepth)
+			}
+		}
+	}
+}
+
+// TestConstZeroIsTiedLow: techmap maps an empty cover — a function the
+// specification never raises — to a buffer of the tied-low net
+// "const0$". hazver holds that net at 0, as netlint and the Verilog do,
+// so pulse's never-toggled output idle verifies clean in both mapping
+// modes on both evaluation paths, while an inverter of the net still
+// evaluates to 1 where the specification requires 0.
+func TestConstZeroIsTiedLow(t *testing.T) {
+	src, err := os.ReadFile("../../cmd/balsabm/testdata/pulse.bms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := bm.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := minimalist.Synthesize(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := cell.AMS035()
+	for _, mode := range []techmap.Mode{techmap.SpeedSplit, techmap.AreaShared} {
+		for _, interp := range []bool{false, true} {
+			nl, err := techmap.MapController(ctrl, mode, lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst := &nl.Instances[nl.Driver(nl.Net("idle"))]
+			if inst.Cell != "BUF" || inst.Inputs[0] != nl.Const0 {
+				t.Fatalf("%s: idle is driven by %s, want BUF const0$", mode, inst.Cell)
+			}
+			audit := func() Result {
+				return Audit("pulse", []Unit{ControllerUnit("pulse", ctrl, nl)}, lib, Options{Interpreted: interp})
+			}
+			if res := audit(); HasErrors(res.Diags) || res.Stats.Compiled == interp {
+				t.Errorf("%s interpreted=%v: %+v\n%s", mode, interp, res.Stats, Format(res.Diags, res.Name))
+			}
+			inst.Cell = "INV"
+			if res := audit(); !diag.HasCode(res.Diags, "HZ003") || diag.HasCode(res.Diags, "HZ001") {
+				t.Errorf("%s interpreted=%v: INV const0$ must be an HZ003 mismatch, not an X:\n%s", mode, interp, Format(res.Diags, res.Name))
 			}
 		}
 	}

@@ -132,6 +132,25 @@ func TestRunSynthRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
+// TestRunSynthCallFragmentNames: a component named like a call
+// fragment ("c#1" beside a 2-way call c) passes the lint gate and
+// synthesizes in opt mode, where the arm once failed with two
+// components named "c#1".
+func TestRunSynthCallFragmentNames(t *testing.T) {
+	const src = `
+(program caller (rep (enc-early (p-to-p passive go) (p-to-p active act))))
+(program c (rep (mutex (enc-early (p-to-p passive act) (p-to-p active x)) (enc-early (p-to-p passive c2) (p-to-p active x)))))
+(program user (rep (enc-early (p-to-p passive x) (p-to-p active out))))
+(program c#1 (rep (enc-early (p-to-p passive go3) (p-to-p active c2))))`
+	res, err := RunSynth(context.Background(), api.JobRequest{Kind: api.KindSynth, Source: src, Mode: api.ModeOpt}, &flow.Metrics{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Synth.Controllers); n != 3 {
+		t.Errorf("opt arm shipped %d controllers, want 3", n)
+	}
+}
+
 func contains(s, sub string) bool {
 	return bytes.Contains([]byte(s), []byte(sub))
 }

@@ -426,12 +426,13 @@ func (r Report) String() string {
 // peephole folds outputs into feedback state); they are validated
 // dynamically by driving them through the specification (package sim).
 //
-// The flow does not run this check: its hazver gate verifies every
-// netlist the flow ships, and hazver's endpoint passes cover every
-// point fundamental mode reaches (flow.TestHazverSubsumesCheckMapped).
-// The remaining callers are balsabm audit's "mapped" checker
-// (flow.AuditDesign), cmd/bmsynth, the root package's AuditMapped and
-// the benchmark's traced replay.
+// No product path runs this check: the flow's hazver gate, balsabm
+// audit, cmd/bmsynth and the root package's AuditMapped all verify
+// mapped netlists with hazver, whose endpoint passes cover every point
+// fundamental mode reaches (flow.TestHazverSubsumesCheckMapped). It
+// stays as the reference of that differential and of the .bms fuzz
+// target FuzzBMSynth (internal/hazver), and for the benchmark's traced
+// replay.
 func CheckMapped(ctrl *minimalist.Controller, nl *gates.Netlist, lib *cell.Library) error {
 	return CheckMappedOpt(ctrl, nl, lib, CheckOptions{})
 }
