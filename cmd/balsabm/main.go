@@ -28,7 +28,8 @@
 //	                          plus the merged circuit; no files: audit
 //	                          every built-in design, both arms. Exit
 //	                          status 1 on NL-errors.
-//	balsabm hazver [file...]  synthesize CH control netlists and run the
+//	balsabm hazver [file...]  synthesize CH control netlists through the
+//	                          bmlint and netlint gates and run the
 //	                          hazver static hazard verification: every
 //	                          specified input burst of every shipped
 //	                          synthesized controller is checked for clean
@@ -581,17 +582,15 @@ func emitChecks(results []checkResult) error {
 }
 
 // designArms checks both arms of every built-in design, unopt and then
-// opt (clustered), through check: the no-argument form of bmlint,
-// netlint and hazver.
-func designArms(ctx context.Context, check func(design, arm string, n *core.Netlist, mode techmap.Mode) (checkResult, error)) ([]checkResult, error) {
+// opt, through check: the no-argument form of bmlint, netlint and
+// hazver. It owns the flow options, so -stats covers every arm.
+func designArms(check func(d *designs.Design, arm string, opt *flow.Options) (checkResult, error)) ([]checkResult, error) {
+	opt, met := flowOptions()
+	defer printStats(met)
 	var results []checkResult
 	for _, d := range designs.All() {
 		for _, arm := range []string{api.ModeUnopt, api.ModeOpt} {
-			n, mode, err := flow.PrepareArm(ctx, d.Control(), arm, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			res, err := check(d.Name, arm, n, mode)
+			res, err := check(d, arm, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -643,22 +642,22 @@ func bmlintCmd(ctx context.Context, args []string) error {
 			return req
 		},
 		func() ([]checkResult, error) {
-			return designArms(ctx, func(design, arm string, n *core.Netlist, _ techmap.Mode) (checkResult, error) {
-				specs, err := flow.BmlintNetlist(n)
+			return designArms(func(d *designs.Design, arm string, opt *flow.Options) (checkResult, error) {
+				specs, err := flow.BmlintNetlist(ctx, arm, d.Control(), opt)
 				if err != nil {
 					return nil, err
 				}
 				res := api.BmlintResult(specs)
-				res.Design, res.Mode = design, arm
+				res.Design, res.Mode = d.Name, arm
 				return res, nil
 			})
 		})
 }
 
-// netlintCmd synthesizes CH control netlists (no simulation) in the arm
-// -mode names and runs the netlint structural audit on every mapped
-// controller plus the merged circuit. With no arguments it audits every
-// built-in design, both arms.
+// netlintCmd runs the checked arm -mode names (no simulation) on CH
+// control netlists and reports its netlint tier: the structural audit
+// of every mapped controller plus the merged circuit. With no arguments
+// it audits every built-in design, both arms.
 func netlintCmd(ctx context.Context, args []string) error {
 	mode, err := armMode("netlint")
 	if err != nil {
@@ -669,23 +668,19 @@ func netlintCmd(ctx context.Context, args []string) error {
 			return api.NetlintRequest{Source: src, Name: fileDesign(file), Mode: mode, Config: api.FlowConfig{Workers: *workersFlag}}
 		},
 		func() ([]checkResult, error) {
-			opt, met := flowOptions()
-			defer printStats(met)
-			return designArms(ctx, func(design, arm string, n *core.Netlist, tm techmap.Mode) (checkResult, error) {
-				ctrls, merged, err := flow.NetlintNetlist(ctx, design, arm, n, tm, opt)
-				if err != nil {
-					return nil, err
-				}
-				return api.NetlintResult(arm, ctrls, merged), nil
+			return designArms(func(d *designs.Design, arm string, opt *flow.Options) (checkResult, error) {
+				c, err := flow.SynthesizeCheckedCtx(ctx, d.Name, arm, d.Control(), opt)
+				return server.NetlintArm(d.Name, arm, c, err)
 			})
 		})
 }
 
-// hazverCmd synthesizes CH control netlists (no simulation) in the arm
-// -mode names and statically verifies every specified input burst of
-// every shipped synthesized controller by ternary analysis of the
-// merged circuit. With no arguments it verifies every built-in design,
-// both arms.
+// hazverCmd runs the checked arm -mode names (no simulation) on CH
+// control netlists and reports its hazver tier: every specified input
+// burst of every shipped synthesized controller statically verified by
+// ternary analysis of the merged circuit. An arm that fails the bmlint
+// or netlint gate first fails the command with that gate's error. With
+// no arguments it verifies every built-in design, both arms.
 func hazverCmd(ctx context.Context, args []string) error {
 	mode, err := armMode("hazver")
 	if err != nil {
@@ -696,14 +691,9 @@ func hazverCmd(ctx context.Context, args []string) error {
 			return api.HazverRequest{Source: src, Name: fileDesign(file), Mode: mode, Config: api.FlowConfig{Workers: *workersFlag}}
 		},
 		func() ([]checkResult, error) {
-			opt, met := flowOptions()
-			defer printStats(met)
-			return designArms(ctx, func(design, arm string, n *core.Netlist, tm techmap.Mode) (checkResult, error) {
-				res, err := flow.HazverNetlist(ctx, design, arm, n, tm, opt)
-				if err != nil {
-					return nil, err
-				}
-				return api.HazverResult(arm, res), nil
+			return designArms(func(d *designs.Design, arm string, opt *flow.Options) (checkResult, error) {
+				c, err := flow.SynthesizeCheckedCtx(ctx, d.Name, arm, d.Control(), opt)
+				return server.HazverArm(arm, c, err)
 			})
 		})
 }

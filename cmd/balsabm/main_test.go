@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -174,6 +175,78 @@ func TestCheckerFlagSpellingsGone(t *testing.T) {
 	for _, f := range []string{"-lint", "-netlint", "-audit"} {
 		if _, _, code := run(t, f, "examples/lint/clean.ch"); code != 2 {
 			t.Errorf("balsabm %s: exit %d, want 2 (undefined flag)", f, code)
+		}
+	}
+}
+
+// TestCheckersAnswerFromCheckedArm: netlint and hazver answer from the
+// flow's checked arm, in process and against a daemon alike. A merged
+// circuit that fails netlint is a netlint finding, but fails hazver
+// with the netlint gate's error; a spec that fails bmlint fails both
+// with the bmlint gate's error. Every case exits 1.
+func TestCheckersAnswerFromCheckedArm(t *testing.T) {
+	s := server.New(server.Config{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer func() {
+		hs.Close()
+		s.Close()
+	}()
+	const (
+		twodrv = "cmd/balsabm/testdata/twodrv.ch"
+		bm004  = "cmd/balsabm/testdata/bm004.ch"
+		nl001  = `twodrv.opt: net "x_r": error: NL001: net has 2 drivers`
+		bm004e = "bmlint: bm004.unopt.m: state 0: error: BM004: "
+	)
+	for _, c := range []struct {
+		args           []string
+		stdout, stderr string // expected substrings; "" expects the stream empty
+	}{
+		{[]string{"-mode", "opt", "netlint", twodrv}, nl001, ""},
+		{[]string{"-mode", "opt", "hazver", twodrv}, "", "netlint: " + nl001},
+		{[]string{"-mode", "unopt", "netlint", bm004}, "", bm004e},
+		{[]string{"-mode", "unopt", "hazver", bm004}, "", bm004e},
+	} {
+		for _, form := range [][]string{nil, {"-server", hs.URL}} {
+			args := append(append([]string{}, form...), c.args...)
+			out, stderr, code := run(t, args...)
+			at := "balsabm " + strings.Join(args, " ")
+			if code != 1 {
+				t.Errorf("%s: exit %d, want 1; stderr:\n%s", at, code, stderr)
+			}
+			for _, stream := range []struct{ name, got, want string }{{"stdout", out, c.stdout}, {"stderr", stderr, c.stderr}} {
+				if stream.want == "" && stream.got != "" || !strings.Contains(stream.got, stream.want) {
+					t.Errorf("%s: %s %q, want it to contain %q", at, stream.name, stream.got, stream.want)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckerStatsShowClustering: the built-in checker forms run each
+// arm the way the flow does, so -stats reports the opt arm's cluster
+// stage; netlint and hazver run every gate of the arm, so it also
+// reports each gate's findings, the other tiers' included.
+func TestCheckerStatsShowClustering(t *testing.T) {
+	gates := []string{"bmlint: stack.opt.", "netlint: stack.opt: info: NL200", "hazver: stack.opt: info: HZ200"}
+	for _, c := range []struct {
+		cmd      string
+		findings []string
+	}{
+		{"bmlint", nil},
+		{"netlint", gates},
+		{"hazver", gates},
+	} {
+		_, stderr, code := run(t, "-stats", c.cmd)
+		if code != 0 {
+			t.Fatalf("balsabm -stats %s: exit %d: %s", c.cmd, code, stderr)
+		}
+		if !regexp.MustCompile(`(?m)^cluster +4 calls`).MatchString(stderr) {
+			t.Errorf("balsabm -stats %s: no cluster stage:\n%s", c.cmd, stderr)
+		}
+		for _, f := range c.findings {
+			if !strings.Contains(stderr, f) {
+				t.Errorf("balsabm -stats %s: lacks %q:\n%s", c.cmd, f, stderr)
+			}
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 	"balsabm/internal/balsa"
 	"balsabm/internal/designs"
-	"balsabm/internal/hc"
 )
 
 func main() {
@@ -66,5 +65,4 @@ func main() {
 	fmt.Print(n.Format())
 	s := n.Stats()
 	fmt.Fprintf(os.Stderr, "balsac: %d control + %d datapath components\n", s.Control, s.Datapath)
-	_ = hc.KSequencer
 }

@@ -122,9 +122,6 @@ func (t Trans) String() string {
 	return fmt.Sprintf("(%s %s %s)", t.Dir, t.Signal, edge)
 }
 
-// Inverse returns the same transition with the opposite edge.
-func (t Trans) Inverse() Trans { t.Rise = !t.Rise; return t }
-
 // Item is one element of an expansion event: a transition, a control
 // keyword inserted by the expansion algorithm (label, goto, bgoto), or
 // an external-input choice between alternative item sequences.

@@ -504,14 +504,6 @@ func TestReplacePToP(t *testing.T) {
 	}
 }
 
-func TestRenameChannel(t *testing.T) {
-	e := mustParse(t, callCH)
-	out := RenameChannel(e, "B", "Z")
-	if CountPToP(out, "B") != 0 || CountPToP(out, "Z") != 2 {
-		t.Fatalf("rename failed: %s", Format(out))
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	e := mustParse(t, callCH)
 	c := e.Clone()
@@ -604,13 +596,6 @@ func TestRepLabelsUnique(t *testing.T) {
 	}
 	if len(labels) != 4 {
 		t.Errorf("got %d labels, want 4 (start+end per loop): %v", len(labels), labels)
-	}
-}
-
-func TestTransInverse(t *testing.T) {
-	tr := Trans{Signal: "x", Dir: In, Rise: true}
-	if inv := tr.Inverse(); inv.Rise || inv.Signal != "x" {
-		t.Fatalf("inverse %v", inv)
 	}
 }
 

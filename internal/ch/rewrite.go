@@ -164,26 +164,3 @@ func ReplacePToP(e Expr, name string, with Expr) (Expr, int) {
 	out := rec(e)
 	return out, count
 }
-
-// RenameChannel returns a copy of e with every channel named old
-// renamed to new (p-to-p, mult and mux channels alike).
-func RenameChannel(e Expr, old, new string) Expr {
-	out := e.Clone()
-	Walk(out, func(x Expr) {
-		switch n := x.(type) {
-		case *Chan:
-			if n.Name == old {
-				n.Name = new
-			}
-		case *MuxAck:
-			if n.Name == old {
-				n.Name = new
-			}
-		case *MuxReq:
-			if n.Name == old {
-				n.Name = new
-			}
-		}
-	})
-	return out
-}

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -174,8 +173,7 @@ func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*Audi
 			return nil, fmt.Errorf("clustering: %w", err)
 		}
 		c, err := r.checkedArm(d.Name, arm, n, mode)
-		var gate interface{ Findings() []Finding }
-		if err != nil && !errors.As(err, &gate) {
+		if c == nil {
 			return nil, fmt.Errorf("%s arm: %w", arm, err)
 		}
 		unit := d.Name + "." + arm + "."
@@ -187,11 +185,7 @@ func AuditDesignCtx(ctx context.Context, d *designs.Design, opt *Options) (*Audi
 			continue // the bmlint gate failed
 		}
 		start = time.Now()
-		for _, nl := range c.Mapped {
-			res := netlint.Audit(nl, r.opt.Lib)
-			res.Name = unit + nl.Name
-			a.Circuits = append(a.Circuits, res)
-		}
+		a.Circuits = append(a.Circuits, NetlintControllers(d.Name, arm, c.Mapped, r.opt.Lib)...)
 		r.met.Timings.Observe("netlint", time.Since(start))
 		a.Circuits = append(a.Circuits, c.Netlint)
 		if c.Hazver.Name != "" { // the netlint gate passed

@@ -49,8 +49,9 @@ func cloneCache(src *MemoryControllerCache) *MemoryControllerCache {
 // edited and the design resynthesized, cold (empty controller cache —
 // every shape synthesized) versus warm (cache seeded by the base
 // design's synthesis — only the edited shape synthesized). Both arms
-// run at the post-clustering grain, exactly what the daemon's opt arm
-// hands to SynthesizeNetlist, and produce byte-identical netlists; the
+// run the checked arm at the post-clustering grain, exactly what the
+// daemon's opt arm runs after clustering, so the bmlint, netlint and
+// hazver gates are timed too, and produce byte-identical netlists; the
 // warm arm additionally reports how many distinct shapes it spliced
 // from the cache.
 func BenchmarkIncrementalEdit(b *testing.B) {
@@ -65,7 +66,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 		}
 		edited := editOneController(b, clustered)
 		seed := NewMemoryControllerCache()
-		if _, _, err := SynthesizeNetlist(clustered, techmap.SpeedSplit,
+		if _, _, err := checkedNetlist(clustered, techmap.SpeedSplit,
 			&Options{Controllers: seed}); err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 					}
 					met := &Metrics{}
 					b.StartTimer()
-					if _, _, err := SynthesizeNetlist(edited, techmap.SpeedSplit,
+					if _, _, err := checkedNetlist(edited, techmap.SpeedSplit,
 						opts(ctl, met)); err != nil {
 						b.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,28 +9,34 @@ import (
 	"balsabm/internal/bmlint"
 	"balsabm/internal/chtobm"
 	"balsabm/internal/core"
-	"balsabm/internal/parallel"
 )
 
-// BmlintNetlist compiles every component of a control netlist to its
+// BmlintNetlist readies a control netlist for one arm the way the flow
+// does (the opt arm clusters it), compiles every component to its
 // Burst-Mode specification (chtobm.CompileLoose, so even specs the
 // final Check would reject reach the analyzer) and audits each,
-// returning one result per component in netlist order. Unlike the
-// flow gate, error findings do not abort: the report is the product.
-func BmlintNetlist(n *core.Netlist) ([]bmlint.Result, error) {
-	_, results, err := bmlintSpecs(n, nil)
+// returning one result per component in netlist order. It synthesizes
+// nothing. Unlike the flow gate, error findings do not abort: the
+// report is the product.
+func BmlintNetlist(ctx context.Context, arm string, n *core.Netlist, opt *Options) ([]bmlint.Result, error) {
+	r := newRunner(ctx, opt)
+	n, _, _, err := r.prepare("", arm, n)
+	if err != nil {
+		return nil, err
+	}
+	_, results, err := r.bmlintSpecs(n)
 	return results, err
 }
 
-// bmlintSpecs is BmlintNetlist keeping the specs: both come back in
-// netlist order. Each compile is observed on tm (nil drops them) as a
-// "compile" stage run, and the audits together as one "bmlint" run.
-func bmlintSpecs(n *core.Netlist, tm *parallel.Timings) ([]*bm.Spec, []bmlint.Result, error) {
+// bmlintSpecs compiles and audits every component of n, returning the
+// specs and their audits in netlist order. Each compile is observed as
+// a "compile" stage run, and the audits together as one "bmlint" run.
+func (r *runner) bmlintSpecs(n *core.Netlist) ([]*bm.Spec, []bmlint.Result, error) {
 	specs := make([]*bm.Spec, len(n.Components))
 	for i, p := range n.Components {
 		start := time.Now()
 		sp, err := chtobm.CompileLoose(p)
-		tm.Observe("compile", time.Since(start))
+		r.met.Timings.Observe("compile", time.Since(start))
 		if err != nil {
 			return nil, nil, fmt.Errorf("bmlint: %s: %w", p.Name, err)
 		}
@@ -40,7 +47,7 @@ func bmlintSpecs(n *core.Netlist, tm *parallel.Timings) ([]*bm.Spec, []bmlint.Re
 	for i, sp := range specs {
 		results[i] = bmlint.Audit(sp)
 	}
-	tm.Observe("bmlint", time.Since(start))
+	r.met.Timings.Observe("bmlint", time.Since(start))
 	return specs, results, nil
 }
 
@@ -80,7 +87,7 @@ func splitSpecs(design, arm string, results []bmlint.Result, met *Metrics) error
 // (bmlint.WellFormedPass). So synthesis takes the gate's specs and
 // compiles nothing itself.
 func (r *runner) bmlintGate(design, arm string, n *core.Netlist) ([]*bm.Spec, []bmlint.Result, error) {
-	specs, results, err := bmlintSpecs(n, &r.met.Timings)
+	specs, results, err := r.bmlintSpecs(n)
 	if err != nil {
 		return nil, nil, err
 	}

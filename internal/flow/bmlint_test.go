@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -14,21 +15,6 @@ import (
 	"balsabm/internal/designs"
 	"balsabm/internal/hazver"
 )
-
-// armControl returns one arm's control netlist: the original for
-// unopt, the clustered one for opt.
-func armControl(t *testing.T, d *designs.Design, arm string) *core.Netlist {
-	t.Helper()
-	n := d.Control()
-	if arm == "opt" {
-		var err error
-		n, _, err = core.OptimizeOpt(n, core.Options{})
-		if err != nil {
-			t.Fatalf("%s: clustering: %v", d.Name, err)
-		}
-	}
-	return n
-}
 
 // TestBmlintGolden audits the compiled Burst-Mode specification of
 // every component of every Table 3 design, both arms, and diffs the
@@ -44,7 +30,7 @@ func TestBmlintGolden(t *testing.T) {
 		t.Run(d.Name, func(t *testing.T) {
 			var sb strings.Builder
 			for _, arm := range []string{"unopt", "opt"} {
-				results, err := BmlintNetlist(armControl(t, d, arm))
+				results, err := BmlintNetlist(context.Background(), arm, d.Control(), nil)
 				if err != nil {
 					t.Fatalf("%s.%s: %v", d.Name, arm, err)
 				}

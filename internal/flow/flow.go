@@ -9,7 +9,12 @@
 //
 // Each controller compiles once outside the clustering probes: the
 // bmlint gate compiles and audits every component's spec, and
-// synthesis takes the gate's spec instead of compiling again.
+// synthesis takes the gate's spec instead of compiling again. One
+// gated arm (bmlint, synthesis, netlint, hazver) is the only way a
+// netlist is synthesized — by the flow, the daemon's synth jobs, the
+// audit and every checker (SynthesizeCheckedCtx) — so every spec that
+// reaches synthesis has passed the bmlint gate, and each checker
+// reports what the flow would ship.
 //
 // The flow is concurrent: controllers synthesize in parallel across a
 // bounded worker pool, the two arms of a design run side by side, and
@@ -22,6 +27,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -32,7 +38,6 @@ import (
 	"balsabm/internal/bmlint"
 	"balsabm/internal/cell"
 	"balsabm/internal/ch"
-	"balsabm/internal/chtobm"
 	"balsabm/internal/core"
 	"balsabm/internal/designs"
 	"balsabm/internal/dpath"
@@ -346,11 +351,11 @@ func newRunner(ctx context.Context, opt *Options) *runner {
 // caching. It is the flow's only synthesis of a controller: the
 // returned entry carries the hazver unit of the netlist it ships, which
 // the hazver gate verifies. sp is comp's spec, compiled by the bmlint
-// gate or by compileAndSynthesize; synthesize compiles nothing. It is a
-// composite task: the hclib lookup and the map stage each take one
-// pool slot, and the per-function minimizations inside
-// minimalist.SynthesizeOpt are individually pool-admitted leaves — no
-// slot is ever held while waiting for another.
+// gate; synthesize compiles nothing. It is a composite task: the hclib
+// lookup and the map stage each take one pool slot, and the
+// per-function minimizations inside minimalist.SynthesizeOpt are
+// individually pool-admitted leaves — no slot is ever held while
+// waiting for another.
 func (r *runner) synthesize(comp *ch.Program, sp *bm.Spec, mode techmap.Mode) (*synthEntry, error) {
 	tm := &r.met.Timings
 	if mode == techmap.AreaShared {
@@ -575,52 +580,6 @@ func (r *runner) synthesizeNetlist(n *core.Netlist, specs []*bm.Spec, mode techm
 	return s, nil
 }
 
-// compileAndSynthesize is synthesizeNetlist for the entry points that
-// run no bmlint gate to hand it the specs: every component first
-// compiles strictly (chtobm.Compile), in netlist order, each observed
-// as a "compile" stage run, so the first compile error in netlist
-// order aborts before any synthesis starts.
-func (r *runner) compileAndSynthesize(n *core.Netlist, mode techmap.Mode) (*synthesis, error) {
-	specs := make([]*bm.Spec, len(n.Components))
-	for i, comp := range n.Components {
-		if err := r.ctx.Err(); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		sp, err := chtobm.Compile(comp)
-		r.met.Timings.Observe("compile", time.Since(start))
-		if err != nil {
-			return nil, fmt.Errorf("flow: %s: %w", comp.Name, err)
-		}
-		specs[i] = sp
-	}
-	return r.synthesizeNetlist(n, specs, mode)
-}
-
-// SynthesizeNetlist compiles, synthesizes and maps every component of a
-// control netlist with the given mapping mode, returning the mapped
-// netlists and per-controller reports.
-//
-// In the baseline (AreaShared) arm, components matching a standard
-// library shape use the hand-optimized gate circuits of package hclib —
-// the counterpart of Balsa's manually designed component library; the
-// rest (e.g. clustered controllers in mixed netlists) fall back to
-// synthesis.
-func SynthesizeNetlist(n *core.Netlist, mode techmap.Mode, opt *Options) ([]*gates.Netlist, []ControllerResult, error) {
-	return SynthesizeNetlistCtx(context.Background(), n, mode, opt)
-}
-
-// SynthesizeNetlistCtx is SynthesizeNetlist with cancellation:
-// component syntheses still waiting for a worker slot when ctx is
-// cancelled are abandoned and the call returns the context's error.
-func SynthesizeNetlistCtx(ctx context.Context, n *core.Netlist, mode techmap.Mode, opt *Options) ([]*gates.Netlist, []ControllerResult, error) {
-	s, err := newRunner(ctx, opt).compileAndSynthesize(n, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.mapped, s.ctrls, nil
-}
-
 // CheckedArm is one arm synthesized once and passed through every
 // checker gate: the bmlint gate's audit of each component's spec, the
 // mapped controllers and their reports in component order, the netlint
@@ -635,17 +594,25 @@ type CheckedArm struct {
 	Report      *core.Report
 }
 
-// checkedArm is the gated synthesis of one arm, shared by both arms of
-// runDesign, the daemon's synth executor and the audit: the bmlint
-// gate, which compiles every component once, synthesis of every
-// controller from the spec the gate compiled for it, the netlint gate
-// on the merged circuit, and the hazver gate on the shipped netlists.
-// Gate errors abort as a *GateError, unwrapped, together with the arm
-// as far as it got: the results of every gate that ran, the failing
-// one's included. Non-error findings land on the metrics sink in gate
-// order.
-func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mode) (*CheckedArm, error) {
-	c := &CheckedArm{}
+// checkedArm is the gated synthesis of one arm and the only synthesis
+// of a netlist, shared by both arms of runDesign, the daemon's synth
+// executor, the audit and every checker: the bmlint gate, which
+// compiles every component once, synthesis of every controller from
+// the spec the gate compiled for it, the netlint gate on the merged
+// circuit, and the hazver gate on the shipped netlists. It returns the
+// arm and a nil error on success; a failing gate's *GateError,
+// unwrapped, together with the arm as far as it got (the results of
+// every gate that ran, the failing one's included); and a nil arm for
+// any other error — a compile or synthesis error, or cancellation.
+// Non-error findings land on the metrics sink in gate order.
+func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mode) (c *CheckedArm, err error) {
+	defer func() {
+		var gate interface{ Findings() []Finding }
+		if err != nil && !errors.As(err, &gate) {
+			c = nil
+		}
+	}()
+	c = &CheckedArm{}
 	specs, results, err := r.bmlintGate(design, arm, n)
 	c.Bmlint = results
 	if err != nil {
@@ -665,11 +632,16 @@ func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mo
 
 // SynthesizeCheckedCtx runs one arm's gated synthesis the way the
 // flow's runDesign does, for callers outside a flow run (the daemon's
-// synth executor): the arm's preparation (clustering for opt,
-// checkpointed to opt.Checkpoint as "<design>/cluster"), then bmlint,
-// synthesis, netlint and hazver, with every controller synthesized
-// once and the checkers verifying what that synthesis shipped.
-// Clustering errors come back unwrapped.
+// synth executor and every checker surface): the arm's preparation
+// (clustering for opt, checkpointed to opt.Checkpoint as
+// "<design>/cluster"), then bmlint, synthesis, netlint and hazver, with
+// every controller synthesized once and the checkers verifying what
+// that synthesis shipped. It is the one way to synthesize a netlist
+// outside a flow run, so every spec that reaches synthesis has passed
+// the bmlint gate. Its results follow checkedArm's contract: the arm
+// on success, the arm as far as it got with a gate's *GateError, and a
+// nil arm for anything else, clustering errors (unwrapped) and
+// cancellation included.
 func SynthesizeCheckedCtx(ctx context.Context, design, arm string, n *core.Netlist, opt *Options) (*CheckedArm, error) {
 	r := newRunner(ctx, opt)
 	n, rep, mode, err := r.prepare(design, arm, n)
@@ -677,19 +649,10 @@ func SynthesizeCheckedCtx(ctx context.Context, design, arm string, n *core.Netli
 		return nil, err
 	}
 	c, err := r.checkedArm(design, arm, n, mode)
-	if err != nil {
-		return nil, err
+	if c != nil {
+		c.Report = rep
 	}
-	c.Report = rep
-	return c, nil
-}
-
-// PrepareArm readies a control netlist for one flow arm: "opt" clusters
-// it (under cl, cancelled with ctx) for speed-split mapping; "unopt"
-// keeps it for area-shared mapping.
-func PrepareArm(ctx context.Context, n *core.Netlist, arm string, cl core.Options) (*core.Netlist, techmap.Mode, error) {
-	n, _, mode, err := newRunner(ctx, &Options{Cluster: cl}).prepare("", arm, n)
-	return n, mode, err
+	return c, err
 }
 
 // prepare readies a control netlist for one arm of the run: the unopt

@@ -1,12 +1,31 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"balsabm/internal/core"
 	"balsabm/internal/designs"
 	"balsabm/internal/dpath"
+	"balsabm/internal/gates"
+	"balsabm/internal/techmap"
 )
+
+// checkedNetlist runs the checked arm of a netlist already readied for
+// mode (SpeedSplit is the opt arm) and returns the controllers it
+// ships and their reports; any error, a gate's included, fails it.
+func checkedNetlist(n *core.Netlist, mode techmap.Mode, opt *Options) ([]*gates.Netlist, []ControllerResult, error) {
+	arm := "unopt"
+	if mode == techmap.SpeedSplit {
+		arm = "opt"
+	}
+	c, err := newRunner(context.Background(), opt).checkedArm("test", arm, n, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.Mapped, c.Controllers, nil
+}
 
 func runDesign(t *testing.T, name string) *DesignResult {
 	t.Helper()

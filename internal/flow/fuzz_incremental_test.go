@@ -122,18 +122,18 @@ func TestFuzzIncrementalEdit(t *testing.T) {
 		workers := rng.Intn(4) + 1
 		ctl := NewMemoryControllerCache()
 		seedMet := &Metrics{}
-		if _, _, err := SynthesizeNetlist(base, techmap.SpeedSplit,
+		if _, _, err := checkedNetlist(base, techmap.SpeedSplit,
 			&Options{Metrics: seedMet, Controllers: ctl, Workers: workers}); err != nil {
 			continue // base not synthesizable; discard the sample
 		}
 
-		scratchMapped, scratchRes, err := SynthesizeNetlist(edited, techmap.SpeedSplit, &Options{Workers: workers})
+		scratchMapped, scratchRes, err := checkedNetlist(edited, techmap.SpeedSplit, &Options{Workers: workers})
 		if err != nil {
 			continue // edit not synthesizable; discard the sample
 		}
 		success++
 		met := &Metrics{}
-		incrMapped, incrRes, err := SynthesizeNetlist(edited, techmap.SpeedSplit,
+		incrMapped, incrRes, err := checkedNetlist(edited, techmap.SpeedSplit,
 			&Options{Metrics: met, Controllers: ctl, Workers: workers})
 		if err != nil {
 			t.Fatalf("iter %d: incremental synthesis: %v", i, err)

@@ -38,20 +38,11 @@ func TestHazverGolden(t *testing.T) {
 		t.Run(d.Name, func(t *testing.T) {
 			var sb strings.Builder
 			for _, arm := range []string{"unopt", "opt"} {
-				n := d.Control()
-				mode := techmap.AreaShared
-				if arm == "opt" {
-					var err error
-					n, _, err = core.OptimizeOpt(n, core.Options{})
-					if err != nil {
-						t.Fatalf("%s: clustering: %v", d.Name, err)
-					}
-					mode = techmap.SpeedSplit
-				}
-				res, err := HazverNetlist(context.Background(), d.Name, arm, n, mode, nil)
+				c, err := SynthesizeCheckedCtx(context.Background(), d.Name, arm, d.Control(), nil)
 				if err != nil {
 					t.Fatalf("%s.%s: %v", d.Name, arm, err)
 				}
+				res := c.Hazver
 				fmt.Fprintf(&sb, "== %s ==\n", res.Name)
 				fmt.Fprintf(&sb, "static: %s\n", res.Stats)
 				sb.WriteString(hazver.Format(res.Diags, res.Name))

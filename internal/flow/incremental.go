@@ -195,6 +195,11 @@ func decodeController(data []byte) (*synthEntry, error) {
 	if len(b.Vars) == 0 {
 		return nil, fmt.Errorf("flow: decode controller: minimized controller lacks its verification provenance")
 	}
+	// Every state bit needs its own transitions entry, so the count is
+	// bounded by the blob's length, not by the number written in it.
+	if b.StateBits < 0 || b.StateBits > len(b.Transitions) {
+		return nil, fmt.Errorf("flow: decode controller: %d state bits for %d transition entries", b.StateBits, len(b.Transitions))
+	}
 	fns := make(map[string]bool, len(b.Outputs)+b.StateBits)
 	for _, o := range b.Outputs {
 		fns[o] = true

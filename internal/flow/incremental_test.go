@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -59,7 +61,7 @@ func parseIncr(t *testing.T, src string) *core.Netlist {
 func synthAll(t *testing.T, src string, ctl ControllerCache, workers int) ([][]byte, []ControllerResult, *Metrics) {
 	t.Helper()
 	met := &Metrics{}
-	mapped, res, err := SynthesizeNetlist(parseIncr(t, src), techmap.SpeedSplit,
+	mapped, res, err := checkedNetlist(parseIncr(t, src), techmap.SpeedSplit,
 		&Options{Metrics: met, Controllers: ctl, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -231,33 +233,7 @@ func TestControllerBlobRequiresProvenance(t *testing.T) {
 	if e.unit.Netlist != e.netlist || len(e.unit.Vars) == 0 || len(e.unit.Transitions) != len(e.unit.Outputs)+e.unit.StateBits {
 		t.Fatalf("decoded unit incomplete: %+v", e.unit)
 	}
-	tamper := func(edit func(b map[string]any)) []byte {
-		var b map[string]any
-		if err := json.Unmarshal(good, &b); err != nil {
-			t.Fatal(err)
-		}
-		edit(b)
-		out, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	firstOutput := e.unit.Outputs[0]
-	for name, blob := range map[string][]byte{
-		"no provenance": tamper(func(b map[string]any) {
-			delete(b, "vars")
-			delete(b, "outputs")
-			delete(b, "stateBits")
-			delete(b, "transitions")
-		}),
-		"missing function": tamper(func(b map[string]any) {
-			delete(b["transitions"].(map[string]any), firstOutput)
-		}),
-		"extra state bit":              tamper(func(b map[string]any) { b["stateBits"] = e.unit.StateBits + 1 }),
-		"short minterm":                tamper(func(b map[string]any) { b["vars"] = append(b["vars"].([]any), "extra") }),
-		"hand library with provenance": tamper(func(b map[string]any) { b["handLibrary"] = true }),
-	} {
+	for name, blob := range rejectedBlobs(t, good) {
 		if _, err := decodeController(blob); err == nil {
 			t.Errorf("%s: decode accepted the blob", name)
 		}
@@ -265,7 +241,7 @@ func TestControllerBlobRequiresProvenance(t *testing.T) {
 
 	// Through the flow: a cached blob without provenance is counted as
 	// corrupt and resynthesized, with byte-identical output.
-	ctl.PutController(key, tamper(func(b map[string]any) { delete(b, "transitions") }))
+	ctl.PutController(key, tamperBlob(t, good, func(b map[string]any) { delete(b, "transitions") }))
 	scratch, _, _ := synthAll(t, incrSource, nil, 0)
 	incr, _, met := synthAll(t, incrSource, ctl, 0)
 	if met.ControllersCorrupt.Load() != 1 || met.ControllersReused.Load() != 1 || met.ControllersResynthesized.Load() != 1 {
@@ -279,12 +255,136 @@ func TestControllerBlobRequiresProvenance(t *testing.T) {
 	}
 }
 
+// tamperBlob returns a controller blob with edit applied to its JSON
+// object.
+func tamperBlob(t testing.TB, blob []byte, edit func(b map[string]any)) []byte {
+	t.Helper()
+	var b map[string]any
+	if err := json.Unmarshal(blob, &b); err != nil {
+		t.Fatal(err)
+	}
+	edit(b)
+	out, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// rejectedBlobs tampers a minimized controller's blob into the shapes
+// decodeController must reject, keyed by what is wrong with each.
+func rejectedBlobs(t testing.TB, good []byte) map[string][]byte {
+	t.Helper()
+	e, err := decodeController(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tamper := func(edit func(b map[string]any)) []byte { return tamperBlob(t, good, edit) }
+	firstOutput := e.unit.Outputs[0]
+	return map[string][]byte{
+		"no provenance": tamper(func(b map[string]any) {
+			delete(b, "vars")
+			delete(b, "outputs")
+			delete(b, "stateBits")
+			delete(b, "transitions")
+		}),
+		"missing function": tamper(func(b map[string]any) {
+			delete(b["transitions"].(map[string]any), firstOutput)
+		}),
+		"extra state bit":              tamper(func(b map[string]any) { b["stateBits"] = e.unit.StateBits + 1 }),
+		"short minterm":                tamper(func(b map[string]any) { b["vars"] = append(b["vars"].([]any), "extra") }),
+		"hand library with provenance": tamper(func(b map[string]any) { b["handLibrary"] = true }),
+		"negative state bits":          tamper(func(b map[string]any) { b["stateBits"] = -1 }),
+	}
+}
+
+// stateBitsBlob is a minimized controller's blob, small and otherwise
+// well formed, that claims the given number of state bits for one
+// output listed twice.
+func stateBitsBlob(t testing.TB, bits int) []byte {
+	t.Helper()
+	nl, err := gates.EncodeJSON(gates.New("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(fmt.Sprintf(`{"wires":["a"],"result":{},"netlist":%s,"vars":["a"],"outputs":["b","b"],"stateBits":%d,"transitions":{"b":[]}}`, nl, bits))
+}
+
+// The state-bit count a blob claims is bounded by its transitions
+// entries, one per state bit: a huge count is rejected before the
+// decode allocates anything sized by it, and a negative one cannot
+// cancel a duplicated output out of the function count.
+func TestControllerBlobStateBitsBound(t *testing.T) {
+	for _, bits := range []int{1 << 30, -1} {
+		blob := stateBitsBlob(t, bits)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeController(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("stateBits %d: decode accepted %s", bits, blob)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("stateBits %d: decoding a %d-byte blob allocated %d bytes", bits, len(blob), n)
+		}
+	}
+}
+
+// FuzzDecodeController feeds controller blobs, the artifacts the
+// controller cache reads back (from a daemon's store, say), through
+// decodeController. No blob may panic the decoder, and one that
+// decodes must survive a round trip: re-encoded, it decodes to an
+// entry that encodes to the same bytes. The seeds are every blob a
+// cold Table 3 run writes, both arms, and the shapes the decoder must
+// reject.
+func FuzzDecodeController(f *testing.F) {
+	ctl := NewMemoryControllerCache()
+	if _, err := RunAll(&Options{Controllers: ctl}); err != nil {
+		f.Fatal(err)
+	}
+	keys := make([]string, 0, ctl.Len())
+	for k := range ctl.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var minimized []byte
+	for _, k := range keys {
+		blob := ctl.m[k]
+		f.Add(blob)
+		if minimized == nil && !bytes.Contains(blob, []byte(`"handLibrary":true`)) {
+			minimized = blob
+		}
+	}
+	for _, blob := range rejectedBlobs(f, minimized) {
+		f.Add(blob)
+	}
+	f.Add(stateBitsBlob(f, 1<<30))
+	f.Add(stateBitsBlob(f, -1))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		e, err := decodeController(blob)
+		if err != nil {
+			return
+		}
+		again, err := encodeController(e)
+		if err != nil {
+			t.Fatalf("decoded entry does not encode: %v", err)
+		}
+		e2, err := decodeController(again)
+		if err != nil {
+			t.Fatalf("re-encoded blob does not decode: %v\n%s", err, again)
+		}
+		if third, err := encodeController(e2); err != nil || !bytes.Equal(third, again) {
+			t.Fatalf("round trip changed the entry (%v):\n%s\n%s", err, again, third)
+		}
+	})
+}
+
 // A hand-library controller's blob says so explicitly and carries no
 // provenance; it round-trips to a unit hazver counts as skipped.
 func TestControllerBlobHandLibrary(t *testing.T) {
 	n := parseIncr(t, incrSource)
 	ctl := NewMemoryControllerCache()
-	if _, _, err := SynthesizeNetlist(n, techmap.AreaShared, &Options{Controllers: ctl}); err != nil {
+	if _, _, err := checkedNetlist(n, techmap.AreaShared, &Options{Controllers: ctl}); err != nil {
 		t.Fatal(err)
 	}
 	canon, ok := ch.CanonicalizeProgram(n.Components[0])

@@ -1,14 +1,11 @@
 package flow
 
 import (
-	"context"
 	"time"
 
 	"balsabm/internal/cell"
-	"balsabm/internal/core"
 	"balsabm/internal/gates"
 	"balsabm/internal/netlint"
-	"balsabm/internal/techmap"
 )
 
 // NetlintMerged merges one arm's mapped controllers into a single
@@ -33,27 +30,16 @@ func NetlintGate(design, arm string, mapped []*gates.Netlist, lib *cell.Library,
 	return res, split(met, TierNetlint, Site{Design: design, Arm: arm}, res.Diags)
 }
 
-// NetlintNetlist maps every component of a control netlist (no
-// simulation, no benchmark) and audits each mapped controller plus the
-// merged circuit, naming them "<design>.<arm>.<controller>" and
-// "<design>.<arm>". Unlike the flow gate, error findings do not abort:
-// the report is the product. Callers wanting the optimized arm cluster
-// the netlist first (PrepareArm) and pass techmap.SpeedSplit.
-func NetlintNetlist(ctx context.Context, design, arm string, n *core.Netlist, mode techmap.Mode, opt *Options) ([]netlint.Result, netlint.Result, error) {
-	r := newRunner(ctx, opt)
-	s, err := r.compileAndSynthesize(n, mode)
-	if err != nil {
-		return nil, netlint.Result{}, err
+// NetlintControllers audits each of an arm's mapped controllers on its
+// own, in component order, naming each "<design>.<arm>.<controller>".
+// With the arm's merged circuit (CheckedArm.Netlint) these are the rows
+// the netlint checker and the audit report; the flow gates on the
+// merged circuit alone.
+func NetlintControllers(design, arm string, mapped []*gates.Netlist, lib *cell.Library) []netlint.Result {
+	out := make([]netlint.Result, len(mapped))
+	for i, nl := range mapped {
+		out[i] = netlint.Audit(nl, lib)
+		out[i].Name = design + "." + arm + "." + nl.Name
 	}
-	mapped := s.mapped
-	start := time.Now()
-	ctrls := make([]netlint.Result, 0, len(mapped))
-	for _, nl := range mapped {
-		res := netlint.Audit(nl, r.opt.Lib)
-		res.Name = design + "." + arm + "." + nl.Name
-		ctrls = append(ctrls, res)
-	}
-	merged := NetlintMerged(design, arm, mapped, r.opt.Lib)
-	r.met.Timings.Observe("netlint", time.Since(start))
-	return ctrls, merged, nil
+	return out
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -14,32 +15,21 @@ import (
 	"balsabm/internal/designs"
 	"balsabm/internal/gates"
 	"balsabm/internal/netlint"
-	"balsabm/internal/techmap"
 )
 
 var updateNetlint = flag.Bool("update", false, "rewrite the golden files under examples/{bmlint,netlint,hazver} and internal/hfmin/testdata/table3.hfp")
 
-// armNetlists synthesizes one arm of a design and returns the mapped
-// controllers: the unopt arm maps the original control netlist
-// area-shared; the opt arm clusters (with the given state limit) and
-// maps speed-split.
+// armNetlists runs one arm of a design through the checked arm (the
+// opt arm clustered with the given state limit) and returns the mapped
+// controllers, also when a netlint or hazver gate fails on them.
 func armNetlists(t *testing.T, d *designs.Design, arm string, maxStates int) []*gates.Netlist {
 	t.Helper()
-	n := d.Control()
-	mode := techmap.AreaShared
-	if arm == "opt" {
-		var err error
-		n, _, err = core.OptimizeOpt(n, core.Options{MaxStates: maxStates})
-		if err != nil {
-			t.Fatalf("%s: clustering: %v", d.Name, err)
-		}
-		mode = techmap.SpeedSplit
-	}
-	mapped, _, err := SynthesizeNetlist(n, mode, nil)
-	if err != nil {
+	opt := &Options{Cluster: core.Options{MaxStates: maxStates}}
+	c, err := SynthesizeCheckedCtx(context.Background(), d.Name, arm, d.Control(), opt)
+	if c == nil || c.Mapped == nil {
 		t.Fatalf("%s.%s: synthesis: %v", d.Name, arm, err)
 	}
-	return mapped
+	return c.Mapped
 }
 
 // TestNetlintGolden audits the merged circuit of every Table 3 design,

@@ -54,7 +54,7 @@ func TestSynthesisCacheDeduplicates(t *testing.T) {
 		parseComponent(t, "s3", `(rep (enc-early (p-to-p passive G) (seq (p-to-p active H) (p-to-p active I))))`),
 	}}
 	met := &Metrics{}
-	mapped, results, err := SynthesizeNetlist(n, techmap.SpeedSplit, &Options{Metrics: met})
+	mapped, results, err := checkedNetlist(n, techmap.SpeedSplit, &Options{Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSynthesisCacheRespectsWireOrder(t *testing.T) {
 		parseComponent(t, "s2", `(rep (enc-early (p-to-p passive B) (seq (p-to-p active C1) (p-to-p active C2))))`),
 	}}
 	met := &Metrics{}
-	if _, _, err := SynthesizeNetlist(n, techmap.SpeedSplit, &Options{Metrics: met}); err != nil {
+	if _, _, err := checkedNetlist(n, techmap.SpeedSplit, &Options{Metrics: met}); err != nil {
 		t.Fatal(err)
 	}
 	if met.CacheMisses.Load() != 2 || met.CacheHits.Load() != 0 {

@@ -233,7 +233,10 @@ type fnInfo struct {
 // Audit statically verifies every specified burst of every unit
 // against the merged mapped circuit and returns all findings plus the
 // static report. The result is deterministic — independent of worker
-// count and pool scheduling.
+// count and pool scheduling. An audit whose opt.Ctx ends before it
+// finishes returns an incomplete result: passes that never ran report
+// nothing, yet Stats still counts every scheduled pass. Callers check
+// opt.Ctx.Err() after the call and discard such a result.
 func Audit(name string, units []Unit, lib *cell.Library, opt Options) Result {
 	ctx := opt.Ctx
 	if ctx == nil {

@@ -10,7 +10,6 @@ package hc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"balsabm/internal/chmap"
@@ -202,18 +201,6 @@ func (n *Netlist) Build(b *dpath.Builder) error {
 	return nil
 }
 
-// Memories returns the memory components (for program loading in
-// benchmarks).
-func (n *Netlist) Memories() []*Component {
-	var out []*Component
-	for _, c := range n.Components {
-		if c.Kind == KMemory {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Stats summarizes the netlist.
 type Stats struct {
 	Control  int
@@ -276,41 +263,4 @@ func (n *Netlist) Format() string {
 	}
 	sb.WriteString(")\n")
 	return sb.String()
-}
-
-// ChannelUsers maps each channel to the component names touching it
-// (for diagnostics and tests).
-func (n *Netlist) ChannelUsers() map[string][]string {
-	users := map[string][]string{}
-	add := func(ch, comp string) {
-		if ch != "" {
-			users[ch] = append(users[ch], comp)
-		}
-	}
-	for _, c := range n.Components {
-		add(c.Act, c.Name)
-		for _, s := range c.Subs {
-			add(s, c.Name)
-		}
-		add(c.Write, c.Name)
-		for _, r := range c.Reads {
-			add(r, c.Name)
-		}
-		add(c.Src, c.Name)
-		add(c.Dst, c.Name)
-		add(c.Out, c.Name)
-		for _, i := range c.Ins {
-			add(i, c.Name)
-		}
-		add(c.Sel, c.Name)
-		for _, o := range c.Outs {
-			add(o, c.Name)
-		}
-		add(c.Addr, c.Name)
-		add(c.Data, c.Name)
-	}
-	for ch := range users {
-		sort.Strings(users[ch])
-	}
-	return users
 }

@@ -147,19 +147,4 @@ func TestFormatAndUsers(t *testing.T) {
 			t.Fatalf("missing %q in:\n%s", want, text)
 		}
 	}
-	users := n.ChannelUsers()
-	if len(users["f1"]) != 2 { // sequencer + fetch
-		t.Fatalf("f1 users: %v", users["f1"])
-	}
-	if len(users["v.w"]) != 2 { // variable + fetch
-		t.Fatalf("v.w users: %v", users["v.w"])
-	}
-}
-
-func TestMemories(t *testing.T) {
-	n := &Netlist{Name: "m"}
-	n.Add(&Component{Kind: KMemory, Name: "ram", Width: 8, Size: 4})
-	if len(n.Memories()) != 1 {
-		t.Fatal("memory not listed")
-	}
 }

@@ -13,11 +13,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"balsabm/internal/cell"
 	"balsabm/internal/ch"
 	"balsabm/internal/core"
 	"balsabm/internal/flow"
 	"balsabm/internal/netlint"
-	"balsabm/internal/techmap"
 )
 
 // genLegal mirrors the chtobm fuzzers' generator: CH expressions legal
@@ -99,6 +99,22 @@ func requireClean(t *testing.T, fuzz int, ctrls []netlint.Result, merged netlint
 	}
 }
 
+// auditArm runs one arm of n through the flow's checked synthesis and
+// requires every controller it mapped, and their merged circuit, free
+// of NL-errors — also when a netlint or hazver gate failed the arm. It
+// reports false when the arm stopped before mapping (the flow rejected
+// the program, so nothing was emitted to audit).
+func auditArm(t *testing.T, fuzz int, n *core.Netlist, arm string) bool {
+	t.Helper()
+	c, err := flow.SynthesizeCheckedCtx(context.Background(), "fuzz", arm, n, nil)
+	if c == nil || c.Mapped == nil {
+		t.Logf("fuzz %d: flow rejected the program (%v); nothing emitted, nothing to audit", fuzz, err)
+		return false
+	}
+	requireClean(t, fuzz, flow.NetlintControllers("fuzz", arm, c.Mapped, cell.AMS035()), c.Netlint)
+	return true
+}
+
 // TestFuzzFlowCircuitsPassNetlint: unoptimized arm — every generated
 // legal netlist maps to controllers and a merged circuit with zero
 // NL-errors.
@@ -108,7 +124,6 @@ func TestFuzzFlowCircuitsPassNetlint(t *testing.T) {
 		iters = 8
 	}
 	rng := rand.New(rand.NewSource(19991123))
-	ctx := context.Background()
 	skipped := 0
 	for i := 0; i < iters; i++ {
 		g := &genLegal{rng: rng}
@@ -116,13 +131,9 @@ func TestFuzzFlowCircuitsPassNetlint(t *testing.T) {
 			genComponent(g, "a", rng.Intn(3)+1),
 			genComponent(g, "b", rng.Intn(2)+1),
 		}}
-		ctrls, merged, err := flow.NetlintNetlist(ctx, "fuzz", "unopt", n, techmap.AreaShared, nil)
-		if err != nil {
-			t.Logf("fuzz %d: flow rejected the program (%v); nothing emitted, nothing to audit", i, err)
+		if !auditArm(t, i, n, "unopt") {
 			skipped++
-			continue
 		}
-		requireClean(t, i, ctrls, merged)
 	}
 	if skipped > iters/3 {
 		t.Fatalf("generator too often unsynthesizable: %d/%d skipped", skipped, iters)
@@ -146,17 +157,12 @@ func TestFuzzClusteredCircuitsPassNetlint(t *testing.T) {
 			genComponent(g, "a", rng.Intn(2)+1),
 			genComponent(g, "b", rng.Intn(2)+1),
 		}}
-		opt, _, err := core.OptimizeOpt(n, core.Options{Ctx: ctx})
-		if err != nil {
+		if _, _, err := core.OptimizeOpt(n, core.Options{Ctx: ctx}); err != nil {
 			t.Fatalf("fuzz %d: clustering failed: %v\n%s", i, err, n.Format())
 		}
-		ctrls, merged, err := flow.NetlintNetlist(ctx, "fuzz", "opt", opt, techmap.SpeedSplit, nil)
-		if err != nil {
-			t.Logf("fuzz %d: flow rejected the program (%v); nothing emitted, nothing to audit", i, err)
+		if !auditArm(t, i, n, "opt") {
 			skipped++
-			continue
 		}
-		requireClean(t, i, ctrls, merged)
 	}
 	if skipped > iters/3 {
 		t.Fatalf("generator too often unsynthesizable: %d/%d skipped", skipped, iters)

@@ -9,9 +9,8 @@ import (
 	"balsabm/internal/analysis"
 	"balsabm/internal/api"
 	"balsabm/internal/bmlint"
-	"balsabm/internal/core"
+	"balsabm/internal/cell"
 	"balsabm/internal/flow"
-	"balsabm/internal/techmap"
 )
 
 // Checker is one synchronous checker tier as every surface exposes it:
@@ -19,8 +18,12 @@ import (
 // Run's result, Call posts a Req from the Go client, and the balsabm
 // CLI runs Run in process or Call against a daemon. Every path goes
 // through the same Run and the shared api encoder, so all of them
-// answer byte-identical bodies. Error-severity findings are reported,
-// not failed: the report is the product.
+// answer byte-identical bodies. A tier's own error-severity findings
+// are reported, not failed: the report is the product. The netlint and
+// hazver tiers answer from the flow's checked arm
+// (flow.SynthesizeCheckedCtx), so a gate that arm passes through before
+// theirs — bmlint for both, netlint for hazver — fails the request
+// with its error, as it would fail the flow.
 type Checker[Req, Res any] struct {
 	Name string
 	Run  func(context.Context, Req) (Res, error)
@@ -71,8 +74,9 @@ func RunLint(_ context.Context, req api.LintRequest) (*api.LintResultJSON, error
 }
 
 // RunBmlint compiles a submitted design's components to Burst-Mode
-// specifications and audits each with bmlint — or, for Format "bms",
-// lints a single spec directly.
+// specifications as written (the unopt arm) and audits each with
+// bmlint — or, for Format "bms", lints a single spec directly. It
+// synthesizes nothing.
 func RunBmlint(ctx context.Context, req api.BmlintRequest) (*api.BmlintResultJSON, error) {
 	if req.Format == api.FormatBMS {
 		if strings.TrimSpace(req.Source) == "" {
@@ -88,71 +92,70 @@ func RunBmlint(ctx context.Context, req api.BmlintRequest) (*api.BmlintResultJSO
 	if err != nil {
 		return nil, err
 	}
-	specs, err := flow.BmlintNetlist(n)
+	specs, err := flow.BmlintNetlist(ctx, api.ModeUnopt, n, nil)
 	if err != nil {
 		return nil, err
 	}
 	return api.BmlintResult(specs), nil
 }
 
-// RunNetlint synthesizes a submitted design without simulation in the
-// requested arm and audits every mapped controller plus the merged
-// circuit.
+// RunNetlint runs a submitted design's checked arm (no simulation) in
+// the requested arm and answers its netlint tier (see NetlintArm).
 func RunNetlint(ctx context.Context, req api.NetlintRequest) (*api.NetlintResultJSON, error) {
-	a, err := prepareArm(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	ctrls, merged, err := flow.NetlintNetlist(ctx, a.name, a.arm, a.n, a.mode, req.Config.Options(nil))
-	if err != nil {
-		return nil, err
-	}
-	return api.NetlintResult(a.arm, ctrls, merged), nil
+	c, name, arm, err := checkArm(ctx, req)
+	return NetlintArm(name, arm, c, err)
 }
 
-// RunHazver synthesizes a submitted design without simulation in the
-// requested arm and statically verifies the shipped logic of each
-// distinct controller shape hazard-free on every specified burst by
-// two-pass ternary evaluation (hand-library circuits are reported
-// skipped).
+// RunHazver runs a submitted design's checked arm (no simulation) in
+// the requested arm and answers its hazver tier (see HazverArm): the
+// shipped logic of each distinct controller shape statically verified
+// hazard-free on every specified burst by two-pass ternary evaluation,
+// hand-library circuits reported skipped.
 func RunHazver(ctx context.Context, req api.HazverRequest) (*api.HazverResultJSON, error) {
-	a, err := prepareArm(ctx, api.NetlintRequest(req))
-	if err != nil {
-		return nil, err
-	}
-	res, err := flow.HazverNetlist(ctx, a.name, a.arm, a.n, a.mode, req.Config.Options(nil))
-	if err != nil {
-		return nil, err
-	}
-	return api.HazverResult(a.arm, res), nil
+	c, _, arm, err := checkArm(ctx, api.NetlintRequest(req))
+	return HazverArm(arm, c, err)
 }
 
-// armSource is a submitted design readied for one arm: its control
-// netlist (clustered for opt), design name, arm and mapping mode.
-type armSource struct {
-	n         *core.Netlist
-	name, arm string
-	mode      techmap.Mode
+// NetlintArm is the netlint checker's answer from a checked arm and its
+// error, as flow.SynthesizeCheckedCtx returns them: every mapped
+// controller's audit, named "<design>.<arm>.<controller>", plus the
+// merged circuit's, whenever the arm got as far as mapping — so a
+// failing netlint or hazver gate still reports the netlint rows.
+// Otherwise it answers the arm's error.
+func NetlintArm(design, arm string, c *flow.CheckedArm, err error) (*api.NetlintResultJSON, error) {
+	if c == nil || c.Mapped == nil {
+		return nil, err
+	}
+	return api.NetlintResult(arm, flow.NetlintControllers(design, arm, c.Mapped, cell.AMS035()), c.Netlint), nil
 }
 
-// prepareArm is the preparation RunNetlint and RunHazver share (their
-// requests carry the same fields): parse the source, resolve the arm
-// (default opt), default the design name, and cluster for the opt arm.
-func prepareArm(ctx context.Context, req api.NetlintRequest) (*armSource, error) {
+// HazverArm is the hazver checker's answer from a checked arm and its
+// error: the arm's hazver report whenever the hazver gate ran, failing
+// or not. Otherwise — an earlier gate failed, or the run broke or was
+// cancelled — it answers the arm's error.
+func HazverArm(arm string, c *flow.CheckedArm, err error) (*api.HazverResultJSON, error) {
+	if c == nil || c.Hazver.Name == "" {
+		return nil, err
+	}
+	return api.HazverResult(arm, c.Hazver), nil
+}
+
+// checkArm is the checked arm RunNetlint and RunHazver answer from
+// (their requests carry the same fields): parse the source, resolve the
+// arm (default opt) and the design name (default "design"), and run
+// flow.SynthesizeCheckedCtx, whose results it passes through.
+func checkArm(ctx context.Context, req api.NetlintRequest) (c *flow.CheckedArm, name, arm string, err error) {
 	n, err := parseSource(api.JobRequest{Source: req.Source, Format: req.Format, Name: req.Name})
 	if err != nil {
-		return nil, err
+		return nil, "", "", err
 	}
-	a := &armSource{name: req.Name}
-	if a.arm, err = synthMode(req.Mode); err != nil {
-		return nil, err
+	if arm, err = synthMode(req.Mode); err != nil {
+		return nil, "", "", err
 	}
-	if a.name == "" {
-		a.name = "design"
+	name = req.Name
+	if name == "" {
+		name = "design"
 	}
-	a.n, a.mode, err = flow.PrepareArm(ctx, n, a.arm, core.Options{MaxStates: req.Config.MaxStates})
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	c, err = flow.SynthesizeCheckedCtx(ctx, name, arm, n, req.Config.Options(nil))
+	return c, name, arm, err
 }

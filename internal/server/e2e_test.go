@@ -9,7 +9,6 @@ import (
 
 	"balsabm/internal/api"
 	"balsabm/internal/cell"
-	"balsabm/internal/core"
 	"balsabm/internal/designs"
 	"balsabm/internal/flow"
 	"balsabm/internal/techmap"
@@ -112,16 +111,13 @@ func TestE2ESynthByteIdenticalNetlists(t *testing.T) {
 	control := designs.SystolicCounter().Control()
 	source := control.Format()
 
-	// In-process reference: cluster, synthesize speed-split, emit
-	// Verilog per controller.
-	optimized, _, err := core.OptimizeOpt(control, core.Options{})
+	// In-process reference: the opt arm's checked synthesis (clustering,
+	// speed-split mapping, every gate), Verilog per controller.
+	arm, err := flow.SynthesizeCheckedCtx(ctx, "reference", api.ModeOpt, control, &flow.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, ctrls, err := flow.SynthesizeNetlist(optimized, techmap.SpeedSplit, &flow.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped, ctrls := arm.Mapped, arm.Controllers
 	lib := cell.AMS035()
 
 	res, err := c.Run(ctx, api.JobRequest{Kind: api.KindSynth, Source: source,
