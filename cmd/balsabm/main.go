@@ -12,15 +12,26 @@
 //	balsabm fig5              call distribution example (Fig 5)
 //	balsabm verify            Section 4.3 conformance experiment
 //	balsabm flow <design>     detailed per-controller flow report
-//	balsabm lint [file...]    run the chlint analyzer on CH source files
-//	                          (no files: lint every built-in design).
-//	                          Exit status 1 when errors are reported.
+//	balsabm lint [file...]    run the chlint analyzer on CH source files:
+//	                          netlists or single bare expressions (no
+//	                          files: lint every built-in design); CH001
+//	                          reports every Table 1 violation. Exit
+//	                          status 1 when errors are reported.
+//	balsabm expand <file.ch>  print the four-phase expansion (Table 2) of
+//	                          every component
+//	balsabm pn <file.ch>      translate every component to a 1-safe Petri
+//	                          net (the paper's future-work backend style)
+//	                          and count its reachable markings, up to
+//	                          1,000,000
 //	balsabm bmlint [file...]  compile CH control netlists to Burst-Mode
 //	                          specifications and run the bmlint analyzer
 //	                          on each (files ending in .bms are linted
 //	                          directly as specs); no files: audit every
 //	                          built-in design, both arms. Exit status 1
-//	                          on BM-errors.
+//	                          on BM-errors. Here and in synth, netlint
+//	                          and hazver, a file ending in .balsa is
+//	                          Balsa source, compiled to its control
+//	                          netlist first.
 //	balsabm netlint [file...] synthesize CH control netlists (no
 //	                          simulation) in the arm named by -mode
 //	                          (default opt) and run the netlint
@@ -58,9 +69,24 @@
 //	                          names the design file this one is an edit
 //	                          of (or, with -server, a prior job ID) and
 //	                          -data-dir makes the cache durable.
-//	balsabm artifacts <design> <dir>
-//	                          write the Fig 1 file pipeline (.bms, .sol,
-//	                          .v per controller, both arms) into dir
+//	balsabm artifacts <design|file.ch|file.balsa|file.bms> <dir>
+//	                          write the Fig 1 file pipeline into dir
+//	                          from what the flow ships, in process only.
+//	                          A design or netlist runs through the lint
+//	                          gate and both checked arms, as synth does;
+//	                          a gate error fails the command and writes
+//	                          nothing. Then it writes <name>.<arm>.ch
+//	                          (the netlist each arm synthesized; a
+//	                          .balsa file also writes <name>.breeze) and
+//	                          per controller <ctl>.<arm>.bms (the bmlint
+//	                          gate's spec), <ctl>.<arm>.sol (Minimalist
+//	                          on that spec; none for a hand-library
+//	                          circuit) and <ctl>.<arm>.v (the shipped
+//	                          Verilog). A .bms spec runs through bmlint
+//	                          and Minimalist, is mapped in both modes and
+//	                          checked — hazver on speed-split, netlint on
+//	                          both — and writes <name>.sol; exit status
+//	                          1 on a checker error.
 //	balsabm cache <stats|gc|verify> <data-dir> [max-bytes]
 //	                          inspect or maintain a balsabmd data
 //	                          directory offline: stats summarizes
@@ -87,18 +113,18 @@
 //	          thin-client mode: run table3, flow, synth and the file
 //	          forms of lint, bmlint, netlint and hazver on a balsabmd
 //	          daemon at URL instead of in process. The built-in-design
-//	          forms of the checkers and audit run in process only and
-//	          reject -server.
+//	          forms of the checkers, audit and artifacts run in process
+//	          only and reject -server.
 //	-mode opt|unopt
 //	          the arm synth, netlint and hazver synthesize files in:
 //	          opt (clustering + speed-split mapping, the default) or
 //	          unopt (the baseline)
 //	-incremental
 //	          attach the controller-grain synthesis cache to flow runs
-//	          (synth, table3, flow, audit): controllers whose canonical
-//	          subtree is already cached splice in instead of
-//	          resynthesizing. Results are byte-identical either way;
-//	          -stats shows the reused/resynthesized split.
+//	          (synth, table3, flow, audit, artifacts): controllers
+//	          whose canonical subtree is already cached splice in
+//	          instead of resynthesizing. Results are byte-identical
+//	          either way; -stats shows the reused/resynthesized split.
 //	-base PATH|JOBID
 //	          the design this run is an edit of: a CH file locally, a
 //	          prior job ID with -server. Locally the base is
@@ -135,13 +161,20 @@ import (
 
 	"balsabm/internal/analysis"
 	"balsabm/internal/api"
+	"balsabm/internal/balsa"
+	"balsabm/internal/bm"
+	"balsabm/internal/bmlint"
 	"balsabm/internal/cell"
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
 	"balsabm/internal/core"
 	"balsabm/internal/designs"
+	"balsabm/internal/diag"
 	"balsabm/internal/flow"
+	"balsabm/internal/hazver"
 	"balsabm/internal/minimalist"
+	"balsabm/internal/netlint"
+	"balsabm/internal/petri"
 	"balsabm/internal/server"
 	"balsabm/internal/store"
 	"balsabm/internal/techmap"
@@ -299,7 +332,11 @@ func main() {
 	case "synth":
 		err = synthCmd(ctx, args)
 	case "artifacts":
-		err = artifacts(args)
+		err = artifacts(ctx, args)
+	case "expand":
+		err = expandCmd(args)
+	case "pn":
+		err = pnCmd(args)
 	case "cache":
 		err = cacheCmd(args)
 	case "designs":
@@ -326,7 +363,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: balsabm [-j N] [-stats] [-json] [-server URL] [-incremental] [-base PATH|JOBID] [-data-dir DIR] [-cpuprofile FILE] [-memprofile FILE] <table1|table2|table3|fig2|fig3|fig4|fig5|verify|flow|synth|lint|bmlint|netlint|hazver|audit|artifacts|cache|designs> [args]`)
+	fmt.Fprintln(os.Stderr, `usage: balsabm [-j N] [-stats] [-json] [-server URL] [-incremental] [-base PATH|JOBID] [-data-dir DIR] [-cpuprofile FILE] [-memprofile FILE] <table1|table2|table3|fig2|fig3|fig4|fig5|verify|flow|synth|lint|expand|pn|bmlint|netlint|hazver|audit|artifacts|cache|designs> [args]`)
 	flag.PrintDefaults()
 }
 
@@ -422,7 +459,7 @@ func cacheCmd(args []string) error {
 // a prior job ID forwarded as baseJobID.
 func synthCmd(ctx context.Context, args []string) error {
 	if len(args) != 1 {
-		return fmt.Errorf("usage: balsabm synth <file.ch>")
+		return fmt.Errorf("usage: balsabm synth <file.ch|file.balsa>")
 	}
 	mode, err := armMode("synth")
 	if err != nil {
@@ -434,11 +471,8 @@ func synthCmd(ctx context.Context, args []string) error {
 	}
 	if *serverFlag != "" {
 		c := server.NewClient(*serverFlag)
-		req := api.JobRequest{
-			Kind: api.KindSynth, Source: string(data), Mode: mode,
-			Config:    api.FlowConfig{Workers: *workersFlag},
-			BaseJobID: *baseFlag,
-		}
+		req := synthRequest(args[0], string(data), mode)
+		req.BaseJobID = *baseFlag
 		res, err := c.Run(ctx, req)
 		if err != nil {
 			return err
@@ -448,7 +482,6 @@ func synthCmd(ctx context.Context, args []string) error {
 	met := &flow.Metrics{}
 	defer printStats(met)
 	ctl := controllerCache()
-	cfg := api.FlowConfig{Workers: *workersFlag}
 	if *baseFlag != "" {
 		if ctl == nil {
 			return fmt.Errorf("synth: -base requires -incremental")
@@ -467,12 +500,11 @@ func synthCmd(ctx context.Context, args []string) error {
 		// Seed the cache from the base design; its result is
 		// discarded and its metrics kept separate so -stats reports
 		// the edited design's reuse split, not the seeding pass.
-		seedReq := api.JobRequest{Kind: api.KindSynth, Source: string(baseData), Mode: mode, Config: cfg}
-		if _, err := server.RunSynth(ctx, seedReq, &flow.Metrics{}, ctl); err != nil {
+		if _, err := server.RunSynth(ctx, synthRequest(*baseFlag, string(baseData), mode), &flow.Metrics{}, ctl); err != nil {
 			return fmt.Errorf("synth: base %s: %w", *baseFlag, err)
 		}
 	}
-	res, err := server.RunSynth(ctx, api.JobRequest{Kind: api.KindSynth, Source: string(data), Mode: mode, Config: cfg}, met, ctl)
+	res, err := server.RunSynth(ctx, synthRequest(args[0], string(data), mode), met, ctl)
 	if err != nil {
 		return err
 	}
@@ -614,6 +646,26 @@ func fileDesign(file string) string {
 	return strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
 }
 
+// sourceFormat is the request format a file's extension names: a .bms
+// spec, Balsa source, or by default a CH netlist.
+func sourceFormat(file string) string {
+	switch filepath.Ext(file) {
+	case ".bms":
+		return api.FormatBMS
+	case ".balsa":
+		return api.FormatBalsa
+	}
+	return ""
+}
+
+// synthRequest is the synth job for one source file in the -mode arm.
+func synthRequest(file, src, mode string) api.JobRequest {
+	return api.JobRequest{
+		Kind: api.KindSynth, Source: src, Format: sourceFormat(file), Name: fileDesign(file),
+		Mode: mode, Config: api.FlowConfig{Workers: *workersFlag},
+	}
+}
+
 // lintCmd runs the chlint analyzer on CH source files, or on the
 // control netlists of every built-in design.
 func lintCmd(ctx context.Context, args []string) error {
@@ -635,11 +687,7 @@ func lintCmd(ctx context.Context, args []string) error {
 func bmlintCmd(ctx context.Context, args []string) error {
 	return checkCmd(ctx, server.Bmlint, args,
 		func(file, src string) api.BmlintRequest {
-			req := api.BmlintRequest{Source: src, Name: fileDesign(file)}
-			if filepath.Ext(file) == ".bms" {
-				req.Format = api.FormatBMS
-			}
-			return req
+			return api.BmlintRequest{Source: src, Format: sourceFormat(file), Name: fileDesign(file)}
 		},
 		func() ([]checkResult, error) {
 			return designArms(func(d *designs.Design, arm string, opt *flow.Options) (checkResult, error) {
@@ -665,7 +713,7 @@ func netlintCmd(ctx context.Context, args []string) error {
 	}
 	return checkCmd(ctx, server.Netlint, args,
 		func(file, src string) api.NetlintRequest {
-			return api.NetlintRequest{Source: src, Name: fileDesign(file), Mode: mode, Config: api.FlowConfig{Workers: *workersFlag}}
+			return api.NetlintRequest{Source: src, Format: sourceFormat(file), Name: fileDesign(file), Mode: mode, Config: api.FlowConfig{Workers: *workersFlag}}
 		},
 		func() ([]checkResult, error) {
 			return designArms(func(d *designs.Design, arm string, opt *flow.Options) (checkResult, error) {
@@ -688,7 +736,7 @@ func hazverCmd(ctx context.Context, args []string) error {
 	}
 	return checkCmd(ctx, server.Hazver, args,
 		func(file, src string) api.HazverRequest {
-			return api.HazverRequest{Source: src, Name: fileDesign(file), Mode: mode, Config: api.FlowConfig{Workers: *workersFlag}}
+			return api.HazverRequest{Source: src, Format: sourceFormat(file), Name: fileDesign(file), Mode: mode, Config: api.FlowConfig{Workers: *workersFlag}}
 		},
 		func() ([]checkResult, error) {
 			return designArms(func(d *designs.Design, arm string, opt *flow.Options) (checkResult, error) {
@@ -1060,68 +1108,233 @@ func printFlowReport(r *flow.DesignResult) {
 		r.SpeedImprovement(), r.AreaOverhead())
 }
 
-// artifacts writes the paper's Fig 1 intermediate files for a design:
-// per-controller .bms (Burst-Mode spec), .sol (Minimalist-style
-// solution) and .v (structural Verilog) for both flow arms, plus the
-// CH netlists before and after clustering.
-func artifacts(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: balsabm artifacts <design> <dir>")
+// artifact is one file artifacts writes: its name in the output
+// directory and its content.
+type artifact struct{ name, content string }
+
+// artifacts writes the paper's Fig 1 files for one input (see the
+// usage comment) into dir. Every file is computed and named before the
+// first is written, so an input the flow would not ship, or whose
+// component names would escape dir, leaves no files.
+func artifacts(ctx context.Context, args []string) error {
+	const usage = "usage: balsabm artifacts <design|file.ch|file.balsa|file.bms> <dir>"
+	if *serverFlag != "" {
+		return errors.New(usage + " (artifacts are written in process only; drop -server)")
 	}
-	d, err := designs.ByName(args[0])
+	if len(args) != 2 {
+		return errors.New(usage)
+	}
+	var files []artifact
+	var err error
+	if filepath.Ext(args[0]) == ".bms" {
+		files, err = specArtifacts(args[0])
+	} else {
+		files, err = netlistArtifacts(ctx, args[0])
+	}
 	if err != nil {
 		return err
 	}
-	dir := args[1]
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	for _, f := range files {
+		if filepath.Base(f.name) != f.name {
+			return fmt.Errorf("artifacts: %q is not a file name", f.name)
+		}
+	}
+	if err := os.MkdirAll(args[1], 0o755); err != nil {
 		return err
+	}
+	for _, f := range files {
+		path := filepath.Join(args[1], f.name)
+		fmt.Println("writing", path)
+		if err := os.WriteFile(path, []byte(f.content), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// netlistArtifacts runs a built-in design, a .ch netlist or a .balsa
+// source through the lint gate and both checked arms, as synth does,
+// and returns the files of what each arm ships: its netlist, and per
+// controller the gate's spec, Minimalist's solution of that spec
+// unless the controller is a hand-library circuit, and the shipped
+// Verilog. A .balsa source adds its compiled handshake netlist.
+func netlistArtifacts(ctx context.Context, in string) ([]artifact, error) {
+	var files []artifact
+	name := fileDesign(in)
+	var n *core.Netlist
+	switch filepath.Ext(in) {
+	case ".ch":
+		var err error
+		if n, err = readCH(in); err != nil {
+			return nil, err
+		}
+	case ".balsa":
+		data, err := os.ReadFile(in)
+		if err != nil {
+			return nil, err
+		}
+		hcn, err := balsa.CompileSource(string(data), name)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, artifact{name + ".breeze", hcn.Format()})
+		if n, err = hcn.Control(); err != nil {
+			return nil, err
+		}
+	default:
+		d, err := designs.ByName(in)
+		if err != nil {
+			return nil, err
+		}
+		n = d.Control()
+	}
+	opt, met := flowOptions()
+	defer printStats(met)
+	if err := flow.LintNetlist(n, name, met); err != nil {
+		return nil, err
 	}
 	lib := cell.AMS035()
-	write := func(name, content string) error {
-		path := filepath.Join(dir, name)
-		fmt.Println("writing", path)
-		return os.WriteFile(path, []byte(content), 0o644)
+	for _, arm := range []string{api.ModeUnopt, api.ModeOpt} {
+		c, err := flow.SynthesizeCheckedCtx(ctx, name, arm, n, opt)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, artifact{name + "." + arm + ".ch", c.Netlist.Format()})
+		for i, comp := range c.Netlist.Components {
+			base := comp.Name + "." + arm
+			files = append(files, artifact{base + ".bms", c.Specs[i].String()})
+			if !c.HandLibrary[i] {
+				ctrl, err := minimalist.Synthesize(c.Specs[i])
+				if err != nil {
+					return nil, err
+				}
+				files = append(files, artifact{base + ".sol", ctrl.Sol()})
+			}
+			files = append(files, artifact{base + ".v", techmap.VerilogModules(c.Mapped[i], lib)})
+		}
 	}
-	unopt := d.Control()
-	if err := write(d.Name+".unopt.ch", unopt.Format()); err != nil {
-		return err
+	return files, nil
+}
+
+// specArtifacts runs a .bms spec through the bmlint gate and
+// Minimalist, maps the controller in both arms' modes and checks each
+// mapping — hazver on speed-split (it cannot check area-shared aliases
+// yet), netlint on both — printing each mapping's summary and each
+// checker's verdict. A checker error fails it; otherwise it returns the
+// spec's .sol. It writes no Verilog: the .v files artifacts writes are
+// the flow's, and a spec alone is no flow arm.
+func specArtifacts(in string) ([]artifact, error) {
+	data, err := os.ReadFile(in)
+	if err != nil {
+		return nil, err
 	}
-	opt, _, err := core.Optimize(unopt)
+	sp, err := bm.Parse(string(data))
+	if err != nil {
+		return nil, err
+	}
+	if !verdict("bmlint", bmlint.Audit(sp).Diags, nil) {
+		return nil, errLintFindings
+	}
+	ctrl, err := minimalist.Synthesize(sp)
+	if err != nil {
+		return nil, err
+	}
+	lib := cell.AMS035()
+	for _, mode := range []techmap.Mode{techmap.AreaShared, techmap.SpeedSplit} {
+		nl, err := techmap.MapController(ctrl, mode, lib)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("; %s\n", techmap.Summarize(nl, mode, lib))
+		if mode == techmap.SpeedSplit {
+			res := hazver.Audit(nl.Name, []hazver.Unit{hazver.ControllerUnit(nl.Name, ctrl, nl)}, lib, hazver.Options{})
+			if !verdict("hazver", res.Diags, res.Stats) {
+				return nil, errLintFindings
+			}
+		}
+		if res := netlint.Audit(nl, lib); !verdict("netlint", res.Diags, res.Stats) {
+			return nil, errLintFindings
+		}
+	}
+	return []artifact{{fileDesign(in) + ".sol", ctrl.Sol()}}, nil
+}
+
+// verdict prints a checker's findings as comment lines — its warnings
+// and errors, then, when it found no error, its static report if it
+// has one — and reports whether it passed.
+func verdict[L diag.Loc](tier string, ds []diag.Diag[L], stats fmt.Stringer) bool {
+	for _, d := range ds {
+		if d.Severity != diag.SevInfo {
+			fmt.Printf("; %s: %s\n", tier, d)
+		}
+	}
+	if diag.HasErrors(ds) {
+		return false
+	}
+	if stats != nil {
+		fmt.Printf("; %s static: %s\n", tier, stats)
+	}
+	return true
+}
+
+// readCH reads a CH file: a netlist or a single bare expression.
+func readCH(file string) (*core.Netlist, error) {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	return core.ParseNetlist(string(data))
+}
+
+// expandCmd prints the four-phase expansion of every component of a CH
+// file.
+func expandCmd(args []string) error {
+	if len(args) != 1 {
+		return errors.New("usage: balsabm expand <file.ch>")
+	}
+	n, err := readCH(args[0])
 	if err != nil {
 		return err
 	}
-	if err := write(d.Name+".opt.ch", opt.Format()); err != nil {
+	for _, p := range n.Components {
+		x, err := ch.Expand(p.Body)
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.Name, err)
+		}
+		fmt.Printf("; four-phase expansion of %s\n%s\n", p.Name, x)
+	}
+	return nil
+}
+
+// pnCmd translates every component of a CH file to a 1-safe Petri net
+// and prints its transitions and the size of its reachability graph,
+// explored up to petri's default bound of 1,000,000 markings.
+func pnCmd(args []string) error {
+	if len(args) != 1 {
+		return errors.New("usage: balsabm pn <file.ch>")
+	}
+	n, err := readCH(args[0])
+	if err != nil {
 		return err
 	}
-	for _, arm := range []struct {
-		suffix  string
-		netlist *core.Netlist
-		mode    techmap.Mode
-	}{{"unopt", unopt, techmap.AreaShared}, {"opt", opt, techmap.SpeedSplit}} {
-		for _, comp := range arm.netlist.Components {
-			sp, err := chtobm.Compile(comp)
-			if err != nil {
-				return err
-			}
-			base := fmt.Sprintf("%s.%s", comp.Name, arm.suffix)
-			if err := write(base+".bms", sp.String()); err != nil {
-				return err
-			}
-			ctrl, err := minimalist.Synthesize(sp)
-			if err != nil {
-				return err
-			}
-			if err := write(base+".sol", ctrl.Sol()); err != nil {
-				return err
-			}
-			nl, err := techmap.MapController(ctrl, arm.mode, lib)
-			if err != nil {
-				return err
-			}
-			if err := write(base+".v", techmap.VerilogModules(nl, lib)); err != nil {
-				return err
-			}
+	for _, p := range n.Components {
+		net, err := petri.FromProgram(p)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("; 1-safe Petri net for %s: %d places, %d transitions\n", p.Name, net.Places, len(net.Transitions))
+		for i, tr := range net.Transitions {
+			label := tr.Label
+			if label == "" {
+				label = "tau"
+			}
+			fmt.Printf("t%-3d %-10s pre%v post%v\n", i, label, tr.Pre, tr.Post)
+		}
+		g, err := net.Reachability(0)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("; reachability graph: %d markings, %d edges\n", g.States, len(g.Edges))
 	}
 	return nil
 }

@@ -58,8 +58,9 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), code
 }
 
-// TestGoldens pins the stdout and exit status of the checker commands:
-// the built-in designs as text and -json, and one file per tier.
+// TestGoldens pins the stdout and exit status of the checker commands
+// (the built-in designs as text and -json, and one file per tier) and
+// of expand and pn on a bare expression and on a two-program netlist.
 func TestGoldens(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -84,6 +85,10 @@ func TestGoldens(t *testing.T) {
 		{"netlint-file-json", []string{"-json", "netlint", "cmd/balsabm/testdata/pair.ch"}, 0},
 		{"hazver-file", []string{"hazver", "cmd/balsabm/testdata/pair.ch"}, 0},
 		{"hazver-file-json", []string{"-json", "hazver", "cmd/balsabm/testdata/pair.ch"}, 0},
+		{"expand-clean", []string{"expand", "examples/lint/clean.ch"}, 0},
+		{"expand-pair", []string{"expand", "cmd/balsabm/testdata/pair.ch"}, 0},
+		{"pn-clean", []string{"pn", "examples/lint/clean.ch"}, 0},
+		{"pn-pair", []string{"pn", "cmd/balsabm/testdata/pair.ch"}, 0},
 	}
 	for _, c := range cases {
 		c := c
@@ -110,8 +115,9 @@ func TestGoldens(t *testing.T) {
 	}
 }
 
-// TestRemoteMatchesLocal: the file form of every checker prints the same
-// bytes and exits the same way against a daemon as in process.
+// TestRemoteMatchesLocal: the file form of every checker, and synth of
+// a Balsa source, prints the same bytes and exits the same way against
+// a daemon as in process.
 func TestRemoteMatchesLocal(t *testing.T) {
 	s := server.New(server.Config{Workers: 1})
 	hs := httptest.NewServer(s.Handler())
@@ -124,6 +130,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		{"bmlint", "cmd/balsabm/testdata/pulse.bms", "cmd/balsabm/testdata/pair.ch"},
 		{"netlint", "cmd/balsabm/testdata/pair.ch"},
 		{"-mode", "unopt", "hazver", "cmd/balsabm/testdata/pair.ch"},
+		{"synth", "internal/designs/balsa/counter8.balsa"},
 	} {
 		for _, form := range [][]string{nil, {"-json"}} {
 			local := append(append([]string{}, form...), args...)
@@ -139,15 +146,19 @@ func TestRemoteMatchesLocal(t *testing.T) {
 }
 
 // TestServerFlagNeedsFiles: -server runs file checks on a daemon; the
-// built-in-design forms and audit refuse it with a usage error instead
-// of silently running locally.
+// built-in-design forms, audit and artifacts refuse it with a usage
+// error instead of silently running locally.
 func TestServerFlagNeedsFiles(t *testing.T) {
-	for _, args := range [][]string{{"lint"}, {"bmlint"}, {"netlint"}, {"hazver"}, {"audit"}, {"audit", "stack"}} {
+	dir := filepath.Join(t.TempDir(), "out")
+	for _, args := range [][]string{{"lint"}, {"bmlint"}, {"netlint"}, {"hazver"}, {"audit"}, {"audit", "stack"}, {"artifacts", "stack", dir}} {
 		out, stderr, code := run(t, append([]string{"-server", "http://127.0.0.1:1"}, args...)...)
 		if code != 1 || out != "" || !strings.Contains(stderr, "usage:") {
 			t.Errorf("balsabm -server URL %s: exit %d, stdout %q, stderr %q; want exit 1 with a usage error",
 				strings.Join(args, " "), code, out, stderr)
 		}
+	}
+	if files := readDir(t, dir); files != nil {
+		t.Errorf("artifacts under -server wrote %d files", len(files))
 	}
 }
 
@@ -247,6 +258,42 @@ func TestCheckerStatsShowClustering(t *testing.T) {
 			if !strings.Contains(stderr, f) {
 				t.Errorf("balsabm -stats %s: lacks %q:\n%s", c.cmd, f, stderr)
 			}
+		}
+	}
+}
+
+// TestBareExpression: a CH file holding a single bare expression is one
+// component named main to every command, as it is to lint: it
+// synthesizes in both arms exactly as the same expression wrapped in
+// (program main ...) by hand.
+func TestBareExpression(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "lint", "clean.ch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := filepath.Join(t.TempDir(), "wrapped.ch")
+	if err := os.WriteFile(wrapped, []byte("(program main\n"+string(src)+")\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"unopt", "opt"} {
+		bare, stderr, code := run(t, "-json", "-mode", mode, "synth", "examples/lint/clean.ch")
+		if code != 0 {
+			t.Fatalf("-mode %s synth clean.ch: exit %d: %s", mode, code, stderr)
+		}
+		if want, _, _ := run(t, "-json", "-mode", mode, "synth", wrapped); bare != want {
+			t.Errorf("-mode %s: the bare expression synthesizes differently from its wrapped form:\n%s\n--- wrapped ---\n%s", mode, bare, want)
+		}
+	}
+}
+
+// TestBalsaFiles: the file forms of synth and the checkers read a .balsa
+// source as the control netlist it compiles to, the way the daemon's
+// format "balsa" does; its components are named after the file.
+func TestBalsaFiles(t *testing.T) {
+	for _, cmd := range []string{"synth", "bmlint", "netlint", "hazver"} {
+		out, stderr, code := run(t, cmd, "internal/designs/balsa/counter8.balsa")
+		if code != 0 || !strings.Contains(out, "counter8.seq3") {
+			t.Errorf("%s counter8.balsa: exit %d, stderr %q; want exit 0 reporting counter8.seq3:\n%s", cmd, code, stderr, out)
 		}
 	}
 }

@@ -127,38 +127,17 @@ func LintSource(src string) []Diag {
 	return Analyze(n)
 }
 
-// parseSource parses lint input, translating parse errors into a
-// CH000 diagnostic.
+// parseSource reads lint input with core.ParseNetlist, translating a
+// parse error into a CH000 diagnostic.
 func parseSource(src string) (*core.Netlist, *Diag) {
-	nodes, err := sexp.ParseAll(src)
+	n, err := core.ParseNetlist(src)
 	if err != nil {
 		return nil, parseDiag(err)
 	}
-	if len(nodes) == 0 {
+	if len(n.Components) == 0 {
 		return nil, &Diag{Severity: SevError, Code: "CH000", Message: "empty input"}
 	}
-	// A sequence of (program ...) forms is a netlist; a single other
-	// form is a bare expression.
-	if l, ok := nodes[0].(sexp.List); ok && l.Head() == "program" {
-		n := &core.Netlist{}
-		for _, node := range nodes {
-			p, err := ch.ProgramFromSexp(node)
-			if err != nil {
-				return nil, parseDiag(err)
-			}
-			n.Components = append(n.Components, p)
-		}
-		return n, nil
-	}
-	if len(nodes) > 1 {
-		return nil, &Diag{Severity: SevError, Code: "CH000",
-			Message: "expected a single expression or a sequence of (program name expr) forms"}
-	}
-	e, err := ch.FromSexp(nodes[0])
-	if err != nil {
-		return nil, parseDiag(err)
-	}
-	return &core.Netlist{Components: []*ch.Program{{Name: "main", Body: e}}}, nil
+	return n, nil
 }
 
 // parseDiag converts a parser error (ch.ParseError or

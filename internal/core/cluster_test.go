@@ -313,6 +313,36 @@ func TestNetlistParseFormat(t *testing.T) {
 	}
 }
 
+// TestParseNetlistBareExpression: a single form that is not a program is
+// a bare expression, one component named main; more forms than one must
+// all be programs.
+func TestParseNetlistBareExpression(t *testing.T) {
+	const body = "(rep (enc-early (p-to-p passive a) (seq (p-to-p active b) (p-to-p active c))))"
+	n, err := ParseNetlist("; a sequencer\n" + body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := ParseNetlist("(program main " + body + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Format() != wrapped.Format() {
+		t.Errorf("bare expression parsed as:\n%s", n.Format())
+	}
+	for src, msg := range map[string]string{
+		"(rep (p-to-p passive a)) (rep (p-to-p passive b))":             "expected a single expression or a sequence of (program name expr) forms",
+		"(program a (rep (p-to-p passive a))) (rep (p-to-p passive b))": "1:38: expected (program name expr)",
+		"(rep (p-to-p sideways a))":                                     `1:14: unknown activity "sideways"`,
+	} {
+		if _, err := ParseNetlist(src); err == nil || !strings.HasSuffix(err.Error(), msg) {
+			t.Errorf("ParseNetlist(%q): %v, want an error ending %q", src, err, msg)
+		}
+	}
+	if n, err := ParseNetlist("; nothing\n"); err != nil || len(n.Components) != 0 {
+		t.Errorf("comment-only source: %v, %v; want an empty netlist", n, err)
+	}
+}
+
 func TestCallShapeRecognition(t *testing.T) {
 	n := seqCallNetlist(t)
 	passives, active, ok := callShape(n.Find("call"))

@@ -175,17 +175,33 @@ func (n *Netlist) Format() string {
 	return sb.String()
 }
 
-// ParseNetlist reads a sequence of (program name expr) forms. The
-// whole source is scanned in one pass, so the Line:Col positions
+// ParseNetlist reads a sequence of (program name expr) forms, or a
+// single bare expression, which becomes one component named "main".
+// The whole source is scanned in one pass, so the Line:Col positions
 // recorded on every component's AST nodes are absolute within the
 // text — which is what makes multi-program lint diagnostics
-// (internal/analysis) point at the right lines.
+// (internal/analysis) point at the right lines. Empty source is an
+// empty netlist.
 func ParseNetlist(src string) (*Netlist, error) {
 	nodes, err := sexp.ParseAll(src)
 	if err != nil {
 		return nil, err
 	}
 	n := &Netlist{}
+	if len(nodes) == 0 {
+		return n, nil
+	}
+	if l, ok := nodes[0].(sexp.List); !ok || l.Head() != "program" {
+		if len(nodes) > 1 {
+			return nil, &ch.ParseError{Msg: "expected a single expression or a sequence of (program name expr) forms"}
+		}
+		body, err := ch.FromSexp(nodes[0])
+		if err != nil {
+			return nil, err
+		}
+		n.Components = []*ch.Program{{Name: "main", Body: body}}
+		return n, nil
+	}
 	for _, node := range nodes {
 		p, err := ch.ProgramFromSexp(node)
 		if err != nil {

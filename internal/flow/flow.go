@@ -544,12 +544,14 @@ func renameUnit(u hazver.Unit, name string, sub map[string]string, nl *gates.Net
 }
 
 // synthesis is one arm's controllers as shipped, in component order,
-// plus hazver's verification units: one per distinct canonical shape
+// with which of them are hand-library circuits, plus hazver's
+// verification units: one per distinct canonical shape
 // (rename-isomorphic components verify identically), each the shape's
 // first occurrence.
 type synthesis struct {
 	mapped []*gates.Netlist
 	ctrls  []ControllerResult
+	hand   []bool
 	units  []hazver.Unit
 }
 
@@ -568,10 +570,12 @@ func (r *runner) synthesizeNetlist(n *core.Netlist, specs []*bm.Spec, mode techm
 	s := &synthesis{
 		mapped: make([]*gates.Netlist, len(outs)),
 		ctrls:  make([]ControllerResult, len(outs)),
+		hand:   make([]bool, len(outs)),
 	}
 	seen := map[string]bool{}
 	for i, o := range outs {
-		s.mapped[i], s.ctrls[i] = o.nl, o.res
+		// A hand-library circuit's unit carries no netlist (see synthEntry).
+		s.mapped[i], s.ctrls[i], s.hand[i] = o.nl, o.res, o.unit.Netlist == nil
 		if !seen[o.shape] {
 			seen[o.shape] = true
 			s.units = append(s.units, o.unit)
@@ -581,14 +585,19 @@ func (r *runner) synthesizeNetlist(n *core.Netlist, specs []*bm.Spec, mode techm
 }
 
 // CheckedArm is one arm synthesized once and passed through every
-// checker gate: the bmlint gate's audit of each component's spec, the
-// mapped controllers and their reports in component order, the netlint
-// report of the merged circuit, the hazver report of the netlists the
-// synthesis shipped, and — for the opt arm — the clustering report.
+// checker gate: the control netlist the arm synthesized (clustered for
+// opt), the bmlint gate's spec of each component and its audit, the
+// mapped controllers, their reports and which of them are hand-library
+// circuits in component order, the netlint report of the merged
+// circuit, the hazver report of the netlists the synthesis shipped,
+// and — for the opt arm — the clustering report.
 type CheckedArm struct {
+	Netlist     *core.Netlist
+	Specs       []*bm.Spec
 	Bmlint      []bmlint.Result
 	Mapped      []*gates.Netlist
 	Controllers []ControllerResult
+	HandLibrary []bool
 	Netlint     netlint.Result
 	Hazver      hazver.Result
 	Report      *core.Report
@@ -612,9 +621,9 @@ func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mo
 			c = nil
 		}
 	}()
-	c = &CheckedArm{}
+	c = &CheckedArm{Netlist: n}
 	specs, results, err := r.bmlintGate(design, arm, n)
-	c.Bmlint = results
+	c.Specs, c.Bmlint = specs, results
 	if err != nil {
 		return c, err
 	}
@@ -622,7 +631,7 @@ func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mo
 	if err != nil {
 		return c, err
 	}
-	c.Mapped, c.Controllers = s.mapped, s.ctrls
+	c.Mapped, c.Controllers, c.HandLibrary = s.mapped, s.ctrls, s.hand
 	if c.Netlint, err = NetlintGate(design, arm, s.mapped, r.opt.Lib, r.met); err != nil {
 		return c, err
 	}

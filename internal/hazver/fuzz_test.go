@@ -26,11 +26,12 @@ const (
 	fuzzMaxSignals = 20
 )
 
-// FuzzBMSynth feeds .bms text down the path cmd/bmsynth takes and
-// holds hazver to the sampling audit it replaced there. bmlint must
-// report an error for every text that fails bm.Parse or Check, the
-// conditions the flow's bmlint gate stands in for. A well-formed spec
-// that minimalist synthesizes is mapped in both modes:
+// FuzzBMSynth feeds .bms text down the path the .bms form of balsabm
+// artifacts takes and holds hazver to the sampling audit it replaced
+// there. bmlint must report an error for every text that fails
+// bm.Parse or Check, the conditions the flow's bmlint gate stands in
+// for. A well-formed spec that minimalist synthesizes is mapped in
+// both modes:
 //   - the speed-split netlist must pass hazver with no error, on the
 //     compiled and the interpreted path alike, and techmap.CheckMapped
 //     must pass it too;

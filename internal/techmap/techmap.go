@@ -427,12 +427,12 @@ func (r Report) String() string {
 // dynamically by driving them through the specification (package sim).
 //
 // No product path runs this check: the flow's hazver gate, balsabm
-// audit, cmd/bmsynth and the root package's AuditMapped all verify
-// mapped netlists with hazver, whose endpoint passes cover every point
-// fundamental mode reaches (flow.TestHazverSubsumesCheckMapped). It
-// stays as the reference of that differential and of the .bms fuzz
-// target FuzzBMSynth (internal/hazver), and for the benchmark's traced
-// replay.
+// audit, the .bms form of balsabm artifacts and the root package's
+// AuditMapped all verify mapped netlists with hazver, whose endpoint
+// passes cover every point fundamental mode reaches
+// (flow.TestHazverSubsumesCheckMapped). It stays as the reference of
+// that differential and of the .bms fuzz target FuzzBMSynth
+// (internal/hazver), and for the benchmark's traced replay.
 func CheckMapped(ctrl *minimalist.Controller, nl *gates.Netlist, lib *cell.Library) error {
 	return CheckMappedOpt(ctrl, nl, lib, CheckOptions{})
 }
