@@ -52,8 +52,8 @@ func runArtifacts(t *testing.T, in string) (string, map[string]string) {
 }
 
 // TestArtifactsMatchShipped: artifacts writes the files of what the
-// flow ships, for the four Table 3 designs and for Fig 4's
-// decision-wait and sequencer as a .ch file, in both arms:
+// flow ships, for the four Table 3 designs, for Fig 4's decision-wait
+// and sequencer as a .ch file and for r7c3.ch, in both arms:
 //   - <name>.<arm>.ch is the arm's netlist: the control netlist for
 //     unopt, the clustered one for opt;
 //   - each <ctl>.<arm>.bms is the compiled spec the bmlint gate passes;
@@ -62,8 +62,9 @@ func runArtifacts(t *testing.T, in string) (string, map[string]string) {
 //   - a <ctl>.<arm>.sol exists exactly for the controllers Minimalist
 //     synthesized — the 12 opt-arm controllers of the designs, whose
 //     baseline arms are all hand-library circuits, and Fig 4's
-//     decision-wait, which has no hand-library shape — and mapping its
-//     controller in the arm's mode prints the arm's .v byte for byte.
+//     decision-wait and r7c3, which have no hand-library shape — and
+//     mapping its controller in the arm's mode prints the arm's .v
+//     byte for byte.
 func TestArtifactsMatchShipped(t *testing.T) {
 	type input struct {
 		arg, name string
@@ -73,15 +74,17 @@ func TestArtifactsMatchShipped(t *testing.T) {
 	for _, d := range designs.All() {
 		inputs = append(inputs, input{d.Name, d.Name, d.Control()})
 	}
-	src, err := os.ReadFile(filepath.Join("testdata", "fig4.ch"))
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"fig4", "r7c3"} {
+		src, err := os.ReadFile(filepath.Join("testdata", name+".ch"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := core.ParseNetlist(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{"cmd/balsabm/testdata/" + name + ".ch", name, n})
 	}
-	fig4, err := core.ParseNetlist(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs = append(inputs, input{"cmd/balsabm/testdata/fig4.ch", "fig4", fig4})
 	lib := cell.AMS035()
 	designSols := 0
 	for _, in := range inputs {
@@ -126,14 +129,14 @@ func TestArtifactsMatchShipped(t *testing.T) {
 						t.Errorf("%s.v differs from the Verilog synth ships for %s", base, c.Controller.Name)
 					}
 					sol, ok := files[base+".sol"]
-					if want := arm.name == api.ModeOpt || base == "decision-wait.unopt"; ok != want {
+					if want := arm.name == api.ModeOpt || base == "decision-wait.unopt" || base == "r7c3.unopt"; ok != want {
 						t.Errorf("%s.sol written: %t, want %t", base, ok, want)
 					}
 					if !ok {
 						continue
 					}
 					written++
-					if in.name != "fig4" {
+					if in.arg == in.name {
 						designSols++
 					}
 					ctrl, err := minimalist.Synthesize(sp)
@@ -192,8 +195,8 @@ func TestArtifactsBalsa(t *testing.T) {
 // TestArtifactsSpec: a .bms spec synthesizes as one controller mapped
 // in both modes. pulse.bms's output idle never toggles: its empty
 // cover maps to the tied-low net, which hazver must read as 0. The
-// area-shared mapping gets netlint's verdict alone (hazver cannot check
-// area-shared aliases yet), the speed-split one hazver's too, and the
+// area-shared mapping gets netlint's verdict alone, the speed-split
+// one hazver's too, and the
 // only file written is the spec's .sol. A spec that fails bmlint exits
 // 1 and writes nothing.
 func TestArtifactsSpec(t *testing.T) {
@@ -247,28 +250,26 @@ func solution(t *testing.T, src string) string {
 }
 
 // TestArtifactsNotShipped: a netlist the flow would not ship gets no
-// files. r7c3 is lint-clean and its opt arm passes, but its baseline
-// arm's area-shared mapping fails hazver (HZ001 and HZ003 on c5_a), so
-// artifacts fails with the error synth reports in that arm. Nor does a
-// netlist whose component names are not file names.
+// files. In twodrv.ch two controllers drive one channel, so the lint
+// gate rejects it (CH010) and artifacts fails with the error synth
+// reports. Nor does a netlist whose component names are not file names.
 func TestArtifactsNotShipped(t *testing.T) {
-	const r7c3 = "cmd/balsabm/testdata/r7c3.ch"
-	_, synthErr, code := run(t, "-mode", "unopt", "synth", r7c3)
+	const twodrv = "cmd/balsabm/testdata/twodrv.ch"
+	_, synthErr, code := run(t, "synth", twodrv)
 	if code != 1 {
-		t.Fatalf("-mode unopt synth: exit %d, want 1", code)
+		t.Fatalf("synth: exit %d, want 1", code)
 	}
 	dir := filepath.Join(t.TempDir(), "out")
-	out, stderr, code := run(t, "artifacts", r7c3, dir)
+	out, stderr, code := run(t, "artifacts", twodrv, dir)
 	if code != 1 || out != "" || readDir(t, dir) != nil {
 		t.Errorf("artifacts: exit %d, stdout %q, files %v; want exit 1 and no files", code, out, readDir(t, dir))
 	}
 	for _, errs := range []string{synthErr, stderr} {
-		if !strings.Contains(errs, ".unopt: static hazard verification failed") || !strings.Contains(errs, `fn "c5_a"`) ||
-			!strings.Contains(errs, "error: HZ001") || !strings.Contains(errs, "error: HZ003") {
-			t.Errorf("want the unopt arm's HZ001 and HZ003 on c5_a:\n%s", errs)
+		if !strings.Contains(errs, `error: CH010: internal channel "x" is driven from both ends`) {
+			t.Errorf("want the lint gate's CH010 on x:\n%s", errs)
 		}
 	}
-	if strings.ReplaceAll(synthErr, "synth.unopt", "r7c3.unopt") != stderr {
+	if strings.ReplaceAll(synthErr, "lint: submitted:", "lint: twodrv:") != stderr {
 		t.Errorf("artifacts' error differs from synth's:\n--- artifacts ---\n%s--- synth ---\n%s", stderr, synthErr)
 	}
 

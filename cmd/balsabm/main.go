@@ -1218,11 +1218,11 @@ func netlistArtifacts(ctx context.Context, in string) ([]artifact, error) {
 
 // specArtifacts runs a .bms spec through the bmlint gate and
 // Minimalist, maps the controller in both arms' modes and checks each
-// mapping — hazver on speed-split (it cannot check area-shared aliases
-// yet), netlint on both — printing each mapping's summary and each
-// checker's verdict. A checker error fails it; otherwise it returns the
-// spec's .sol. It writes no Verilog: the .v files artifacts writes are
-// the flow's, and a spec alone is no flow arm.
+// mapping — hazver on speed-split, netlint on both — printing each
+// mapping's summary and each checker's verdict. A checker error fails
+// it; otherwise it returns the spec's .sol. It writes no Verilog: the
+// .v files artifacts writes are the flow's, and a spec alone is no
+// flow arm.
 func specArtifacts(in string) ([]artifact, error) {
 	data, err := os.ReadFile(in)
 	if err != nil {

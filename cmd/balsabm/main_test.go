@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -229,6 +230,57 @@ func TestCheckersAnswerFromCheckedArm(t *testing.T) {
 					t.Errorf("%s: %s %q, want it to contain %q", at, stream.name, stream.got, stream.want)
 				}
 			}
+		}
+	}
+}
+
+// TestCommentOnlyInputRejected: a CH file with no expression is no
+// design. lint reports CH000, and synth, netlint, hazver and artifacts
+// fail on it too, in process and against a daemon (which answers 400),
+// instead of treating it as a design with no controller.
+func TestCommentOnlyInputRejected(t *testing.T) {
+	s := server.New(server.Config{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer func() {
+		hs.Close()
+		s.Close()
+	}()
+	file := filepath.Join(t.TempDir(), "comment.ch")
+	if err := os.WriteFile(file, []byte("; only a comment\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	for _, args := range [][]string{
+		{"lint", file},
+		{"synth", file},
+		{"netlint", file},
+		{"hazver", file},
+		{"artifacts", file, out},
+		{"-server", hs.URL, "synth", file},
+		{"-server", hs.URL, "netlint", file},
+		{"-server", hs.URL, "hazver", file},
+	} {
+		stdout, stderr, code := run(t, args...)
+		if code != 1 || !strings.Contains(stdout+stderr, "empty input") {
+			t.Errorf("balsabm %s: exit %d, stdout %q, stderr %q; want exit 1 naming the empty input", strings.Join(args, " "), code, stdout, stderr)
+		}
+	}
+	if readDir(t, out) != nil {
+		t.Errorf("artifacts wrote files for an empty input: %v", readDir(t, out))
+	}
+	const source = `"source":"; only a comment\n"`
+	for path, body := range map[string]string{
+		"/api/v1/jobs":    `{"kind":"synth",` + source + `}`,
+		"/api/v1/netlint": `{` + source + `}`,
+		"/api/v1/hazver":  `{` + source + `}`,
+	} {
+		resp, err := hs.Client().Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s of a comment-only source: HTTP %d, want 400", path, resp.StatusCode)
 		}
 	}
 }

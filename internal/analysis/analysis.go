@@ -134,9 +134,6 @@ func parseSource(src string) (*core.Netlist, *Diag) {
 	if err != nil {
 		return nil, parseDiag(err)
 	}
-	if len(n.Components) == 0 {
-		return nil, &Diag{Severity: SevError, Code: "CH000", Message: "empty input"}
-	}
 	return n, nil
 }
 

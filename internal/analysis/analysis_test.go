@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"balsabm/internal/ch"
+	"balsabm/internal/diag"
 )
 
 // lint is a test helper asserting the source lints without parse
@@ -302,6 +303,24 @@ func TestClusterAdvisories(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("want CH101 advisory:\n%s", Format(ds, ""))
+	}
+
+	// CH101 names only what T2 splits (ch.CallShape): arms enclosed by
+	// enc-middle or enc-late, or a body without rep, are no call.
+	for _, src := range []string{
+		`(program midcall
+  (rep (mutex (enc-middle (p-to-p passive c1) (p-to-p active b))
+              (enc-middle (p-to-p passive c2) (p-to-p active b)))))`,
+		`(program latecall
+  (rep (mutex (enc-late (p-to-p passive c1) (p-to-p active b))
+              (enc-late (p-to-p passive c2) (p-to-p active b)))))`,
+		`(program onecall
+  (mutex (enc-early (p-to-p passive c1) (p-to-p active b))
+         (enc-early (p-to-p passive c2) (p-to-p active b))))`,
+	} {
+		if ds := lint(t, src); diag.HasCode(ds, "CH101") {
+			t.Errorf("CH101 on a shape T2 does not split:\n%s", Format(ds, ""))
+		}
 	}
 }
 

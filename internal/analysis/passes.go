@@ -561,49 +561,16 @@ func reportT1(n *core.Netlist, name string, r *Reporter) {
 		name, passiveComp, activeComp)
 }
 
-// mutexLeaves flattens a right-nested mutex chain into its branches.
-func mutexLeaves(e ch.Expr) []ch.Expr {
-	if op, ok := e.(*ch.Op); ok && op.Kind == ch.Mutex {
-		return append(mutexLeaves(op.A), mutexLeaves(op.B)...)
-	}
-	return []ch.Expr{e}
-}
-
-// reportT2 emits the CH101 advisory when a component is an n-way call:
-// (rep (mutex (enc passive-p_i active-B) ...)) with one shared active
-// channel B across all branches.
+// reportT2 emits the CH101 advisory when a component is an n-way call
+// that T2 distributes (ch.CallShape).
 func reportT2(p *ch.Program, r *Reporter) {
-	body := p.Body
-	if rep, ok := body.(*ch.Rep); ok {
-		body = rep.Body
-	}
-	leaves := mutexLeaves(body)
-	if len(leaves) < 2 {
+	passives, active, ok := ch.CallShape(p)
+	if !ok {
 		return
-	}
-	shared := ""
-	for _, leaf := range leaves {
-		op, ok := leaf.(*ch.Op)
-		if !ok || (op.Kind != ch.EncEarly && op.Kind != ch.EncMiddle && op.Kind != ch.EncLate) {
-			return
-		}
-		in, ok := op.A.(*ch.Chan)
-		if !ok || in.Kind != ch.PToP || in.Act != ch.Passive {
-			return
-		}
-		out, ok := op.B.(*ch.Chan)
-		if !ok || out.Kind != ch.PToP || out.Act != ch.Active {
-			return
-		}
-		if shared == "" {
-			shared = out.Name
-		} else if out.Name != shared {
-			return
-		}
 	}
 	r.Infof(p.Pos, "CH101",
 		"component %q is a %d-way call on channel %q: T2 call-distribution candidate",
-		p.Name, len(leaves), shared)
+		p.Name, len(passives), active)
 }
 
 // sortedCodes returns the diagnostic code table in code order (used by

@@ -425,3 +425,39 @@ type Program struct {
 
 // Clone returns a deep copy of the program.
 func (p *Program) Clone() *Program { return &Program{Name: p.Name, Body: p.Body.Clone(), Pos: p.Pos} }
+
+// CallShape recognizes the n-way call of Section 4.2:
+// (rep (mutex (enc-early (p-to-p passive p_i) (p-to-p active c)) ...)),
+// at least two arms in a mutex tree, all sharing the one active
+// channel c. It returns the passive channels in arm order and c. This
+// is the shape T2 splits, hclib builds as its call circuit and chlint
+// reports as a T2 candidate (CH101).
+func CallShape(p *Program) (passives []string, active string, ok bool) {
+	rep, isRep := p.Body.(*Rep)
+	if !isRep {
+		return nil, "", false
+	}
+	var walk func(e Expr) bool
+	walk = func(e Expr) bool {
+		op, isOp := e.(*Op)
+		if !isOp {
+			return false
+		}
+		if op.Kind == Mutex {
+			return walk(op.A) && walk(op.B)
+		}
+		pc, okP := op.A.(*Chan)
+		ac, okA := op.B.(*Chan)
+		if op.Kind != EncEarly || !okP || !okA || pc.Kind != PToP || ac.Kind != PToP ||
+			pc.Act != Passive || ac.Act != Active || active != "" && ac.Name != active {
+			return false
+		}
+		active = ac.Name
+		passives = append(passives, pc.Name)
+		return true
+	}
+	if !walk(rep.Body) || len(passives) < 2 {
+		return nil, "", false
+	}
+	return passives, active, true
+}

@@ -533,54 +533,6 @@ func t1Sweep(out *Netlist, rep *Report, opt Options, v *verdicts, ix *chanIndex)
 	return anyMerge, nil
 }
 
-// callShape inspects a component for the n-way call shape of Section
-// 4.2: (rep (mutex (enc-early (p-to-p passive p_i) (p-to-p active c))
-// ...)), all arms sharing the same active channel. It returns the
-// passive channel names and the shared active channel name.
-func callShape(p *ch.Program) (passives []string, active string, ok bool) {
-	rep, isRep := p.Body.(*ch.Rep)
-	if !isRep {
-		return nil, "", false
-	}
-	var arms []*ch.Op
-	var collect func(e ch.Expr) bool
-	collect = func(e ch.Expr) bool {
-		op, isOp := e.(*ch.Op)
-		if !isOp {
-			return false
-		}
-		if op.Kind == ch.Mutex {
-			return collect(op.A) && collect(op.B)
-		}
-		if op.Kind != ch.EncEarly {
-			return false
-		}
-		arms = append(arms, op)
-		return true
-	}
-	if !collect(rep.Body) {
-		return nil, "", false
-	}
-	if len(arms) < 2 {
-		return nil, "", false
-	}
-	for _, arm := range arms {
-		pc, okP := arm.A.(*ch.Chan)
-		ac, okA := arm.B.(*ch.Chan)
-		if !okP || !okA || pc.Kind != ch.PToP || ac.Kind != ch.PToP ||
-			pc.Act != ch.Passive || ac.Act != ch.Active {
-			return nil, "", false
-		}
-		if active == "" {
-			active = ac.Name
-		} else if active != ac.Name {
-			return nil, "", false
-		}
-		passives = append(passives, pc.Name)
-	}
-	return passives, active, true
-}
-
 // splitCall breaks an n-way call into n fragments, each enclosing a
 // handshake on a replica of the call's active channel within one of the
 // original passive channels (Section 4.2). Fragment i takes the next
@@ -662,7 +614,7 @@ func t2Round(n *Netlist, noSplit map[string]bool, opt Options, v *verdicts) (*Ne
 	kept := &Netlist{}
 	used := componentNames(work)
 	for _, c := range work.Components {
-		passives, active, ok := callShape(c)
+		passives, active, ok := ch.CallShape(c)
 		if !ok || noSplit[c.Name] {
 			kept.Components = append(kept.Components, c)
 			continue

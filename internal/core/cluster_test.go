@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -338,34 +339,45 @@ func TestParseNetlistBareExpression(t *testing.T) {
 			t.Errorf("ParseNetlist(%q): %v, want an error ending %q", src, err, msg)
 		}
 	}
-	if n, err := ParseNetlist("; nothing\n"); err != nil || len(n.Components) != 0 {
-		t.Errorf("comment-only source: %v, %v; want an empty netlist", n, err)
+}
+
+// TestParseNetlistRejectsEmptyInput: source with no expression is no
+// design, so ParseNetlist fails on it as analysis.parseSource always
+// did (CH000 "empty input") instead of returning a netlist with no
+// component, which synthesized as a zero-controller design.
+func TestParseNetlistRejectsEmptyInput(t *testing.T) {
+	for _, src := range []string{"", " \n\t", "; only a comment\n", ";; one\n; two"} {
+		n, err := ParseNetlist(src)
+		var pe *ch.ParseError
+		if n != nil || !errors.As(err, &pe) || pe.Msg != "empty input" || pe.Pos.IsValid() {
+			t.Errorf("ParseNetlist(%q) = %v, %v; want a position-less \"empty input\" ParseError", src, n, err)
+		}
 	}
 }
 
 func TestCallShapeRecognition(t *testing.T) {
 	n := seqCallNetlist(t)
-	passives, active, ok := callShape(n.Find("call"))
+	passives, active, ok := ch.CallShape(n.Find("call"))
 	if !ok || active != "c" || len(passives) != 2 {
-		t.Fatalf("callShape: %v %q %v", passives, active, ok)
+		t.Fatalf("CallShape: %v %q %v", passives, active, ok)
 	}
 	// A 3-way call.
 	c3 := prog(t, "c3", `(rep (mutex
 	    (enc-early (p-to-p passive b1) (p-to-p active c))
 	    (enc-early (p-to-p passive b2) (p-to-p active c))
 	    (enc-early (p-to-p passive b3) (p-to-p active c))))`)
-	passives, active, ok = callShape(c3)
+	passives, active, ok = ch.CallShape(c3)
 	if !ok || len(passives) != 3 || active != "c" {
 		t.Fatalf("3-way: %v %q %v", passives, active, ok)
 	}
 	// Not calls:
-	if _, _, ok := callShape(n.Find("seq")); ok {
+	if _, _, ok := ch.CallShape(n.Find("seq")); ok {
 		t.Fatal("sequencer recognized as call")
 	}
 	mixed := prog(t, "mixed", `(rep (mutex
 	    (enc-early (p-to-p passive b1) (p-to-p active c))
 	    (enc-early (p-to-p passive b2) (p-to-p active d))))`)
-	if _, _, ok := callShape(mixed); ok {
+	if _, _, ok := ch.CallShape(mixed); ok {
 		t.Fatal("mixed-target mutex recognized as call")
 	}
 }

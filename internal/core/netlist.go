@@ -180,17 +180,18 @@ func (n *Netlist) Format() string {
 // The whole source is scanned in one pass, so the Line:Col positions
 // recorded on every component's AST nodes are absolute within the
 // text — which is what makes multi-program lint diagnostics
-// (internal/analysis) point at the right lines. Empty source is an
-// empty netlist.
+// (internal/analysis) point at the right lines. Source with no
+// expression, only blanks and comments, is an error: a netlist with no
+// component is no design.
 func ParseNetlist(src string) (*Netlist, error) {
 	nodes, err := sexp.ParseAll(src)
 	if err != nil {
 		return nil, err
 	}
-	n := &Netlist{}
 	if len(nodes) == 0 {
-		return n, nil
+		return nil, &ch.ParseError{Msg: "empty input"}
 	}
+	n := &Netlist{}
 	if l, ok := nodes[0].(sexp.List); !ok || l.Head() != "program" {
 		if len(nodes) > 1 {
 			return nil, &ch.ParseError{Msg: "expected a single expression or a sequence of (program name expr) forms"}

@@ -170,7 +170,7 @@ func t2RoundRef(n *Netlist, noSplit map[string]bool, opt Options, pool *parallel
 	kept := &Netlist{}
 	used := componentNames(work)
 	for _, c := range work.Components {
-		passives, active, ok := callShape(c)
+		passives, active, ok := ch.CallShape(c)
 		if !ok || noSplit[c.Name] {
 			kept.Components = append(kept.Components, c)
 			continue

@@ -18,8 +18,9 @@
 // evalDriver). If cutting the forced nets leaves a combinational
 // cycle, or a stateful cell drives an unforced net (its settled value
 // would depend on the interpreted loop's evaluation order, which a
-// single levelized pass cannot reproduce), Compile reports an error
-// and callers fall back to the interpreted reference path.
+// single levelized pass cannot reproduce), Compile reports an error:
+// techmap.CheckMapped then falls back to its interpreted loop, and
+// hazver reports the unit as HZ000.
 package gates
 
 import (
@@ -127,11 +128,10 @@ func compileCell(c *cell.Cell) compiledCell {
 // Compile builds the evaluation program for a netlist: cell names
 // interned to per-cell ops, a driver index, and the gate graph
 // levelized topologically with the forced nets as cut points. forced
-// may be nil. Compile fails — callers fall back to interpreted
-// evaluation — when a cell is missing from the library or wired with
-// too few pins, a non-forced net has several drivers, a stateful cell
-// drives a non-forced net, or the forced cut leaves a combinational
-// cycle.
+// may be nil. Compile fails when a cell is missing from the library or
+// wired with too few pins, a non-forced net has several drivers, a
+// stateful cell drives a non-forced net, or the forced cut leaves a
+// combinational cycle.
 func Compile(nl *Netlist, lib *cell.Library, forced map[int]bool) (*Program, error) {
 	p := &Program{name: nl.Name, nets: len(nl.NetNames), probes: map[int]int{}}
 	cells := make(map[string]compiledCell)

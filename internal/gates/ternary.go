@@ -15,10 +15,9 @@
 // assigned value — the same fundamental-mode feedback convention as
 // the boolean Eval.
 //
-// TernaryEval is the fast path; SettleTernary/DriveTernary are the
-// interpreted reference (the fuzz oracle), a ternary fixed-point
-// sweep in the style of Netlist.Settle that also covers netlists
-// Compile rejects.
+// TernaryEval is the evaluator hazver runs; SettleTernary and
+// DriveTernary are the interpreted reference the tests hold it to, a
+// ternary fixed-point sweep in the style of Netlist.Settle.
 package gates
 
 import (
@@ -407,8 +406,7 @@ func ternaryCell(c *cell.Cell, ins []uint8, prev uint8, scratch []bool) uint8 {
 // nets exactly as the boolean settle loops do. vals must have one
 // entry per net, pre-loaded by the caller (typically all TX, then
 // binary values on the forced cut points and stable inputs). It is
-// the oracle the compiled TernaryEval is fuzzed against, and the
-// fallback for netlists Compile rejects.
+// the oracle the compiled TernaryEval is fuzzed against.
 func SettleTernary(nl *Netlist, lib *cell.Library, forced map[int]bool, vals []uint8) error {
 	if len(vals) != len(nl.NetNames) {
 		return fmt.Errorf("gates: ternary settle %s: got %d values for %d nets", nl.Name, len(vals), len(nl.NetNames))

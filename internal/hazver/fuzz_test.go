@@ -31,37 +31,45 @@ const (
 // there. bmlint must report an error for every text that fails
 // bm.Parse or Check, the conditions the flow's bmlint gate stands in
 // for. A well-formed spec that minimalist synthesizes is mapped in
-// both modes:
-//   - the speed-split netlist must pass hazver with no error, on the
-//     compiled and the interpreted path alike, and techmap.CheckMapped
-//     must pass it too;
-//   - the area-shared netlist must map and be netlint-error-free.
-//     hazver does not check it: the shared mapping can turn a function
-//     into a buffer of another function's C-element-driven net, which
-//     hazver, holding that net at its current value, rejects.
+// both modes, and each mapping must compile and pass hazver with no
+// error, with the interpreted oracle reporting the same findings.
+// The speed-split netlist must also pass techmap.CheckMapped, and the
+// area-shared one netlint.
 //
 // Seeds: cmd/balsabm/testdata/pulse.bms, whose never-toggled output
-// maps to the tied-low net, and the compiled spec of every component
-// of the Table 3 designs, both arms.
+// maps to the tied-low net; the compiled spec of r7c3.ch, whose
+// area-shared mapping once turned a copy of a C-element-driven
+// function into a buffer of that net; and the compiled spec of every
+// component of the Table 3 designs, both arms.
 func FuzzBMSynth(f *testing.F) {
 	pulse, err := os.ReadFile("../../cmd/balsabm/testdata/pulse.bms")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(string(pulse))
+	r7c3, err := os.ReadFile("../../cmd/balsabm/testdata/r7c3.ch")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := core.ParseNetlist(string(r7c3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := seed.Components
 	for _, d := range designs.All() {
 		n := d.Control()
 		opt, _, err := core.Optimize(n)
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, c := range append(n.Components, opt.Components...) {
-			sp, err := chtobm.Compile(c)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(sp.String())
+		seeds = append(append(seeds, n.Components...), opt.Components...)
+	}
+	for _, c := range seeds {
+		sp, err := chtobm.Compile(c)
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(sp.String())
 	}
 	lib := cell.AMS035()
 	f.Fuzz(func(t *testing.T, src string) {
@@ -86,40 +94,35 @@ func FuzzBMSynth(f *testing.F) {
 		if err != nil {
 			return // a spec minimalist rejects has nothing to map
 		}
-		nl, err := techmap.MapController(ctrl, techmap.SpeedSplit, lib)
-		if err != nil {
-			t.Fatalf("speed-split mapping: %v", err)
-		}
-		units := []hazver.Unit{hazver.ControllerUnit(sp.Name, ctrl, nl)}
-		res := hazver.Audit(sp.Name, units, lib, hazver.Options{})
-		if hazver.HasErrors(res.Diags) {
-			t.Fatalf("hazver rejects the speed-split mapping:\n%s", hazver.Format(res.Diags, res.Name))
-		}
-		interp := hazver.Audit(sp.Name, units, lib, hazver.Options{Interpreted: true})
-		if res.Stats.Compiled {
-			if got, want := findings(interp), findings(res); got != want {
-				t.Fatalf("interpreted hazver disagrees with the compiled path:\n%s\nwant:\n%s", got, want)
+		for _, mode := range []techmap.Mode{techmap.SpeedSplit, techmap.AreaShared} {
+			nl, err := techmap.MapController(ctrl, mode, lib)
+			if err != nil {
+				t.Fatalf("%s mapping: %v", mode, err)
 			}
-		}
-		if err := techmap.CheckMapped(ctrl, nl, lib); err != nil {
-			t.Fatalf("hazver passes the speed-split mapping, CheckMapped rejects it: %v", err)
-		}
-		area, err := techmap.MapController(ctrl, techmap.AreaShared, lib)
-		if err != nil {
-			t.Fatalf("area-shared mapping: %v", err)
-		}
-		if nr := netlint.Audit(area, lib); netlint.HasErrors(nr.Diags) {
-			t.Fatalf("area-shared mapping fails netlint:\n%s", netlint.Format(nr.Diags, nr.Name))
+			units := []hazver.Unit{hazver.ControllerUnit(sp.Name, ctrl, nl)}
+			res := hazver.Audit(sp.Name, units, lib, hazver.Options{})
+			if hazver.HasErrors(res.Diags) || !res.Stats.Compiled {
+				t.Fatalf("hazver rejects the %s mapping:\n%s", mode, hazver.Format(res.Diags, res.Name))
+			}
+			ref := hazver.AuditInterpreted(sp.Name, units, lib)
+			if got, want := findings(ref), findings(res); got != want {
+				t.Fatalf("interpreted hazver disagrees with the compiled audit of the %s mapping:\n%s\nwant:\n%s", mode, got, want)
+			}
+			if mode == techmap.SpeedSplit {
+				if err := techmap.CheckMapped(ctrl, nl, lib); err != nil {
+					t.Fatalf("hazver passes the speed-split mapping, CheckMapped rejects it: %v", err)
+				}
+			} else if nr := netlint.Audit(nl, lib); netlint.HasErrors(nr.Diags) {
+				t.Fatalf("area-shared mapping fails netlint:\n%s", netlint.Format(nr.Diags, nr.Name))
+			}
 		}
 	})
 }
 
-// findings renders an audit's diagnostics and static report with the
-// evaluation path masked, the part both paths must agree on.
+// findings renders an audit's diagnostics and static report, the
+// part the compiled audit and the interpreted oracle must agree on.
 func findings(res hazver.Result) string {
-	st := res.Stats
-	st.Compiled = false
-	out := fmt.Sprintf("%+v\n", st)
+	out := fmt.Sprintf("%+v\n", res.Stats)
 	for _, d := range res.Diags {
 		if d.Code != "HZ200" {
 			out += d.Render(res.Name) + "\n"

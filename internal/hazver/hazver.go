@@ -7,10 +7,10 @@
 //
 // The check is Eichelberger's ternary-simulation argument specialized
 // to fundamental mode: for every specified burst of every controller
-// function (outputs and y* state bits), evaluate the merged mapped
-// circuit twice over {0,1,X} — first with the changing burst inputs
-// at X and every other variable at its start value, then at the burst
-// end point. Under the same feedback cuts the compiled evaluator and
+// function (outputs and y* state bits), evaluate the controller's
+// mapped netlist twice over {0,1,X} — first with the changing burst
+// inputs at X and every other variable at its start value, then at
+// the burst end point. Under the same feedback cuts the compiled evaluator and
 // netlint already honor (primary outputs and y* nets forced), the
 // mapped network is combinational and the ternary evaluation is
 // exact: a function whose specification holds it stable across the
@@ -27,10 +27,16 @@
 // final transition itself are outside the ternary model; DESIGN.md
 // §16 gives the soundness argument and this boundary.
 //
-// Evaluation is bit-parallel: gates.TernaryEval packs 64 passes into
-// dual-rail lane words over the compiled Program, with the
-// interpreted ternary settle (gates.SettleTernary) as oracle and
-// fallback. Findings are HZxxx diagnostics on the shared
+// Each unit is verified on its own netlist, the one the flow ships:
+// one gates.Compile per unit, and batches of up to 64 passes of that
+// unit on gates.TernaryEval, which packs them into dual-rail lane
+// words. That evaluator is the only one; a unit that does not compile
+// is an HZ000 error, not a second evaluation path. The interpreted
+// ternary settle (gates.SettleTernary) is the reference the package
+// tests hold it to. Functions and nets keep the names gates.Merge
+// gives them in the arm's merged circuit (gates.NameParts), so a
+// report reads the same as the netlint report of that circuit.
+// Findings are HZxxx diagnostics on the shared
 // internal/diag framework: HZ0xx hazards/mismatches (errors), HZ1xx
 // verification-coverage warnings, HZ200 the static report with
 // per-function worst-case X-propagation depth.
@@ -109,7 +115,6 @@ var Codes = map[string]string{
 	"HZ002": "dynamic hazard: a transitioning function may glitch before its final burst input",
 	"HZ003": "functional mismatch between mapped logic and specification at a burst endpoint",
 	"HZ100": "function net missing or undriven; its bursts cannot be verified",
-	"HZ101": "compiled ternary evaluation unavailable; verified on the interpreted path",
 	"HZ200": "static hazard-verification report",
 }
 
@@ -145,9 +150,8 @@ func ControllerUnit(name string, ctrl *minimalist.Controller, nl *gates.Netlist)
 
 // Options tunes an audit.
 type Options struct {
-	Pool        *parallel.Pool  // nil uses the process-wide default pool
-	Ctx         context.Context // nil uses context.Background()
-	Interpreted bool            // force the interpreted oracle path (testing)
+	Pool *parallel.Pool  // nil uses the process-wide default pool
+	Ctx  context.Context // nil uses context.Background()
 }
 
 // Stats is the static report for one audit.
@@ -159,15 +163,15 @@ type Stats struct {
 	Unverified int  // transitions skipped (undriven/missing function nets)
 	Passes     int  // ternary evaluation passes
 	MaxXDepth  int  // worst X-propagation depth reaching any function's driver
-	Compiled   bool // fast path (64-lane dual-rail) vs interpreted oracle
+	Compiled   bool // every unit compiled; false after an HZ000 compile failure
 }
 
 // String renders the one-line report used by the HZ200 info
 // diagnostic and the flow's -stats output.
 func (s Stats) String() string {
-	path := "interpreted"
-	if s.Compiled {
-		path = "compiled"
+	path := "compiled"
+	if !s.Compiled {
+		path = "a unit failed to compile"
 	}
 	skip := ""
 	if s.Skipped > 0 {
@@ -181,8 +185,8 @@ func (s Stats) String() string {
 		s.Units, skip, s.Functions, s.Bursts, unv, s.Passes, s.MaxXDepth, path)
 }
 
-// Result is one full audit: the merged circuit's name, its
-// diagnostics, and the static report.
+// Result is one full audit: the audited arm's name, its diagnostics,
+// and the static report.
 type Result struct {
 	Name  string
 	Diags []Diag
@@ -218,82 +222,98 @@ type tpass struct {
 	vhold int32 // passSub: var index held at its start value
 }
 
+// unitPlan is one verifiable unit resolved against its own netlist.
+type unitPlan struct {
+	*Unit
+	names  gates.PartNames // the nets' names in the arm's merged circuit
+	vars   []int           // net of each of Vars, -1 when the netlist lacks it
+	forced map[int]bool    // outputs and y* nets: the fundamental-mode cut
+	drv    []int
+	prog   *gates.Program // nil when the netlist does not compile
+}
+
 // fnInfo is one function to verify: a spec output or y* bit of one
-// unit, resolved to its merged net.
+// unit, resolved to its net in that unit's netlist.
 type fnInfo struct {
-	unit  int
-	key   string // Transitions key (output name or "y%d")
-	name  string // display name, merged-netlist qualified
-	net   int    // merged net id, -1 when the part lacks the net
+	unit  int    // index into auditor.units
+	name  string // display name, as in the merged circuit
+	net   int    // the unit's net id, -1 when the netlist lacks the net
 	trs   []hfmin.Transition
 	burst int // bursts verified
 	depth int // worst X-depth observed at the driver
 }
 
+// batch is a run of at most 64 passes, all of one unit.
+type batch struct{ lo, hi int }
+
 // Audit statically verifies every specified burst of every unit
-// against the merged mapped circuit and returns all findings plus the
-// static report. The result is deterministic — independent of worker
-// count and pool scheduling. An audit whose opt.Ctx ends before it
-// finishes returns an incomplete result: passes that never ran report
-// nothing, yet Stats still counts every scheduled pass. Callers check
-// opt.Ctx.Err() after the call and discard such a result.
+// against the unit's own mapped netlist and returns all findings plus
+// the static report. The result is deterministic — independent of
+// worker count and pool scheduling. An audit whose opt.Ctx ends before
+// it finishes returns an incomplete result: passes that never ran
+// report nothing, yet Stats still counts every scheduled pass. Callers
+// check opt.Ctx.Err() after the call and discard such a result.
 func Audit(name string, units []Unit, lib *cell.Library, opt Options) Result {
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rep := &Reporter{}
-	res := Result{Name: name}
+	a := newAuditor(name, units, lib)
+	return a.result(a.run(ctx, opt.Pool))
+}
 
-	// Merge the verifiable parts; remember each unit's remap so its
-	// private y* nets stay addressable.
+// auditor is one audit's plan — the units, their functions and the
+// scheduled passes — shared read-only by the parallel batch workers,
+// plus the report the plan already produced.
+type auditor struct {
+	units   []unitPlan
+	fns     []fnInfo
+	passes  []tpass
+	batches []batch
+	rep     *Reporter
+	res     Result
+}
+
+// newAuditor resolves every unit's functions on its netlist, compiles
+// the netlist under the forced cut — all outputs and y* bits, exactly
+// the fundamental-mode cut netlint honors — and schedules the ternary
+// passes, function by function so a batch's lanes for one function
+// are contiguous. A unit that does not compile gets an HZ000 error and
+// no passes.
+func newAuditor(name string, units []Unit, lib *cell.Library) *auditor {
+	a := &auditor{rep: &Reporter{}, res: Result{Name: name, Stats: Stats{Compiled: true}}}
 	var parts []*gates.Netlist
-	partOf := make([]int, len(units)) // unit -> index into parts, -1 skipped
 	for i := range units {
 		if units[i].Netlist == nil {
-			partOf[i] = -1
-			res.Stats.Skipped++
+			a.res.Stats.Skipped++
 			continue
 		}
-		partOf[i] = len(parts)
 		parts = append(parts, units[i].Netlist)
-		res.Stats.Units++
+		a.units = append(a.units, unitPlan{Unit: &units[i]})
 	}
-	merged, remaps := gates.MergeParts(name, parts)
-	drv := merged.DriverIndex()
-
-	// Resolve every function to its merged net and collect the forced
-	// cut: all outputs and y* bits, exactly the fundamental-mode cut
-	// netlint and gates.Compile honor.
-	var fns []fnInfo
-	varNets := make([][]int, len(units))
-	forced := map[int]bool{}
-	for ui := range units {
-		u := &units[ui]
-		pi := partOf[ui]
-		if pi < 0 {
-			continue
-		}
-		remap := remaps[pi]
-		vn := make([]int, len(u.Vars))
+	a.res.Stats.Units = len(a.units)
+	names := gates.NameParts(parts)
+	for ui := range a.units {
+		u := &a.units[ui]
+		nl := u.Netlist
+		u.names = names[ui]
+		u.vars = make([]int, len(u.Vars))
 		for j, v := range u.Vars {
-			vn[j] = -1
-			if u.Netlist.HasNet(v) {
-				vn[j] = remap[u.Netlist.Net(v)]
+			u.vars[j] = -1
+			if nl.HasNet(v) {
+				u.vars[j] = nl.Net(v)
 			}
 		}
-		varNets[ui] = vn
+		u.forced = map[int]bool{}
+		first := len(a.fns)
 		addFn := func(key string) {
-			fi := fnInfo{unit: ui, key: key, name: key, net: -1, depth: -1}
-			if u.Netlist.HasNet(key) {
-				fi.net = remap[u.Netlist.Net(key)]
-				fi.name = merged.NetNames[fi.net]
+			fi := fnInfo{unit: ui, name: key, net: -1, trs: u.Transitions[key], depth: -1}
+			if nl.HasNet(key) {
+				fi.net = nl.Net(key)
+				fi.name = u.names.Name(fi.net)
+				u.forced[fi.net] = true
 			}
-			fi.trs = u.Transitions[key]
-			fns = append(fns, fi)
-			if fi.net >= 0 {
-				forced[fi.net] = true
-			}
+			a.fns = append(a.fns, fi)
 		}
 		for _, out := range u.Outputs {
 			addFn(out)
@@ -301,111 +321,107 @@ func Audit(name string, units []Unit, lib *cell.Library, opt Options) Result {
 		for s := 0; s < u.StateBits; s++ {
 			addFn(fmt.Sprintf("y%d", s))
 		}
+		u.drv = nl.DriverIndex()
+		prog, err := gates.Compile(nl, lib, u.forced)
+		if err != nil {
+			unv := 0
+			for _, fn := range a.fns[first:] {
+				unv += len(fn.trs)
+			}
+			a.rep.Errorf(NoLoc, "HZ000", "unit %q does not compile (%v); its %d bursts are not verified", u.Name, err, unv)
+			a.res.Stats.Unverified += unv
+			a.res.Stats.Compiled = false
+			continue
+		}
+		u.prog = prog
+		a.schedule(first)
 	}
-	res.Stats.Functions = len(fns)
+	a.res.Stats.Functions = len(a.fns)
+	a.res.Stats.Passes = len(a.passes)
+	for lo := 0; lo < len(a.passes); {
+		unit := a.fns[a.passes[lo].fn].unit
+		hi := lo + 1
+		for hi < len(a.passes) && hi-lo < lanes && a.fns[a.passes[hi].fn].unit == unit {
+			hi++
+		}
+		a.batches = append(a.batches, batch{lo, hi})
+		lo = hi
+	}
+	return a
+}
 
-	// Schedule the ternary passes, function by function so a batch's
-	// lanes for one function are contiguous.
-	var passes []tpass
-	for fi := range fns {
-		fn := &fns[fi]
+// schedule adds the passes of the functions a.fns[first:], those of
+// the unit just compiled, and reports the undriven ones as HZ100.
+func (a *auditor) schedule(first int) {
+	for fi := first; fi < len(a.fns); fi++ {
+		fn := &a.fns[fi]
 		if len(fn.trs) == 0 {
 			continue
 		}
-		if fn.net < 0 || drv[fn.net] < 0 {
-			rep.Warnf(Loc{Fn: fn.name, Tr: -1, FnOrd: fi}, "HZ100",
+		if fn.net < 0 || a.units[fn.unit].drv[fn.net] < 0 {
+			a.rep.Warnf(Loc{Fn: fn.name, Tr: -1, FnOrd: fi}, "HZ100",
 				"function net %q missing or undriven; %d bursts not verified", fn.name, len(fn.trs))
-			res.Stats.Unverified += len(fn.trs)
+			a.res.Stats.Unverified += len(fn.trs)
 			continue
 		}
 		for ti, t := range fn.trs {
 			ch := t.Changed()
-			passes = append(passes,
+			a.passes = append(a.passes,
 				tpass{fn: int32(fi), tr: int32(ti), kind: passStart},
 				tpass{fn: int32(fi), tr: int32(ti), kind: passEnd})
 			if t.From == t.To {
 				if len(ch) > 0 {
-					passes = append(passes, tpass{fn: int32(fi), tr: int32(ti), kind: passStatic})
+					a.passes = append(a.passes, tpass{fn: int32(fi), tr: int32(ti), kind: passStatic})
 				}
 			} else if len(ch) >= 2 {
 				for _, v := range ch {
-					passes = append(passes, tpass{fn: int32(fi), tr: int32(ti), kind: passSub, vhold: int32(v)})
+					a.passes = append(a.passes, tpass{fn: int32(fi), tr: int32(ti), kind: passSub, vhold: int32(v)})
 				}
 			}
 			fn.burst++
-			res.Stats.Bursts++
+			a.res.Stats.Bursts++
 		}
 	}
-	res.Stats.Passes = len(passes)
+}
 
-	// Evaluate: compiled 64-lane dual-rail when the circuit compiles,
-	// interpreted ternary settle otherwise (or when forced, as the
-	// fuzz oracle).
-	var prog *gates.Program
-	if !opt.Interpreted {
-		p, err := gates.Compile(merged, lib, forced)
-		if err != nil {
-			rep.Warnf(NoLoc, "HZ101", "compiled ternary evaluation unavailable (%v); verified on the interpreted path", err)
-		} else {
-			prog = p
-		}
-	}
-	res.Stats.Compiled = prog != nil
-
-	a := &auditor{
-		units: units, fns: fns, varNets: varNets, passes: passes,
-		merged: merged, drv: drv, lib: lib, forced: forced, prog: prog,
-	}
-	outs := a.run(ctx, opt.Pool)
+// result folds the batch outputs, in group order, into the report:
+// the findings, the per-function X depths and the HZ200 static report
+// with its per-function depth table.
+func (a *auditor) result(outs []batchOut) Result {
 	for _, o := range outs {
 		for _, d := range o.diags {
-			rep.Report(d)
+			a.rep.Report(d)
+		}
+		for fi, d := range o.depth {
+			if int(d) > a.fns[fi].depth {
+				a.fns[fi].depth = int(d)
+			}
 		}
 	}
+	res := a.res
 	for fi := range a.fns {
 		if d := a.fns[fi].depth; d > res.Stats.MaxXDepth {
 			res.Stats.MaxXDepth = d
 		}
 	}
-
-	// The static report, with the per-function depth table.
-	rep.Infof(NoLoc, "HZ200", "static hazard report: %s", res.Stats)
+	a.rep.Infof(NoLoc, "HZ200", "static hazard report: %s", res.Stats)
 	for fi := range a.fns {
 		fn := &a.fns[fi]
 		if fn.burst == 0 && fn.depth < 0 {
 			continue
 		}
-		d := fn.depth
-		if d < 0 {
-			d = 0
-		}
-		rep.Note("%s: %d bursts, worst X-depth %d", fn.name, fn.burst, d)
+		a.rep.Note("%s: %d bursts, worst X-depth %d", fn.name, fn.burst, max(fn.depth, 0))
 	}
 	if res.Stats.Skipped > 0 {
-		rep.Note("%d hand-library circuits carry no burst provenance and are verified dynamically (simulation), not statically", res.Stats.Skipped)
+		a.rep.Note("%d hand-library circuits carry no burst provenance and are verified dynamically (simulation), not statically", res.Stats.Skipped)
 	}
-
-	res.Diags = rep.Diags()
+	res.Diags = a.rep.Diags()
 	diag.Sort(res.Diags)
 	return res
 }
 
-// auditor carries the immutable evaluation inputs shared by the
-// parallel batch workers.
-type auditor struct {
-	units   []Unit
-	fns     []fnInfo
-	varNets [][]int
-	passes  []tpass
-	merged  *gates.Netlist
-	drv     []int
-	lib     *cell.Library
-	forced  map[int]bool
-	prog    *gates.Program
-}
-
-// batchGroup batches per worker leaf: each leaf compiles its own
-// evaluation state and walks a contiguous slice of batches, so output
+// batchGroup batches per worker leaf: each leaf walks a contiguous
+// slice of batches with one evaluator per unit it touches, so output
 // order is deterministic regardless of scheduling.
 const (
 	lanes      = 64
@@ -417,51 +433,36 @@ type batchOut struct {
 	depth []int32 // per fn, -1 untouched
 }
 
+func (a *auditor) newOut() batchOut {
+	out := batchOut{depth: make([]int32, len(a.fns))}
+	for i := range out.depth {
+		out.depth[i] = -1
+	}
+	return out
+}
+
 // run evaluates every scheduled pass and returns per-group outputs in
 // group order. Worker errors are impossible by construction — every
 // failure becomes a diagnostic — so the MapCtx error is only context
 // cancellation, which yields zero-valued outputs and a truncated
 // (but still deterministic-prefix) diagnostic set.
 func (a *auditor) run(ctx context.Context, pool *parallel.Pool) []batchOut {
-	nBatches := (len(a.passes) + lanes - 1) / lanes
-	groups := (nBatches + batchGroup - 1) / batchGroup
+	groups := (len(a.batches) + batchGroup - 1) / batchGroup
 	if groups == 0 {
 		return nil
 	}
 	outs, _ := parallel.MapCtx(ctx, pool, groups, func(g int) (batchOut, error) {
-		out := batchOut{depth: make([]int32, len(a.fns))}
-		for i := range out.depth {
-			out.depth[i] = -1
-		}
-		if a.prog != nil {
-			ev := a.prog.NewTernaryEval()
-			for b := g * batchGroup; b < (g+1)*batchGroup && b < nBatches; b++ {
-				a.runBatch(ev, b, &out)
+		out := a.newOut()
+		evs := make([]*gates.TernaryEval, len(a.units))
+		for _, b := range a.batches[g*batchGroup : min((g+1)*batchGroup, len(a.batches))] {
+			ui := a.fns[a.passes[b.lo].fn].unit
+			if evs[ui] == nil {
+				evs[ui] = a.units[ui].prog.NewTernaryEval()
 			}
-		} else {
-			vals := make([]uint8, len(a.merged.NetNames))
-			xd := make([]uint8, len(a.merged.NetNames))
-			for b := g * batchGroup; b < (g+1)*batchGroup && b < nBatches; b++ {
-				lo, hi := b*lanes, (b+1)*lanes
-				if hi > len(a.passes) {
-					hi = len(a.passes)
-				}
-				for pi := lo; pi < hi; pi++ {
-					a.runInterp(vals, xd, &a.passes[pi], &out)
-				}
-			}
+			a.runBatch(evs[ui], b, &out)
 		}
-		// Merge per-fn observations into the fn table later, in
-		// deterministic group order.
 		return out, nil
 	})
-	for _, o := range outs {
-		for fi, d := range o.depth {
-			if int(d) > a.fns[fi].depth {
-				a.fns[fi].depth = int(d)
-			}
-		}
-	}
 	return outs
 }
 
@@ -509,27 +510,22 @@ func (a *auditor) want(p *tpass) bool {
 	return t.From
 }
 
-// runBatch evaluates up to 64 passes bit-parallel on the compiled
+// runBatch evaluates one batch bit-parallel on its unit's compiled
 // dual-rail evaluator and judges each lane.
-func (a *auditor) runBatch(ev *gates.TernaryEval, b int, out *batchOut) {
-	lo, hi := b*lanes, (b+1)*lanes
-	if hi > len(a.passes) {
-		hi = len(a.passes)
-	}
+func (a *auditor) runBatch(ev *gates.TernaryEval, b batch, out *batchOut) {
+	u := &a.units[a.fns[a.passes[b.lo].fn].unit]
 	ev.Reset()
 	// The tied-low net is a source at 0, as netlint and the Verilog
 	// treat it; Reset left it at X.
-	if c := a.merged.Const0; c >= 0 {
+	if c := u.Netlist.Const0; c >= 0 {
 		for ln := uint(0); ln < lanes; ln++ {
 			ev.Assign(c, ln, gates.T0)
 		}
 	}
-	for pi := lo; pi < hi; pi++ {
-		p := &a.passes[pi]
-		cube := a.assignment(p)
-		vn := a.varNets[a.fns[p.fn].unit]
-		ln := uint(pi - lo)
-		for j, net := range vn {
+	for pi := b.lo; pi < b.hi; pi++ {
+		cube := a.assignment(&a.passes[pi])
+		ln := uint(pi - b.lo)
+		for j, net := range u.vars {
 			if net >= 0 {
 				ev.Assign(net, ln, litTern(cube[j]))
 			}
@@ -538,18 +534,18 @@ func (a *auditor) runBatch(ev *gates.TernaryEval, b int, out *batchOut) {
 	ev.Run()
 	// Judge contiguous runs of lanes that share a function, reading
 	// the driver rails once per run.
-	for pi := lo; pi < hi; {
+	for pi := b.lo; pi < b.hi; {
 		fi := a.passes[pi].fn
 		end := pi
 		var mask uint64
-		for end < hi && a.passes[end].fn == fi {
-			mask |= 1 << uint(end-lo)
+		for end < b.hi && a.passes[end].fn == fi {
+			mask |= 1 << uint(end-b.lo)
 			end++
 		}
 		fn := &a.fns[fi]
 		dhi, dlo, _ := ev.Driver(fn.net)
 		for p := pi; p < end; p++ {
-			ln := uint(p - lo)
+			ln := uint(p - b.lo)
 			v := gates.T0
 			switch {
 			case dhi>>ln&1 != 0 && dlo>>ln&1 != 0:
@@ -558,49 +554,13 @@ func (a *auditor) runBatch(ev *gates.TernaryEval, b int, out *batchOut) {
 				v = gates.T1
 			}
 			a.judge(&a.passes[p], v, func() []int {
-				return traceX(a.merged, a.drv, a.forced, fn.net, func(n int) uint8 { return ev.At(n, ln) })
+				return u.traceX(fn.net, func(n int) uint8 { return ev.At(n, ln) })
 			}, out)
 		}
 		if d := ev.DriverXDepth(fn.net, mask); int32(d) > out.depth[fi] {
 			out.depth[fi] = int32(d)
 		}
 		pi = end
-	}
-}
-
-// runInterp evaluates one pass on the interpreted ternary settle
-// oracle and judges it. vals and xd are per-worker scratch.
-func (a *auditor) runInterp(vals, xd []uint8, p *tpass, out *batchOut) {
-	for i := range vals {
-		vals[i] = gates.TX
-	}
-	if c := a.merged.Const0; c >= 0 {
-		vals[c] = gates.T0
-	}
-	fn := &a.fns[p.fn]
-	cube := a.assignment(p)
-	vn := a.varNets[fn.unit]
-	for j, net := range vn {
-		if net >= 0 {
-			vals[net] = litTern(cube[j])
-		}
-	}
-	if err := gates.SettleTernary(a.merged, a.lib, a.forced, vals); err != nil {
-		out.diags = append(out.diags, Diag{
-			Loc: a.loc(p), Severity: SevError, Code: "HZ000",
-			Message: fmt.Sprintf("ternary evaluation failed: %v", err),
-		})
-		return
-	}
-	v, ok := gates.DriveTernary(a.merged, a.lib, a.drv, vals, fn.net)
-	if !ok {
-		return
-	}
-	a.judge(p, v, func() []int {
-		return traceX(a.merged, a.drv, a.forced, fn.net, func(n int) uint8 { return vals[n] })
-	}, out)
-	if d := a.interpDepth(vals, xd, fn.net, v); int32(d) > out.depth[p.fn] {
-		out.depth[p.fn] = int32(d)
 	}
 }
 
@@ -649,6 +609,7 @@ func (a *auditor) judge(p *tpass, v uint8, culprit func() []int, out *batchOut) 
 		return
 	}
 	fn := &a.fns[p.fn]
+	u := &a.units[fn.unit]
 	switch p.kind {
 	case passStart, passEnd:
 		point := "start"
@@ -664,49 +625,51 @@ func (a *auditor) judge(p *tpass, v uint8, culprit func() []int, out *batchOut) 
 		if v != gates.TX {
 			return // wrong binary value surfaces as HZ003 at the endpoints
 		}
+		chain := culprit()
 		d := Diag{
 			Loc: a.loc(p), Severity: SevError, Code: "HZ001",
 			Message: fmt.Sprintf("static hazard: function must hold %s across the burst but evaluates to X%s",
-				gates.TernString(want), throughNet(a.merged, culprit())),
+				gates.TernString(want), u.throughNet(chain)),
 		}
-		a.notePath(&d, culprit())
+		u.notePath(&d, chain)
 		out.diags = append(out.diags, d)
 	default: // passSub
 		if v != gates.TX {
 			return // wrong binary value surfaces as HZ003 at the start point
 		}
 		held := fmt.Sprintf("v%d", p.vhold)
-		if vars := a.units[fn.unit].Vars; int(p.vhold) < len(vars) {
-			held = vars[p.vhold]
+		if int(p.vhold) < len(u.Vars) {
+			held = u.Vars[p.vhold]
 		}
+		chain := culprit()
 		d := Diag{
 			Loc: a.loc(p), Severity: SevError, Code: "HZ002",
 			Message: fmt.Sprintf("dynamic hazard: with %q still at its start value the function must hold %s but evaluates to X%s",
-				held, gates.TernString(want), throughNet(a.merged, culprit())),
+				held, gates.TernString(want), u.throughNet(chain)),
 		}
-		a.notePath(&d, culprit())
+		u.notePath(&d, chain)
 		out.diags = append(out.diags, d)
 	}
 }
 
 // throughNet names the offending net — the X-valued gate output
 // closest to the function's driver — for the one-line message.
-func throughNet(nl *gates.Netlist, chain []int) string {
+func (u *unitPlan) throughNet(chain []int) string {
 	if len(chain) == 0 {
 		return " (X enters through the function's own feedback)"
 	}
-	return fmt.Sprintf(" (X enters through net %q)", nl.NetNames[chain[0]])
+	return fmt.Sprintf(" (X enters through net %q)", u.names.Name(chain[0]))
 }
 
 // notePath attaches the full X chain as a note when it is longer than
 // the single net the message names.
-func (a *auditor) notePath(d *Diag, chain []int) {
+func (u *unitPlan) notePath(d *Diag, chain []int) {
 	if len(chain) < 2 {
 		return
 	}
 	names := make([]string, len(chain))
 	for i, n := range chain {
-		names[i] = a.merged.NetNames[n]
+		names[i] = u.names.Name(n)
 	}
 	d.Notes = append(d.Notes, fmt.Sprintf("X path to the function: %s", strings.Join(names, " <- ")))
 }
@@ -717,24 +680,24 @@ func (a *auditor) notePath(d *Diag, chain []int) {
 // returns the visited nets in driver-to-source order. An empty chain
 // means the only X feeding the driver is the forced net's own
 // feedback value.
-func traceX(nl *gates.Netlist, drv []int, forced map[int]bool, net int, at func(int) uint8) []int {
+func (u *unitPlan) traceX(net int, at func(int) uint8) []int {
 	var chain []int
 	seen := map[int]bool{net: true}
 	cur := net
 	for {
-		di := drv[cur]
+		di := u.drv[cur]
 		if di < 0 {
 			return chain
 		}
 		next := -1
-		for _, in := range nl.Instances[di].Inputs {
+		for _, in := range u.Netlist.Instances[di].Inputs {
 			if seen[in] || at(in) != gates.TX {
 				continue
 			}
 			if next < 0 {
 				next = in
 			}
-			if drv[in] >= 0 && !forced[in] {
+			if u.drv[in] >= 0 && !u.forced[in] {
 				next = in
 				break
 			}
@@ -744,66 +707,9 @@ func traceX(nl *gates.Netlist, drv []int, forced map[int]bool, net int, at func(
 		}
 		seen[next] = true
 		chain = append(chain, next)
-		if drv[next] < 0 || forced[next] {
+		if u.drv[next] < 0 || u.forced[next] {
 			return chain
 		}
 		cur = next
-	}
-}
-
-// interpDepth mirrors TernaryEval.DriverXDepth on the interpreted
-// path: the longest chain of X nets feeding the function's driver plus
-// one when the driver output is X, and 0 when it is binary.
-func (a *auditor) interpDepth(vals, xd []uint8, net int, v uint8) int {
-	di := a.drv[net]
-	if di < 0 || v != gates.TX {
-		return 0
-	}
-	a.interpXD(vals, xd)
-	best := 0
-	for _, in := range a.merged.Instances[di].Inputs {
-		if vals[in] == gates.TX {
-			if d := int(xd[in]); d > best {
-				best = d
-			}
-		}
-	}
-	return best + 1
-}
-
-// interpXD computes per-net X depths into xd by fixed-point sweeps:
-// an X net computed by a gate sits one above its deepest X input;
-// sources and binary nets are depth 0. The forced cut makes the
-// graph acyclic, so the sweep converges.
-func (a *auditor) interpXD(vals, xd []uint8) {
-	for i := range xd {
-		xd[i] = 0
-	}
-	limit := 4*len(a.merged.Instances) + 16
-	for iter := 0; iter < limit; iter++ {
-		changed := false
-		for i := range a.merged.Instances {
-			inst := &a.merged.Instances[i]
-			out := inst.Output
-			if a.forced[out] || a.drv[out] != i || vals[out] != gates.TX {
-				continue
-			}
-			d := uint8(0)
-			for _, in := range inst.Inputs {
-				if vals[in] == gates.TX && xd[in] > d {
-					d = xd[in]
-				}
-			}
-			if d < 255 {
-				d++
-			}
-			if xd[out] != d {
-				xd[out] = d
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 
 	"balsabm/internal/bm"
 	"balsabm/internal/cell"
+	"balsabm/internal/ch"
+	"balsabm/internal/chtobm"
 	"balsabm/internal/diag"
 	"balsabm/internal/gates"
 	"balsabm/internal/hfmin"
@@ -210,23 +212,70 @@ func TestMergedNamespacing(t *testing.T) {
 	if res.Stats.Units != 2 || res.Stats.Functions != 2 {
 		t.Fatalf("stats = %+v", res.Stats)
 	}
+	// Each unit's private nets carry the name gates.Merge gives them:
+	// the repeated part name takes a ".2" suffix.
+	var msgs []string
+	for _, d := range res.Diags {
+		if d.Code == "HZ001" {
+			msgs = append(msgs, d.Message)
+		}
+	}
+	if len(msgs) != 2 || !strings.Contains(msgs[0], `net "mux.t`) || !strings.Contains(msgs[1], `net "mux.2.t`) {
+		t.Fatalf("private nets not named as in the merged circuit:\n%s", Format(res.Diags, "t"))
+	}
 }
 
-// stripVolatile drops the diagnostics whose content legitimately
-// differs between the compiled and interpreted paths (the HZ200
-// report names the path; HZ101 only fires on compile failure).
-func stripVolatile(ds []Diag) []Diag {
+// A unit whose netlist gates.Compile rejects — here a combinational
+// loop that no forced net cuts — is an HZ000 error naming the unit and
+// the compile error, and none of its bursts counts as verified.
+func TestUncompilableUnitIsAnError(t *testing.T) {
+	lib := cell.AMS035()
+	nl := gates.New("loop")
+	a := nl.Net("a")
+	nl.Inputs = append(nl.Inputs, a)
+	t1, t2, z := nl.Net("t1"), nl.Net("t2"), nl.Net("z")
+	nl.Outputs = append(nl.Outputs, z)
+	nl.AddInstance("NAND2", []int{a, t2}, t1, 0)
+	nl.AddInstance("INV", []int{t1}, t2, 0)
+	nl.AddInstance("BUF", []int{t1}, z, 0)
+	steady := hfmin.Transition{Start: []bool{true}, End: []bool{true}, From: true, To: true}
+	rise := hfmin.Transition{Start: []bool{false}, End: []bool{true}, From: false, To: true}
+	res := Audit("t", []Unit{unit1(nl, []string{"a"}, steady, rise)}, lib, Options{})
+	var hz []Diag
+	for _, d := range res.Diags {
+		if d.Code == "HZ000" {
+			hz = append(hz, d)
+		}
+	}
+	if len(hz) != 1 || hz[0].Severity != SevError || hz[0].Loc != NoLoc ||
+		!strings.Contains(hz[0].Message, `unit "loop"`) || !strings.Contains(hz[0].Message, "cycle") {
+		t.Fatalf("want one circuit-level HZ000 naming the unit and the compile error:\n%s", Format(res.Diags, "t"))
+	}
+	if !HasErrors(res.Diags) {
+		t.Fatal("an uncompilable unit passes")
+	}
+	st := res.Stats
+	if st.Compiled || st.Units != 1 || st.Bursts != 0 || st.Unverified != 2 || st.Passes != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if !strings.Contains(st.String(), "2 unverified") || !strings.Contains(st.String(), "a unit failed to compile") {
+		t.Fatalf("report = %s", st)
+	}
+}
+
+// withoutReport drops the HZ200 static report, which the agreement
+// test compares through Stats instead.
+func withoutReport(ds []Diag) []Diag {
 	var out []Diag
 	for _, d := range ds {
-		if d.Code == "HZ200" || d.Code == "HZ101" {
-			continue
+		if d.Code != "HZ200" {
+			out = append(out, d)
 		}
-		out = append(out, d)
 	}
 	return out
 }
 
-// The compiled 64-lane path and the interpreted oracle must agree on
+// The compiled 64-lane audit and the interpreted oracle must agree on
 // every diagnostic and on the depth report, at any worker count.
 func TestCompiledVsInterpretedAgreement(t *testing.T) {
 	lib := cell.AMS035()
@@ -245,22 +294,15 @@ func TestCompiledVsInterpretedAgreement(t *testing.T) {
 		u2.Transitions = map[string][]hfmin.Transition{"z2": {aFalls}}
 		return []Unit{u1, u2}
 	}
-	base := Audit("t", mkUnits(), lib, Options{})
-	if !base.Stats.Compiled {
-		t.Fatal("base audit did not take the compiled path")
-	}
+	ref := auditInterpreted("t", mkUnits(), lib)
+	want := fmt.Sprintf("%v", withoutReport(ref.Diags))
 	for _, j := range []int{1, 2, 7} {
-		pool := parallel.NewPool(j)
-		for _, interp := range []bool{false, true} {
-			res := Audit("t", mkUnits(), lib, Options{Pool: pool, Interpreted: interp})
-			got := fmt.Sprintf("%v", stripVolatile(res.Diags))
-			want := fmt.Sprintf("%v", stripVolatile(base.Diags))
-			if got != want {
-				t.Fatalf("j=%d interpreted=%v diverged:\n%s\nwant:\n%s", j, interp, got, want)
-			}
-			if res.Stats.MaxXDepth != base.Stats.MaxXDepth {
-				t.Fatalf("j=%d interpreted=%v: X depth %d, want %d", j, interp, res.Stats.MaxXDepth, base.Stats.MaxXDepth)
-			}
+		res := Audit("t", mkUnits(), lib, Options{Pool: parallel.NewPool(j)})
+		if got := fmt.Sprintf("%v", withoutReport(res.Diags)); got != want {
+			t.Fatalf("j=%d diverged from the interpreted oracle:\n%s\nwant:\n%s", j, got, want)
+		}
+		if res.Stats != ref.Stats || !res.Stats.Compiled {
+			t.Fatalf("j=%d: stats %+v, oracle %+v", j, res.Stats, ref.Stats)
 		}
 	}
 }
@@ -269,8 +311,8 @@ func TestCompiledVsInterpretedAgreement(t *testing.T) {
 // specification never raises — to a buffer of the tied-low net
 // "const0$". hazver holds that net at 0, as netlint and the Verilog do,
 // so pulse's never-toggled output idle verifies clean in both mapping
-// modes on both evaluation paths, while an inverter of the net still
-// evaluates to 1 where the specification requires 0.
+// modes, compiled and on the interpreted oracle, while an inverter of
+// the net still evaluates to 1 where the specification requires 0.
 func TestConstZeroIsTiedLow(t *testing.T) {
 	src, err := os.ReadFile("../../cmd/balsabm/testdata/pulse.bms")
 	if err != nil {
@@ -296,14 +338,56 @@ func TestConstZeroIsTiedLow(t *testing.T) {
 				t.Fatalf("%s: idle is driven by %s, want BUF const0$", mode, inst.Cell)
 			}
 			audit := func() Result {
-				return Audit("pulse", []Unit{ControllerUnit("pulse", ctrl, nl)}, lib, Options{Interpreted: interp})
+				units := []Unit{ControllerUnit("pulse", ctrl, nl)}
+				if interp {
+					return auditInterpreted("pulse", units, lib)
+				}
+				return Audit("pulse", units, lib, Options{})
 			}
-			if res := audit(); HasErrors(res.Diags) || res.Stats.Compiled == interp {
+			if res := audit(); HasErrors(res.Diags) || !res.Stats.Compiled {
 				t.Errorf("%s interpreted=%v: %+v\n%s", mode, interp, res.Stats, Format(res.Diags, res.Name))
 			}
 			inst.Cell = "INV"
 			if res := audit(); !diag.HasCode(res.Diags, "HZ003") || diag.HasCode(res.Diags, "HZ001") {
 				t.Errorf("%s interpreted=%v: INV const0$ must be an HZ003 mismatch, not an X:\n%s", mode, interp, Format(res.Diags, res.Name))
+			}
+		}
+	}
+}
+
+// TestAreaSharedCElementCopies: the area-shared mapping gives a
+// function whose cover equals a C-element-driven function's its own
+// C-element, so hazver verifies both mappings of the passivator and of
+// r7c3's controller, whose c5_a copies c4_a's cover. Both used to map
+// the copy to a buffer of the C-element's net, which hazver rejects.
+func TestAreaSharedCElementCopies(t *testing.T) {
+	lib := cell.AMS035()
+	for _, tc := range []struct{ name, src string }{
+		{"passivator", "(rep (enc-middle (p-to-p passive A) (p-to-p passive B)))"},
+		{"r7c3", `(rep (enc-early (p-to-p passive c1act)
+			(seq (enc-middle (p-to-p passive c2) (p-to-p active c3))
+			     (enc-middle (p-to-p passive c4) (p-to-p passive c5)))))`},
+	} {
+		body, err := ch.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := chtobm.Compile(&ch.Program{Name: tc.name, Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := minimalist.Synthesize(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []techmap.Mode{techmap.SpeedSplit, techmap.AreaShared} {
+			nl, err := techmap.MapController(ctrl, mode, lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := Audit(tc.name, []Unit{ControllerUnit(tc.name, ctrl, nl)}, lib, Options{})
+			if HasErrors(res.Diags) || !res.Stats.Compiled {
+				t.Errorf("%s %s: %+v\n%s", tc.name, mode, res.Stats, Format(res.Diags, res.Name))
 			}
 		}
 	}

@@ -36,13 +36,13 @@ import (
 // CH program matches a library shape, along with true; otherwise
 // (nil, false) and the caller falls back to synthesis.
 func Build(p *ch.Program) (*gates.Netlist, bool) {
-	if act, subs, ok := sequencerShape(p); ok {
+	if act, subs, ok := sequencerShape(p); ok && distinct(act, subs) {
 		return sequencer(p.Name, act, subs), true
 	}
-	if ins, out, ok := callShape(p); ok {
+	if ins, out, ok := ch.CallShape(p); ok {
 		return call(p.Name, ins, out), true
 	}
-	if act, subs, ok := concurShape(p); ok {
+	if act, subs, ok := concurShape(p); ok && distinct(act, subs) {
 		return concur(p.Name, act, subs), true
 	}
 	if a, b, ok := passivatorShape(p); ok {
@@ -55,6 +55,26 @@ func Build(p *ch.Program) (*gates.Netlist, bool) {
 }
 
 // --- shape recognizers -------------------------------------------------
+
+// distinct reports whether the activation channel and the
+// sub-channels are pairwise distinct. The sequencer and concur
+// circuits give each sub-channel its own request driver, so a repeated
+// channel would be driven twice; such a component is left to
+// synthesis. The call circuit shares its active channel by design and
+// does not ask.
+func distinct(act string, subs []string) bool {
+	for i, s := range subs {
+		if s == act {
+			return false
+		}
+		for _, t := range subs[:i] {
+			if s == t {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 func pToP(e ch.Expr, act ch.Activity) (string, bool) {
 	c, ok := e.(*ch.Chan)
@@ -131,43 +151,6 @@ func concurShape(p *ch.Program) (act string, subs []string, ok bool) {
 		subs = append(subs, name)
 		e = mid.B
 	}
-}
-
-// callShape matches the n-way call of Section 4.2.
-func callShape(p *ch.Program) (ins []string, out string, ok bool) {
-	rep, isRep := p.Body.(*ch.Rep)
-	if !isRep {
-		return nil, "", false
-	}
-	var walk func(e ch.Expr) bool
-	walk = func(e ch.Expr) bool {
-		op, isOp := e.(*ch.Op)
-		if !isOp {
-			return false
-		}
-		if op.Kind == ch.Mutex {
-			return walk(op.A) && walk(op.B)
-		}
-		if op.Kind != ch.EncEarly {
-			return false
-		}
-		in, okIn := pToP(op.A, ch.Passive)
-		o, okOut := pToP(op.B, ch.Active)
-		if !okIn || !okOut {
-			return false
-		}
-		if out == "" {
-			out = o
-		} else if out != o {
-			return false
-		}
-		ins = append(ins, in)
-		return true
-	}
-	if !walk(rep.Body) || len(ins) < 2 {
-		return nil, "", false
-	}
-	return ins, out, true
 }
 
 // passivatorShape matches (rep (enc-middle (p-to-p passive a) (p-to-p passive b))).

@@ -98,6 +98,31 @@ func TestUnknownShapes(t *testing.T) {
 	}
 }
 
+// The sequencer and concur circuits drive each sub-channel's request
+// from its own gate, so a component that repeats a channel is left to
+// synthesis instead of shipping a net with two drivers. The check
+// allocates nothing.
+func TestRepeatedChannelsDecline(t *testing.T) {
+	for _, src := range []string{
+		`(rep (enc-early (p-to-p passive e) (seq (p-to-p active t) (p-to-p active t))))`,
+		`(rep (enc-early (p-to-p passive e) (seq (p-to-p active t) (seq (p-to-p active u) (p-to-p active t)))))`,
+		`(rep (enc-early (p-to-p passive e) (seq (p-to-p active e) (p-to-p active t))))`,
+		`(rep (enc-early (p-to-p passive e) (enc-middle (p-to-p active t) (p-to-p active t))))`,
+	} {
+		body, err := ch.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nl, ok := Build(&ch.Program{Name: "rep", Body: body}); ok {
+			t.Errorf("%s matched a library circuit: %v", src, nl.CellCounts())
+		}
+	}
+	subs := []string{"a", "b", "c", "d"}
+	if a := testing.AllocsPerRun(100, func() { distinct("p", subs) }); a != 0 {
+		t.Errorf("distinct allocates %v times", a)
+	}
+}
+
 // Hand circuits must be dramatically smaller than synthesized
 // speed-mode controllers — the baseline-vs-optimized area asymmetry the
 // paper reports.

@@ -205,37 +205,27 @@ func (m *mapper) buildAreaShared() error {
 	// C-element extraction first: any function (fed-back output or
 	// extra state bit) whose cover is majority(a, b, self) is a Muller
 	// C-element — e.g. the passivator's acknowledges.
-	cDriven := map[string]bool{}
-	aliases := map[string]string{} // function name -> equivalent function net
-	for _, z := range m.ctrl.Spec.Outputs {
-		if a, b, ok := m.majoritySelf(m.ctrl.Outputs[z], z); ok {
-			m.nl.AddInstance("C2", []int{a, b}, m.nl.Net(z), 0)
-			cDriven[z] = true
+	fns := m.functions()
+	cIns := make([][]int, len(fns)) // C2 inputs of a C-driven function
+	for i, f := range fns {
+		if a, b, ok := m.majoritySelf(f.cover, f.name); ok {
+			m.nl.AddInstance("C2", []int{a, b}, m.nl.Net(f.name), 0)
+			cIns[i] = []int{a, b}
 		}
 	}
-	for i, cv := range m.ctrl.NextState {
-		name := fmt.Sprintf("y%d", i)
-		if a, b, ok := m.majoritySelf(cv, name); ok {
-			m.nl.AddInstance("C2", []int{a, b}, m.nl.Net(name), 0)
-			cDriven[name] = true
-		}
-	}
-	// Functions identical to a C-driven one become buffers.
-	for _, f := range m.functions() {
-		if cDriven[f.name] {
+	// A function whose cover equals a C-driven function g's is
+	// majority(a, b, g), and it equals g in every state, so it is a
+	// C-element on the same a and b holding its own value. A buffer of
+	// g would not do: during a burst it reads g's old value, not the
+	// next one the function's cover gives.
+	for i, f := range fns {
+		if cIns[i] != nil {
 			continue
 		}
-		for other := range cDriven {
-			var otherCover logic.Cover
-			if idx := m.varIndex(other); idx >= 0 && !strings.HasPrefix(other, "y") {
-				otherCover = m.ctrl.Outputs[other]
-			} else {
-				var i int
-				fmt.Sscanf(other, "y%d", &i)
-				otherCover = m.ctrl.NextState[i]
-			}
-			if coversEqual(f.cover, otherCover) {
-				aliases[f.name] = other
+		for j, g := range fns {
+			if cIns[j] != nil && coversEqual(f.cover, g.cover) {
+				m.nl.AddInstance("C2", cIns[j], m.nl.Net(f.name), 0)
+				cIns[i] = cIns[j]
 				break
 			}
 		}
@@ -265,15 +255,11 @@ func (m *mapper) buildAreaShared() error {
 		products[key] = p
 		return p, nil
 	}
-	for _, f := range m.functions() {
-		if cDriven[f.name] {
+	for i, f := range fns {
+		if cIns[i] != nil {
 			continue
 		}
 		outNet := m.nl.Net(f.name)
-		if alias, ok := aliases[f.name]; ok {
-			m.nl.AddInstance("BUF", []int{m.nl.Net(alias)}, outNet, 0)
-			continue
-		}
 		if len(f.cover) == 0 {
 			m.nl.AddInstance("BUF", []int{m.nl.ConstZero()}, outNet, 2)
 			continue
