@@ -206,8 +206,9 @@ func TestArtifactsSpec(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	area, speed, ok := strings.Cut(out, "; pulse [speed-split]")
-	if !ok || !strings.Contains(area, "; pulse [area-shared]: 2 cells") || !strings.Contains(area, "; netlint static:") || strings.Contains(area, "hazver") {
-		t.Errorf("area-shared section wants its summary and netlint's verdict alone:\n%s", area)
+	if !ok || !strings.Contains(area, "; pulse [area-shared]: 2 cells") || !strings.Contains(area, "; netlint static:") ||
+		!strings.Contains(area, "; hazver static: 1 units, 2 functions, 8 bursts, 22 ternary passes") {
+		t.Errorf("area-shared section wants its summary and hazver's and netlint's verdicts:\n%s", area)
 	}
 	if !strings.Contains(speed, "; hazver static: 1 units, 2 functions, 8 bursts, 22 ternary passes") || !strings.Contains(speed, "; netlint static:") {
 		t.Errorf("speed-split section wants hazver's and netlint's verdicts:\n%s", speed)

@@ -84,8 +84,8 @@
 //	                          circuit) and <ctl>.<arm>.v (the shipped
 //	                          Verilog). A .bms spec runs through bmlint
 //	                          and Minimalist, is mapped in both modes and
-//	                          checked — hazver on speed-split, netlint on
-//	                          both — and writes <name>.sol; exit status
+//	                          each mapping is checked by hazver and
+//	                          netlint, and writes <name>.sol; exit status
 //	                          1 on a checker error.
 //	balsabm cache <stats|gc|verify> <data-dir> [max-bytes]
 //	                          inspect or maintain a balsabmd data
@@ -1218,7 +1218,7 @@ func netlistArtifacts(ctx context.Context, in string) ([]artifact, error) {
 
 // specArtifacts runs a .bms spec through the bmlint gate and
 // Minimalist, maps the controller in both arms' modes and checks each
-// mapping — hazver on speed-split, netlint on both — printing each
+// mapping with hazver and netlint, printing each
 // mapping's summary and each checker's verdict. A checker error fails
 // it; otherwise it returns the spec's .sol. It writes no Verilog: the
 // .v files artifacts writes are the flow's, and a spec alone is no
@@ -1246,11 +1246,9 @@ func specArtifacts(in string) ([]artifact, error) {
 			return nil, err
 		}
 		fmt.Printf("; %s\n", techmap.Summarize(nl, mode, lib))
-		if mode == techmap.SpeedSplit {
-			res := hazver.Audit(nl.Name, []hazver.Unit{hazver.ControllerUnit(nl.Name, ctrl, nl)}, lib, hazver.Options{})
-			if !verdict("hazver", res.Diags, res.Stats) {
-				return nil, errLintFindings
-			}
+		res := hazver.Audit(nl.Name, []hazver.Unit{hazver.ControllerUnit(nl.Name, ctrl, nl)}, lib, hazver.Options{})
+		if !verdict("hazver", res.Diags, res.Stats) {
+			return nil, errLintFindings
 		}
 		if res := netlint.Audit(nl, lib); !verdict("netlint", res.Diags, res.Stats) {
 			return nil, errLintFindings

@@ -60,8 +60,9 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 // TestGoldens pins the stdout and exit status of the checker commands
-// (the built-in designs as text and -json, and one file per tier) and
-// of expand and pn on a bare expression and on a two-program netlist.
+// (the built-in designs as text and -json, and one file per tier, plus
+// a component that does not compile, bmlint's BM011) and of expand and
+// pn on a bare expression and on a two-program netlist.
 func TestGoldens(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -80,6 +81,8 @@ func TestGoldens(t *testing.T) {
 		{"audit-json", []string{"-json", "audit"}, 0},
 		{"lint-table1", []string{"lint", "examples/lint/table1.ch"}, 1},
 		{"lint-table1-json", []string{"-json", "lint", "examples/lint/table1.ch"}, 1},
+		{"bmlint-verb-late", []string{"bmlint", "examples/lint/verb-late.ch"}, 1},
+		{"bmlint-verb-late-json", []string{"-json", "bmlint", "examples/lint/verb-late.ch"}, 1},
 		{"bmlint-bms", []string{"bmlint", "cmd/balsabm/testdata/pulse.bms"}, 0},
 		{"bmlint-bms-json", []string{"-json", "bmlint", "cmd/balsabm/testdata/pulse.bms"}, 0},
 		{"netlint-file", []string{"netlint", "cmd/balsabm/testdata/pair.ch"}, 0},

@@ -124,6 +124,7 @@ var Codes = map[string]string{
 	"BM008": "terminal state: no outgoing arcs",
 	"BM009": "start state out of range",
 	"BM010": "signal declared twice, or as both input and output",
+	"BM011": "component does not compile to a Burst-Mode specification",
 	"BM100": "parallel entry arcs with differing output bursts (entry point not unique)",
 	"BM101": "mergeable sibling arcs: same source, target and output burst",
 	"BM102": "redundant state: outgoing behavior identical to another state",
@@ -202,6 +203,16 @@ type Result struct {
 // has a meaningful state/arc count.
 func Audit(sp *bm.Spec) Result {
 	return Result{Name: sp.Name, Diags: Analyze(sp), Stats: ComputeStats(sp)}
+}
+
+// CompileFailure is the audit of a component that chtobm cannot
+// compile to a specification at all: one BM011 error carrying the
+// compiler's message, so the gate rejects it with a code like any
+// ill-formed spec. There is no spec, so Stats stay zero.
+func CompileFailure(name string, err error) Result {
+	return Result{Name: name, Diags: []Diag{{
+		Loc: NoLoc, Severity: SevError, Code: "BM011", Message: err.Error(),
+	}}}
 }
 
 // LintSource lints .bms spec text. Parse failures do not abort the

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"balsabm/internal/bm"
@@ -15,7 +14,8 @@ import (
 // does (the opt arm clusters it), compiles every component to its
 // Burst-Mode specification (chtobm.CompileLoose, so even specs the
 // final Check would reject reach the analyzer) and audits each,
-// returning one result per component in netlist order. It synthesizes
+// returning one result per component in netlist order; a component
+// that does not compile gets a BM011 finding. It synthesizes
 // nothing. Unlike the flow gate, error findings do not abort: the
 // report is the product.
 func BmlintNetlist(ctx context.Context, arm string, n *core.Netlist, opt *Options) ([]bmlint.Result, error) {
@@ -24,31 +24,35 @@ func BmlintNetlist(ctx context.Context, arm string, n *core.Netlist, opt *Option
 	if err != nil {
 		return nil, err
 	}
-	_, results, err := r.bmlintSpecs(n)
-	return results, err
+	_, results := r.bmlintSpecs(n)
+	return results, nil
 }
 
 // bmlintSpecs compiles and audits every component of n, returning the
-// specs and their audits in netlist order. Each compile is observed as
-// a "compile" stage run, and the audits together as one "bmlint" run.
-func (r *runner) bmlintSpecs(n *core.Netlist) ([]*bm.Spec, []bmlint.Result, error) {
+// specs and their audits in netlist order. A component that does not
+// compile has no spec (nil) and a BM011 audit (bmlint.CompileFailure),
+// so the gate fails it with a code. Each compile is observed as a
+// "compile" stage run, and the audits together as one "bmlint" run.
+func (r *runner) bmlintSpecs(n *core.Netlist) ([]*bm.Spec, []bmlint.Result) {
 	specs := make([]*bm.Spec, len(n.Components))
+	results := make([]bmlint.Result, len(n.Components))
 	for i, p := range n.Components {
 		start := time.Now()
 		sp, err := chtobm.CompileLoose(p)
 		r.met.Timings.Observe("compile", time.Since(start))
 		if err != nil {
-			return nil, nil, fmt.Errorf("bmlint: %s: %w", p.Name, err)
+			results[i] = bmlint.CompileFailure(p.Name, err)
 		}
 		specs[i] = sp
 	}
 	start := time.Now()
-	results := make([]bmlint.Result, len(specs))
 	for i, sp := range specs {
-		results[i] = bmlint.Audit(sp)
+		if sp != nil {
+			results[i] = bmlint.Audit(sp)
+		}
 	}
 	r.met.Timings.Observe("bmlint", time.Since(start))
-	return specs, results, nil
+	return specs, results
 }
 
 // BmlintGate audits every compiled spec of an arm's control netlist
@@ -81,15 +85,13 @@ func splitSpecs(design, arm string, results []bmlint.Result, met *Metrics) error
 // sequentially over the netlist (the specs are cheap to compile), so
 // recorded findings are in deterministic netlist order at any worker
 // count. It returns the specs and their audits in netlist order, the
-// audits also on a gate error. A spec that passes the gate is the one
+// audits also on a gate error; a component that does not compile
+// fails the gate with BM011. A spec that passes the gate is the one
 // chtobm.Compile would return: Compile is CompileLoose plus a
 // read-only Check, and every Check violation is a bmlint error
 // (bmlint.WellFormedPass). So synthesis takes the gate's specs and
 // compiles nothing itself.
 func (r *runner) bmlintGate(design, arm string, n *core.Netlist) ([]*bm.Spec, []bmlint.Result, error) {
-	specs, results, err := r.bmlintSpecs(n)
-	if err != nil {
-		return nil, nil, err
-	}
+	specs, results := r.bmlintSpecs(n)
 	return specs, results, splitSpecs(design, arm, results, r.met)
 }

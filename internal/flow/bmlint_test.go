@@ -93,6 +93,43 @@ func TestBmlintGateAborts(t *testing.T) {
 	}
 }
 
+// TestUncompilableComponentFailsBmlint: examples/lint/verb-late.ch
+// passes chlint with an info finding only, but its one component does
+// not compile to a Burst-Mode specification. Both arms fail at the
+// bmlint gate with a typed BM011 error naming the compiler's message,
+// and BmlintNetlist reports the same finding instead of failing.
+func TestUncompilableComponentFailsBmlint(t *testing.T) {
+	src, err := os.ReadFile("../../examples/lint/verb-late.ch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const msg = `chtobm: main: dangling bursts "r+ r-"/"" at end of program (missing rep?)`
+	for _, arm := range []string{"unopt", "opt"} {
+		n, err := core.ParseNetlist(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := SynthesizeCheckedCtx(context.Background(), "late", arm, n, nil)
+		var be *GateError[bmlint.Loc]
+		if !errors.As(err, &be) {
+			t.Fatalf("%s arm: want *GateError[bmlint.Loc], got %T: %v", arm, err, err)
+		}
+		if got, want := be.Error(), "bmlint: late."+arm+".main: error: BM011: "+msg; got != want {
+			t.Errorf("%s arm: gate error\n%s\nwant\n%s", arm, got, want)
+		}
+		if c == nil || len(c.Bmlint) != 1 || c.Mapped != nil {
+			t.Fatalf("%s arm: the failed arm should carry the bmlint audit and nothing mapped: %+v", arm, c)
+		}
+		results, err := BmlintNetlist(context.Background(), arm, n, nil)
+		if err != nil {
+			t.Fatalf("%s arm: BmlintNetlist: %v", arm, err)
+		}
+		if len(results) != 1 || len(results[0].Diags) != 1 || results[0].Diags[0].Code != "BM011" || results[0].Diags[0].Message != msg {
+			t.Errorf("%s arm: BmlintNetlist reports %+v", arm, results)
+		}
+	}
+}
+
 // TestBmlintGateRecordsFindings: non-error findings (warnings, the
 // BM200 static report) are recorded on the metrics sink and streamed
 // through NotifyFindings, and the gate passes.

@@ -51,7 +51,6 @@ import (
 	"balsabm/internal/diag"
 	"balsabm/internal/gates"
 	"balsabm/internal/hfmin"
-	"balsabm/internal/logic"
 	"balsabm/internal/minimalist"
 	"balsabm/internal/parallel"
 )
@@ -334,8 +333,8 @@ func newAuditor(name string, units []Unit, lib *cell.Library) *auditor {
 			continue
 		}
 		u.prog = prog
-		a.schedule(first)
 	}
+	a.schedule()
 	a.res.Stats.Functions = len(a.fns)
 	a.res.Stats.Passes = len(a.passes)
 	for lo := 0; lo < len(a.passes); {
@@ -350,38 +349,86 @@ func newAuditor(name string, units []Unit, lib *cell.Library) *auditor {
 	return a
 }
 
-// schedule adds the passes of the functions a.fns[first:], those of
-// the unit just compiled, and reports the undriven ones as HZ100.
-func (a *auditor) schedule(first int) {
-	for fi := first; fi < len(a.fns); fi++ {
+// schedule adds the passes of every function of a compiled unit, in
+// function order, and reports the undriven ones as HZ100. A first walk
+// counts the passes, so a.passes is sized once.
+func (a *auditor) schedule() {
+	n := 0
+	for fi := range a.fns {
+		if a.verifiable(fi) {
+			for ti := range a.fns[fi].trs {
+				n += passCount(&a.fns[fi].trs[ti])
+			}
+		}
+	}
+	a.passes = make([]tpass, 0, n)
+	for fi := range a.fns {
 		fn := &a.fns[fi]
-		if len(fn.trs) == 0 {
+		if a.units[fn.unit].prog == nil || len(fn.trs) == 0 {
 			continue
 		}
-		if fn.net < 0 || a.units[fn.unit].drv[fn.net] < 0 {
+		if !a.verifiable(fi) {
 			a.rep.Warnf(Loc{Fn: fn.name, Tr: -1, FnOrd: fi}, "HZ100",
 				"function net %q missing or undriven; %d bursts not verified", fn.name, len(fn.trs))
 			a.res.Stats.Unverified += len(fn.trs)
 			continue
 		}
-		for ti, t := range fn.trs {
-			ch := t.Changed()
+		for ti := range fn.trs {
+			t := &fn.trs[ti]
 			a.passes = append(a.passes,
 				tpass{fn: int32(fi), tr: int32(ti), kind: passStart},
 				tpass{fn: int32(fi), tr: int32(ti), kind: passEnd})
+			ch := changedVars(t)
 			if t.From == t.To {
-				if len(ch) > 0 {
+				if ch > 0 {
 					a.passes = append(a.passes, tpass{fn: int32(fi), tr: int32(ti), kind: passStatic})
 				}
-			} else if len(ch) >= 2 {
-				for _, v := range ch {
-					a.passes = append(a.passes, tpass{fn: int32(fi), tr: int32(ti), kind: passSub, vhold: int32(v)})
+			} else if ch >= 2 {
+				for v := range t.Start {
+					if t.Start[v] != t.End[v] {
+						a.passes = append(a.passes, tpass{fn: int32(fi), tr: int32(ti), kind: passSub, vhold: int32(v)})
+					}
 				}
 			}
 			fn.burst++
 			a.res.Stats.Bursts++
 		}
 	}
+}
+
+// verifiable reports whether function fi gets passes: its unit
+// compiled, and its net exists and has a driver.
+func (a *auditor) verifiable(fi int) bool {
+	fn := &a.fns[fi]
+	u := &a.units[fn.unit]
+	return u.prog != nil && fn.net >= 0 && u.drv[fn.net] >= 0
+}
+
+// passCount is the number of passes scheduled for t: its start and end
+// points, plus the static pass of a static burst that changes some
+// variable, or one sub-cube pass per changed variable of a transition
+// that changes at least two.
+func passCount(t *hfmin.Transition) int {
+	ch := changedVars(t)
+	switch {
+	case t.From == t.To && ch > 0:
+		return 3
+	case t.From != t.To && ch >= 2:
+		return 2 + ch
+	}
+	return 2
+}
+
+// changedVars counts the variables that differ between t's start and
+// end points.
+func changedVars(t *hfmin.Transition) int {
+	n := 0
+	for v := range t.Start {
+		if t.Start[v] != t.End[v] {
+			n++
+		}
+	}
+	return n
 }
 
 // result folds the batch outputs, in group order, into the report:
@@ -466,37 +513,25 @@ func (a *auditor) run(ctx context.Context, pool *parallel.Pool) []batchOut {
 	return outs
 }
 
-// assignment returns the ternary variable assignment of one pass over
-// the pass's unit variables, reusing the transition's own burst-cube
-// math (hfmin.Transition.Cube): start/end points are the binary
-// endpoints, the static pass is the transition supercube (changed
-// variables at X), and the subcube pass holds one changed variable at
-// its start value inside that supercube.
-func (a *auditor) assignment(p *tpass) logic.Cube {
-	t := &a.fns[p.fn].trs[p.tr]
+// passValue is variable j's ternary value in pass p of transition t:
+// its start value at the start point and its end value at the end
+// point. The static pass puts every variable the burst changes at X,
+// and a sub-cube pass does the same except for the one changed
+// variable it holds at its start value.
+func passValue(p *tpass, t *hfmin.Transition, j int) uint8 {
+	v := t.Start[j]
 	switch p.kind {
-	case passStart:
-		return logic.Point(t.Start)
 	case passEnd:
-		return logic.Point(t.End)
-	case passStatic:
-		return t.Cube()
-	default: // passSub
-		c := t.Cube()
-		c[p.vhold] = logic.Point(t.Start)[p.vhold]
-		return c
+		v = t.End[j]
+	case passStatic, passSub:
+		if v != t.End[j] && (p.kind == passStatic || int(p.vhold) != j) {
+			return gates.TX
+		}
 	}
-}
-
-func litTern(l logic.Lit) uint8 {
-	switch l {
-	case logic.Zero:
-		return gates.T0
-	case logic.One:
+	if v {
 		return gates.T1
-	default:
-		return gates.TX
 	}
+	return gates.T0
 }
 
 // want returns the binary value the specification requires for one
@@ -522,15 +557,7 @@ func (a *auditor) runBatch(ev *gates.TernaryEval, b batch, out *batchOut) {
 			ev.Assign(c, ln, gates.T0)
 		}
 	}
-	for pi := b.lo; pi < b.hi; pi++ {
-		cube := a.assignment(&a.passes[pi])
-		ln := uint(pi - b.lo)
-		for j, net := range u.vars {
-			if net >= 0 {
-				ev.Assign(net, ln, litTern(cube[j]))
-			}
-		}
-	}
+	a.assign(ev, b)
 	ev.Run()
 	// Judge contiguous runs of lanes that share a function, reading
 	// the driver rails once per run.
@@ -561,6 +588,22 @@ func (a *auditor) runBatch(ev *gates.TernaryEval, b batch, out *batchOut) {
 			out.depth[fi] = int32(d)
 		}
 		pi = end
+	}
+}
+
+// assign gives each lane of batch b its pass's variable values,
+// straight from the transition's start and end points.
+func (a *auditor) assign(ev *gates.TernaryEval, b batch) {
+	u := &a.units[a.fns[a.passes[b.lo].fn].unit]
+	for pi := b.lo; pi < b.hi; pi++ {
+		p := &a.passes[pi]
+		t := &a.fns[p.fn].trs[p.tr]
+		ln := uint(pi - b.lo)
+		for j, net := range u.vars {
+			if net >= 0 {
+				ev.Assign(net, ln, passValue(p, t, j))
+			}
+		}
 	}
 }
 

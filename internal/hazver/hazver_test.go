@@ -10,6 +10,8 @@ import (
 	"balsabm/internal/cell"
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
+	"balsabm/internal/core"
+	"balsabm/internal/designs"
 	"balsabm/internal/diag"
 	"balsabm/internal/gates"
 	"balsabm/internal/hfmin"
@@ -391,4 +393,97 @@ func TestAreaSharedCElementCopies(t *testing.T) {
 			}
 		}
 	}
+}
+
+// table3Units synthesizes every component of both arms of the four
+// Table 3 designs and maps each both ways: a unit for every controller
+// the flow could ship as Minimalist logic.
+func table3Units(t *testing.T, lib *cell.Library) []Unit {
+	t.Helper()
+	var units []Unit
+	for _, d := range designs.All() {
+		n := d.Control()
+		opt, _, err := core.Optimize(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range append(append([]*ch.Program(nil), n.Components...), opt.Components...) {
+			sp, err := chtobm.Compile(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl, err := minimalist.Synthesize(sp)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", d.Name, c.Name, err)
+			}
+			for _, mode := range []techmap.Mode{techmap.SpeedSplit, techmap.AreaShared} {
+				nl, err := techmap.MapController(ctrl, mode, lib)
+				if err != nil {
+					t.Fatal(err)
+				}
+				units = append(units, ControllerUnit(c.Name, ctrl, nl))
+			}
+		}
+	}
+	return units
+}
+
+// TestLanesMatchAssignment: the compiled audit assigns each lane
+// straight from its transition's start and end points. Pass by pass,
+// every variable of every Table 3 unit must get the value of the []Lit
+// oracle (assignment), and after a batch is assigned the evaluator's
+// rails must equal those the oracle's values give. The Table 3
+// controllers change one input per burst, so a mux whose rising burst
+// changes two inputs adds the sub-cube passes.
+func TestLanesMatchAssignment(t *testing.T) {
+	lib := cell.AMS035()
+	rise := hfmin.Transition{Start: []bool{false, false, true}, End: []bool{true, true, true}, From: false, To: true}
+	units := append(table3Units(t, lib), unit1(cleanMux(), []string{"a", "b", "c"}, aFalls, rise))
+	a := newAuditor("table3", units, lib)
+	if !a.res.Stats.Compiled || len(a.batches) == 0 {
+		t.Fatalf("the Table 3 units schedule %d batches, compiled %v", len(a.batches), a.res.Stats.Compiled)
+	}
+	kinds := map[passKind]int{}
+	for _, b := range a.batches {
+		u := &a.units[a.fns[a.passes[b.lo].fn].unit]
+		for pi := b.lo; pi < b.hi; pi++ {
+			p := &a.passes[pi]
+			tr := &a.fns[p.fn].trs[p.tr]
+			cube := a.assignment(p)
+			for j := range u.vars {
+				if got, want := passValue(p, tr, j), litTern(cube[j]); got != want {
+					t.Fatalf("%s, pass %+v, variable %s: lane value %s, oracle %s",
+						u.Name, *p, u.Vars[j], gates.TernString(got), gates.TernString(want))
+				}
+			}
+			kinds[p.kind]++
+		}
+		got, want := u.prog.NewTernaryEval(), u.prog.NewTernaryEval()
+		got.Reset()
+		a.assign(got, b)
+		want.Reset()
+		for pi := b.lo; pi < b.hi; pi++ {
+			cube := a.assignment(&a.passes[pi])
+			for j, net := range u.vars {
+				if net >= 0 {
+					want.Assign(net, uint(pi-b.lo), litTern(cube[j]))
+				}
+			}
+		}
+		for _, net := range u.vars {
+			if net < 0 {
+				continue
+			}
+			gh, gl := got.Word(net)
+			if wh, wl := want.Word(net); gh != wh || gl != wl {
+				t.Fatalf("%s, batch %v, net %s: rails %x/%x, oracle %x/%x", u.Name, b, u.Netlist.NetNames[net], gh, gl, wh, wl)
+			}
+		}
+	}
+	for _, k := range []passKind{passStart, passEnd, passStatic, passSub} {
+		if kinds[k] == 0 {
+			t.Errorf("no pass of kind %d among the Table 3 units", k)
+		}
+	}
+	t.Logf("%d units, %d batches, passes by kind %v", len(a.units), len(a.batches), kinds)
 }

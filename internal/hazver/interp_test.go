@@ -5,6 +5,7 @@ import (
 
 	"balsabm/internal/cell"
 	"balsabm/internal/gates"
+	"balsabm/internal/logic"
 )
 
 // auditInterpreted is Audit on the interpreted ternary settle: each
@@ -19,6 +20,40 @@ func auditInterpreted(name string, units []Unit, lib *cell.Library) Result {
 		a.runInterp(lib, &a.passes[pi], &out)
 	}
 	return a.result([]batchOut{out})
+}
+
+// assignment returns the ternary variable assignment of one pass over
+// the pass's unit variables, reusing the transition's own burst-cube
+// math (hfmin.Transition.Cube): start/end points are the binary
+// endpoints, the static pass is the transition supercube (changed
+// variables at X), and the subcube pass holds one changed variable at
+// its start value inside that supercube. It is the oracle of the
+// compiled audit's lane assignment (passValue).
+func (a *auditor) assignment(p *tpass) logic.Cube {
+	t := &a.fns[p.fn].trs[p.tr]
+	switch p.kind {
+	case passStart:
+		return logic.Point(t.Start)
+	case passEnd:
+		return logic.Point(t.End)
+	case passStatic:
+		return t.Cube()
+	default: // passSub
+		c := t.Cube()
+		c[p.vhold] = logic.Point(t.Start)[p.vhold]
+		return c
+	}
+}
+
+func litTern(l logic.Lit) uint8 {
+	switch l {
+	case logic.Zero:
+		return gates.T0
+	case logic.One:
+		return gates.T1
+	default:
+		return gates.TX
+	}
 }
 
 // runInterp evaluates one pass on the interpreted ternary settle and

@@ -67,8 +67,9 @@ func BenchmarkSolveCover(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("rows%d", size), func(b *testing.B) {
 			b.ReportAllocs()
+			var sc coverScratch
 			for i := 0; i < b.N; i++ {
-				solveCover(rows, 2*size)
+				sc.solve(rows, 2*size)
 			}
 		})
 	}

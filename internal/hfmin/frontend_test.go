@@ -188,7 +188,7 @@ func TestFrontEndMatchesSets(t *testing.T) {
 				return
 			}
 			for i := range got {
-				if c := ws.sp.Unpack(got[i]); !c.Equal(want[i]) {
+				if c := ws.space.Unpack(got[i]); !c.Equal(want[i]) {
 					t.Errorf("%s: %s cube %d is %s, reference %s", np.name, what, i, c, want[i])
 					return
 				}
@@ -202,10 +202,10 @@ func TestFrontEndMatchesSets(t *testing.T) {
 			continue
 		}
 		for i, pv := range priv {
-			if c := ws.sp.Unpack(ws.priv[i].cube); !c.Equal(pv.cube) {
+			if c := ws.space.Unpack(ws.priv[i].cube); !c.Equal(pv.cube) {
 				t.Errorf("%s: privileged cube %d is %s, reference %s", np.name, i, c, pv.cube)
 			}
-			if start := ws.sp.PointWords(pv.start); fmt.Sprint(start) != fmt.Sprint(ws.priv[i].start) {
+			if start := ws.space.PointWords(pv.start); fmt.Sprint(start) != fmt.Sprint(ws.priv[i].start) {
 				t.Errorf("%s: privileged start %d is %x, reference %x", np.name, i, ws.priv[i].start, start)
 			}
 		}

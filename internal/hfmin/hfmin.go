@@ -29,6 +29,7 @@ package hfmin
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -46,9 +47,26 @@ type Transition struct {
 	To    bool   // function value at B
 }
 
-// Cube returns the transition supercube T.
+// Cube returns the transition supercube T: each variable at its start
+// value where Start and End agree, don't-care where they differ.
 func (t Transition) Cube() logic.Cube {
-	return logic.Point(t.Start).Supercube(logic.Point(t.End))
+	c := make(logic.Cube, len(t.Start))
+	t.cubeInto(c)
+	return c
+}
+
+// cubeInto writes T into c, which has one literal per variable.
+func (t *Transition) cubeInto(c logic.Cube) {
+	for i, b := range t.Start {
+		switch {
+		case b != t.End[i]:
+			c[i] = logic.DC
+		case b:
+			c[i] = logic.One
+		default:
+			c[i] = logic.Zero
+		}
+	}
 }
 
 // Changed lists the variables that differ between Start and End.
@@ -77,16 +95,19 @@ type packedPriv struct {
 }
 
 // workspace is the scratch of one Minimize call: the packed front end,
-// the prime enumeration's state and the primes found. Minimize takes a
-// workspace from workspacePool and puts it back on return; in between
-// it belongs to that call and its goroutine alone. Each call reslices
-// every buffer from the start, so one workspace serves problems of any
-// width, and once its buffers have grown a call allocates none of
-// them. Nothing a call returns points into the workspace, and the pool
-// may drop it at any collection: reuse saves allocations and changes
-// no result.
+// the prime enumeration's state, the primes found and their dedup set,
+// the covering matrix and solver state, and the post-verify's cubes.
+// Minimize takes a workspace from the free list (or makes one) and
+// puts it back on return; in between it belongs to that call and its
+// goroutine alone. Each call reslices every buffer from the start, so
+// one workspace serves problems of any width, and once its buffers
+// have grown a call allocates only the Result it returns. A workspace
+// keeps the size of the widest problem and the fullest visited set it
+// has served: about 1 MB for a seed that reaches EnumBudget. Nothing a
+// call returns points into the workspace: reuse saves allocations and
+// changes no result.
 type workspace struct {
-	sp *logic.Space
+	space logic.Space // the problem's variables; load rewrites it in place
 	// arena backs the front end: each transition's start and end
 	// planes, then the ON, OFF and privileged cubes built from them.
 	arena []uint64
@@ -100,9 +121,53 @@ type workspace struct {
 	primeArena []uint64
 	primes     []logic.PackedCube
 	cube       []uint64
+	// primeSet dedups the primes over space. A KeySet's keys depend on
+	// its space only through the word count, so load drops the set
+	// only when that changes.
+	primeSet *logic.KeySet
+	cover    coverScratch
+	// lits holds the post-verify's unpacked cubes: an ON cube, or a
+	// transition cube and one of its sub-cubes.
+	lits []logic.Lit
 }
 
-var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+// The free list holds the idle workspaces, most recently used last,
+// at most maxIdle (GOMAXPROCS at start-up) of them, and keeps them
+// across collections. A sync.Pool would not: it parks each workspace
+// in one P's private slot, out of reach of the other Ps, and drops
+// whatever two collections find idle, so a busy run would keep
+// rebuilding workspaces and their visited sets.
+var (
+	maxIdle  = runtime.GOMAXPROCS(0)
+	freeMu   sync.Mutex
+	freeList = make([]*workspace, 0, maxIdle)
+)
+
+// getWorkspace takes the most recently used idle workspace, or makes
+// one when none is idle.
+func getWorkspace() *workspace {
+	freeMu.Lock()
+	n := len(freeList)
+	if n == 0 {
+		freeMu.Unlock()
+		return new(workspace)
+	}
+	ws := freeList[n-1]
+	freeList[n-1] = nil
+	freeList = freeList[:n-1]
+	freeMu.Unlock()
+	return ws
+}
+
+// putWorkspace returns ws to the free list, or drops it when the list
+// is full.
+func putWorkspace(ws *workspace) {
+	freeMu.Lock()
+	if len(freeList) < maxIdle {
+		freeList = append(freeList, ws)
+	}
+	freeMu.Unlock()
+}
 
 // sized returns buf resliced to n elements, reallocated when its
 // capacity is short. The contents are not preserved.
@@ -127,10 +192,14 @@ func sized[S ~[]E, E any](buf S, n int) S {
 // texts to the []Lit reference setsRef.
 func (ws *workspace) load(p *Problem) error {
 	n := p.Vars
-	if ws.sp == nil || ws.sp.Vars() != n {
-		ws.sp = logic.NewSpace(n)
+	if ws.space.Vars() != n {
+		sp := *logic.NewSpace(n)
+		if ws.space.Words() != sp.Words() {
+			ws.primeSet = nil
+		}
+		ws.space = sp
 	}
-	w := ws.sp.Words()
+	w := ws.space.Words()
 	// Pass 1, in transition order: the arity and value-change checks,
 	// each transition's planes, and the cube count that sizes the
 	// arena.
@@ -225,7 +294,7 @@ func (ws *workspace) load(p *Problem) error {
 	for _, o := range ws.on {
 		for _, f := range ws.off {
 			if o.Intersects(f) {
-				return &ConflictError{On: ws.sp.Unpack(o), Off: ws.sp.Unpack(f)}
+				return &ConflictError{On: ws.space.Unpack(o), Off: ws.space.Unpack(f)}
 			}
 		}
 	}
@@ -403,7 +472,7 @@ func (ws *workspace) dhfPrimes(seed logic.PackedCube, seen *logic.KeySet) (nodes
 func (ws *workspace) dhfPrimesMask(seed logic.PackedCube, spec []int) (masks []uint64, nodes int64, exact bool) {
 	k := len(spec)
 	sc := &ws.enum
-	index := sized(sc.index, ws.sp.Vars())
+	index := sized(sc.index, ws.space.Vars())
 	for i, v := range spec {
 		index[v] = uint8(i)
 	}
@@ -678,9 +747,9 @@ func (s *maskSet) grow() {
 // dhfPrimesWide is the generic path for seeds with more than 64
 // specified variables: the same walk on packed cubes directly.
 func (ws *workspace) dhfPrimesWide(seed logic.PackedCube) (out []logic.PackedCube, nodes int64, exact bool) {
-	n := ws.sp.Vars()
-	seen := logic.NewKeySet(ws.sp)
-	outSet := logic.NewKeySet(ws.sp)
+	n := ws.space.Vars()
+	seen := logic.NewKeySet(&ws.space)
+	outSet := logic.NewKeySet(&ws.space)
 	record := func(c logic.PackedCube) {
 		if outSet.Add(c) {
 			out = append(out, c.Clone())
@@ -772,28 +841,33 @@ type Result struct {
 // cover. The candidate enumeration and the covering branch-and-bound
 // each run under a node budget; within budget the result is exact
 // (Result.Exact), beyond it the greedy fallbacks keep the cover valid
-// at a small optimality cost. Each call borrows a pooled workspace for
-// its scratch, so concurrent calls, on one Problem or many, are safe.
+// at a small optimality cost. Each call takes a workspace of its own
+// from the free list for its scratch, so concurrent calls, on one
+// Problem or many, are safe.
 func (p *Problem) Minimize() (*Result, error) {
-	ws := workspacePool.Get().(*workspace)
-	defer workspacePool.Put(ws)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 	if err := ws.load(p); err != nil {
 		return nil, err
 	}
 	if len(ws.req) == 0 {
 		return &Result{Cover: nil, Exact: true}, nil // constant-0 function
 	}
-	sp := ws.sp
+	sp := &ws.space
 	// Generate candidate dhf-primes from each required cube.
 	ws.enum.seen.restart()
 	ws.primeArena, ws.primes = ws.primeArena[:0], ws.primes[:0]
-	primeSet := logic.NewKeySet(sp)
+	if ws.primeSet == nil {
+		ws.primeSet = logic.NewKeySet(sp)
+	} else {
+		ws.primeSet.Reset()
+	}
 	res := &Result{Required: len(ws.req), Exact: true}
 	for _, r := range ws.req {
 		if !ws.isDHF(r) {
 			return nil, fmt.Errorf("hfmin: required cube %s is not a dhf-implicant; specification is not hazard-free realizable", sp.Unpack(r))
 		}
-		nodes, exact := ws.dhfPrimes(r, primeSet)
+		nodes, exact := ws.dhfPrimes(r, ws.primeSet)
 		res.EnumNodes += nodes
 		if !exact {
 			res.Exact = false
@@ -805,42 +879,62 @@ func (p *Problem) Minimize() (*Result, error) {
 	// matrix without losing any minimum solution.
 	primes := pruneContained(ws.primes)
 	res.Primes = len(primes)
-	// Build the unate covering matrix.
-	covers := make([][]int, len(ws.req)) // row -> candidate column indices
+	// Build the unate covering matrix: row i lists the candidates
+	// containing required cube i.
+	sc := &ws.cover
+	rows := sized(sc.rows, len(ws.req))
+	sc.rows = rows
 	for i, r := range ws.req {
+		row := rows[i][:0]
 		for j := range primes {
 			if primes[j].Contains(r) {
-				covers[i] = append(covers[i], j)
+				row = append(row, j)
 			}
 		}
-		if len(covers[i]) == 0 {
+		rows[i] = row
+		if len(row) == 0 {
 			return nil, fmt.Errorf("hfmin: required cube %s has no covering dhf-prime", sp.Unpack(r))
 		}
 	}
-	chosen, bbNodes, coverExact := solveCover(covers, len(primes))
+	chosen, bbNodes, coverExact := sc.solve(rows, len(primes))
 	res.BranchNodes = bbNodes
 	if !coverExact {
 		res.Exact = false
 	}
-	var cover logic.Cover
-	for _, j := range chosen {
-		cover = append(cover, sp.Unpack(primes[j]))
+	// The cover is what the call returns: one slice of cubes, all
+	// backed by one literal array.
+	n := sp.Vars()
+	lits := make([]logic.Lit, len(chosen)*n)
+	cover := make(logic.Cover, len(chosen))
+	for k, j := range chosen {
+		cover[k] = lits[k*n : (k+1)*n : (k+1)*n]
+		unpackInto(cover[k], primes[j])
 	}
 	sortCover(cover)
 	// Post-verify: the cover must contain the whole ON-set and be
 	// hazard-free. Deliberately run on the unpacked reference engine
 	// (defense in depth: a packed-engine bug cannot certify its own
 	// output; cheap at these sizes).
+	ws.lits = sized(ws.lits, 2*n)
+	c := logic.Cube(ws.lits[:n])
 	for _, o := range ws.on {
-		if c := sp.Unpack(o); !cover.ContainsCube(c) {
+		if unpackInto(c, o); !cover.ContainsCube(c) {
 			return nil, fmt.Errorf("hfmin: internal error: ON cube %s not covered", c)
 		}
 	}
-	if err := CheckCover(cover, p.Transitions); err != nil {
+	if err := checkCover(cover, p.Transitions, ws.lits); err != nil {
 		return nil, fmt.Errorf("hfmin: internal error: %w", err)
 	}
 	res.Cover = cover
 	return res, nil
+}
+
+// unpackInto writes p's literals into c, which has one literal per
+// variable of p's space.
+func unpackInto(c logic.Cube, p logic.PackedCube) {
+	for v := range c {
+		c[v] = p.Lit(v)
+	}
 }
 
 // pruneContained drops candidates strictly contained in another
@@ -863,25 +957,56 @@ func pruneContained(primes []logic.PackedCube) []logic.PackedCube {
 	return out
 }
 
-// solveCover finds a minimum set of columns covering all rows:
+// coverScratch is the covering step's scratch, kept in the workspace:
+// the matrix Minimize builds and every buffer solve works in. Each
+// call reslices the buffers from the start, and the per-row and
+// per-column lists keep their capacity from call to call.
+type coverScratch struct {
+	rows       [][]int // the covering matrix: row → candidate columns
+	cands      [][]int // rows' live candidates, pruned by the reductions
+	active     []int
+	selected   []bool // per column
+	colRemoved []bool
+	dominated  []bool // per row
+	colRows    [][]int
+	liveCols   []int
+	cols       []int
+	// Greedy incumbent and branch-and-bound.
+	greedy, lbUsed []bool
+	count          []int
+	best, rest     []int
+	cur            []int
+	depth          [][]int // depth-indexed remaining-row sets
+}
+
+// solve finds a minimum set of columns covering all rows:
 // essential-column extraction and row/column dominance reduce the
 // matrix to its cyclic core, a greedy pass seeds the incumbent, and
 // branch-and-bound with a maximal-independent-row-set lower bound
 // proves minimality. Everything is index-ordered and sequential, so
 // the selection is deterministic. It reports the branch-and-bound
-// node count and whether minimality was proven within bbBudget.
-func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
-	selected := map[int]bool{}
+// node count and whether minimality was proven within bbBudget. The
+// columns returned live in the scratch until the next call.
+func (sc *coverScratch) solve(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
+	selected := cleared(sc.selected, nCols)
+	sc.selected = selected
 	// Active candidate lists, pruned in place by the reductions.
-	cands := make([][]int, len(rows))
+	cands := sized(sc.cands, len(rows))
+	sc.cands = cands
 	for i, r := range rows {
-		cands[i] = append([]int(nil), r...)
+		cands[i] = append(cands[i][:0], r...)
 	}
-	active := make([]int, 0, len(rows))
+	active := sc.active[:0]
 	for i := range cands {
 		active = append(active, i)
 	}
-	colRemoved := make([]bool, nCols)
+	colRemoved := cleared(sc.colRemoved, nCols)
+	sc.colRemoved = colRemoved
+	dominated := sized(sc.dominated, len(rows))
+	sc.dominated = dominated
+	colRows := sized(sc.colRows, nCols)
+	sc.colRows = colRows
+	liveCols := sc.liveCols[:0]
 
 	dropCoveredRows := func() {
 		out := active[:0]
@@ -932,7 +1057,8 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 		// Row dominance: a row whose candidate set contains another
 		// row's is satisfied whenever the tighter row is — drop it.
 		// On identical sets the higher index is dropped.
-		dominated := map[int]bool{}
+		clear(dominated)
+		anyDominated := false
 		for ai, i := range active {
 			for bi, j := range active {
 				if ai == bi || dominated[i] || dominated[j] {
@@ -940,10 +1066,11 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 				}
 				if subset(cands[j], cands[i]) && (len(cands[j]) < len(cands[i]) || j < i) {
 					dominated[i] = true
+					anyDominated = true
 				}
 			}
 		}
-		if len(dominated) > 0 {
+		if anyDominated {
 			out := active[:0]
 			for _, i := range active {
 				if !dominated[i] {
@@ -957,17 +1084,20 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 		// live rows can be replaced by the dominating column in any
 		// solution — remove it. On identical row sets the lower index
 		// is kept.
-		colRows := map[int][]int{}
+		for j := range colRows {
+			colRows[j] = colRows[j][:0]
+		}
 		for _, i := range active {
 			for _, j := range cands[i] {
 				colRows[j] = append(colRows[j], i)
 			}
 		}
-		liveCols := make([]int, 0, len(colRows))
+		liveCols = liveCols[:0]
 		for j := range colRows {
-			liveCols = append(liveCols, j)
+			if len(colRows[j]) > 0 {
+				liveCols = append(liveCols, j)
+			}
 		}
-		sort.Ints(liveCols)
 		for _, j := range liveCols {
 			if colRemoved[j] {
 				continue
@@ -1004,10 +1134,11 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 		// Greedy incumbent: repeatedly take the column covering the
 		// most uncovered rows (ties to the lower index). Guarantees a
 		// solution even if the branch-and-bound budget runs out.
-		greedy := make([]bool, nCols)
-		count := make([]int, nCols)
-		var best []int
-		rest := append([]int(nil), active...)
+		greedy := cleared(sc.greedy, nCols)
+		count := sized(sc.count, nCols)
+		sc.greedy, sc.count = greedy, count
+		best := sc.best[:0]
+		rest := append(sc.rest[:0], active...)
 		for len(rest) > 0 {
 			for i := range count {
 				count[i] = 0
@@ -1040,12 +1171,14 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 			}
 			rest = out
 		}
+		sc.rest = rest
 		sort.Ints(best)
 
 		// Lower bound: a set of pairwise column-disjoint rows needs
 		// one distinct column each (a maximal independent row set,
 		// built greedily in row order).
-		lbUsed := make([]bool, nCols)
+		lbUsed := sized(sc.lbUsed, nCols)
+		sc.lbUsed = lbUsed
 		independentLB := func(remaining []int) int {
 			for i := range lbUsed {
 				lbUsed[i] = false
@@ -1070,10 +1203,11 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 		}
 
 		overflow := false
-		var cur []int
+		cur := sc.cur[:0]
 		// Depth-indexed scratch rows: the recursion reuses one buffer
 		// per depth instead of allocating a remaining-set per node.
-		arena := make([][]int, len(active)+1)
+		arena := sized(sc.depth, len(active)+1)
+		sc.depth = arena
 		var rec func(remaining []int, depth int)
 		rec = func(remaining []int, depth int) {
 			if overflow {
@@ -1100,9 +1234,6 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 					bi = i
 				}
 			}
-			if arena[depth] == nil {
-				arena[depth] = make([]int, 0, len(remaining))
-			}
 			for _, j := range cands[bi] {
 				cur = append(cur, j)
 				next := arena[depth][:0]
@@ -1124,18 +1255,29 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 			}
 		}
 		rec(active, 0)
+		sc.cur, sc.best = cur, best
 		exact = !overflow
 		sort.Ints(best)
 		for _, j := range best {
 			selected[j] = true
 		}
 	}
-	cols = make([]int, 0, len(selected))
-	for j := range selected {
-		cols = append(cols, j)
+	sc.active, sc.liveCols = active, liveCols
+	cols = sc.cols[:0]
+	for j, sel := range selected {
+		if sel {
+			cols = append(cols, j)
+		}
 	}
-	sort.Ints(cols)
+	sc.cols = cols
 	return cols, nodes, exact
+}
+
+// cleared returns buf resliced to n elements, all false.
+func cleared(buf []bool, n int) []bool {
+	buf = sized(buf, n)
+	clear(buf)
+	return buf
 }
 
 // CheckCover verifies that a cover implements the specified transitions
@@ -1144,8 +1286,19 @@ func solveCover(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
 // privileged cubes. It is used both as a post-check of minimization and
 // to audit technology-mapped logic (Section 5 of the paper).
 func CheckCover(cover logic.Cover, transitions []Transition) error {
-	for i, t := range transitions {
-		T := t.Cube()
+	return checkCover(cover, transitions, nil)
+}
+
+// checkCover is CheckCover with its scratch, a transition cube and one
+// of its sub-cubes, in buf; it allocates only when buf is shorter
+// than twice a transition's arity.
+func checkCover(cover logic.Cover, transitions []Transition, buf []logic.Lit) error {
+	for i := range transitions {
+		t := &transitions[i]
+		n := len(t.Start)
+		buf = sized(buf, 2*n)
+		T, sub := logic.Cube(buf[:n]), logic.Cube(buf[n:])
+		t.cubeInto(T)
 		switch {
 		case t.From && t.To:
 			contained := false
@@ -1168,13 +1321,11 @@ func CheckCover(cover logic.Cover, transitions []Transition) error {
 					return fmt.Errorf("1→0 transition %d: product %s intersects %s without its start point", i, c, T)
 				}
 			}
-			for _, v := range t.Changed() {
-				sub := T.Clone()
-				if t.Start[v] {
-					sub[v] = logic.One
-				} else {
-					sub[v] = logic.Zero
+			for v := range t.Start {
+				if t.Start[v] == t.End[v] {
+					continue
 				}
+				t.subCube(sub, T, v)
 				contained := false
 				for _, c := range cover {
 					if c.Contains(sub) {
@@ -1193,13 +1344,11 @@ func CheckCover(cover logic.Cover, transitions []Transition) error {
 			if !cover.Eval(t.End) {
 				return fmt.Errorf("0→1 transition %d: cover 0 at end point", i)
 			}
-			for _, v := range t.Changed() {
-				sub := T.Clone()
-				if t.Start[v] {
-					sub[v] = logic.One
-				} else {
-					sub[v] = logic.Zero
+			for v := range t.Start {
+				if t.Start[v] == t.End[v] {
+					continue
 				}
+				t.subCube(sub, T, v)
 				for _, c := range cover {
 					if c.Intersects(sub) {
 						return fmt.Errorf("0→1 transition %d: product %s on during OFF phase %s", i, c, sub)
@@ -1211,8 +1360,39 @@ func CheckCover(cover logic.Cover, transitions []Transition) error {
 	return nil
 }
 
+// subCube writes into sub the transition cube T with changed variable
+// v held at its start value.
+func (t *Transition) subCube(sub, T logic.Cube, v int) {
+	copy(sub, T)
+	if t.Start[v] {
+		sub[v] = logic.One
+	} else {
+		sub[v] = logic.Zero
+	}
+}
+
+// sortCover orders the cubes by their rendered form ("-" before "0"
+// before "1"), comparing literals instead of rendering them.
 func sortCover(cv logic.Cover) {
-	sort.Slice(cv, func(i, j int) bool { return cv[i].String() < cv[j].String() })
+	slices.SortFunc(cv, func(a, b logic.Cube) int {
+		for i := range min(len(a), len(b)) {
+			if a[i] != b[i] {
+				return litRank(a[i]) - litRank(b[i])
+			}
+		}
+		return len(a) - len(b)
+	})
+}
+
+// litRank orders literals as Cube.String renders them: '-' < '0' < '1'.
+func litRank(l logic.Lit) int {
+	switch l {
+	case logic.Zero:
+		return 1
+	case logic.One:
+		return 2
+	}
+	return 0
 }
 
 // FormatPLA renders the cover in a small PLA-like format for the .sol

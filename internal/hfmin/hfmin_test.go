@@ -9,6 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -295,7 +298,7 @@ func TestDHFPrimesOracle(t *testing.T) {
 					want[c.String()] = true
 				}
 			}
-			got, _, exact := ws.primesOf(ws.sp.Pack(r))
+			got, _, exact := ws.primesOf(ws.space.Pack(r))
 			if !exact {
 				t.Fatalf("problem %d seed %s: enumeration truncated", pi, r)
 			}
@@ -303,8 +306,8 @@ func TestDHFPrimesOracle(t *testing.T) {
 				t.Errorf("problem %d seed %s: got %d primes, oracle has %d", pi, r, len(got), len(want))
 			}
 			for _, c := range got {
-				if !want[ws.sp.Unpack(c).String()] {
-					t.Errorf("problem %d seed %s: %s is not an oracle prime", pi, r, ws.sp.Unpack(c))
+				if !want[ws.space.Unpack(c).String()] {
+					t.Errorf("problem %d seed %s: %s is not an oracle prime", pi, r, ws.space.Unpack(c))
 				}
 			}
 		}
@@ -488,7 +491,7 @@ func TestDHFPrimesMaskMatchesReference(t *testing.T) {
 	for _, np := range problems {
 		ws := loadWorkspace(t, np.p)
 		for _, seed := range ws.req {
-			r := ws.sp.Unpack(seed)
+			r := ws.space.Unpack(seed)
 			var spec []int
 			for v := 0; v < np.p.Vars; v++ {
 				if r[v] != logic.DC {
@@ -514,7 +517,7 @@ func TestDHFPrimesMaskMatchesReference(t *testing.T) {
 			for i := range got {
 				if !got[i].Equal(want[i]) {
 					t.Errorf("%s seed %s: prime %d is %s, reference %s",
-						np.name, r, i, ws.sp.Unpack(got[i]), ws.sp.Unpack(want[i]))
+						np.name, r, i, ws.space.Unpack(got[i]), ws.space.Unpack(want[i]))
 					break
 				}
 			}
@@ -767,11 +770,16 @@ func paddedProblems(seed int64, n, count int) []*Problem {
 	return out
 }
 
-// Minimize takes its scratch from a pool of workspaces, which pass
+// Minimize takes its scratch from a free list of workspaces, which pass
 // between goroutines and between problems of different widths. Eight
 // goroutines each minimize every problem, from different starting
 // points so that widths interleave, and each must get the serial
-// result. Run under -race.
+// result. Alongside them, four holders take workspaces off the free
+// list directly, mark each one held while they load a problem into
+// it, and fail if the list hands them a workspace another holder
+// still holds; under -race, a workspace handed to two calls at once
+// is also a data race. When all are done the list holds at most
+// maxIdle workspaces.
 func TestMinimizeConcurrent(t *testing.T) {
 	problems := []*Problem{loadProblem(t, "stack-most-leaves.hfp"), benchProblem(14), benchProblem(10)}
 	_, table3 := loadProblems(t, "table3.hfp")
@@ -805,7 +813,128 @@ func TestMinimizeConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	var held sync.Map
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range problems {
+				ws := getWorkspace()
+				if _, dup := held.LoadOrStore(ws, g); dup {
+					t.Error("the free list handed one workspace to two holders at once")
+					return
+				}
+				if err := ws.load(problems[(k+5*g)%len(problems)]); err != nil {
+					t.Error(err)
+				}
+				held.Delete(ws)
+				putWorkspace(ws)
+			}
+		}()
+	}
 	wg.Wait()
+	freeMu.Lock()
+	idle := len(freeList)
+	freeMu.Unlock()
+	if idle > maxIdle {
+		t.Errorf("the free list holds %d workspaces, more than its bound %d", idle, maxIdle)
+	}
+}
+
+// TestMinimizeTable3Allocs: once the free list holds a workspace that
+// has served the Table 3 corpus, Minimize allocates only the Result it
+// returns: the Result itself and, for a non-empty cover, the Cover and
+// the one literal array behind its cubes. A workspace lost to a
+// collection, a per-call prime set or any scratch allocated per call
+// shows here.
+func TestMinimizeTable3Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	_, problems := loadProblems(t, "table3.hfp")
+	want := 0
+	for _, p := range problems {
+		res, err := p.Minimize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want++
+		if res.Cover != nil {
+			want += 2
+		}
+	}
+	got := testing.AllocsPerRun(5, func() {
+		runtime.GC() // a collection must not cost the workspace
+		for _, p := range problems {
+			if _, err := p.Minimize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if got != float64(want) {
+		t.Errorf("a warm pass over %d problems allocates %v times, want %d (the Results alone)", len(problems), got, want)
+	}
+}
+
+// TestSolveCoverMatchesReference holds the workspace's covering solver
+// to the reference on seeded random matrices, from ones the reductions
+// finish to cyclic cores the branch-and-bound solves: the same columns,
+// node count and exactness. One scratch serves every matrix, so
+// leftovers of a larger matrix would show.
+func TestSolveCoverMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var sc coverScratch
+	branched := 0
+	for trial := 0; trial < 2000; trial++ {
+		nRows, nCols := 1+rng.Intn(16), 1+rng.Intn(20)
+		rows := make([][]int, nRows)
+		for i := range rows {
+			for j := 0; j < nCols; j++ {
+				if rng.Intn(4) == 0 {
+					rows[i] = append(rows[i], j)
+				}
+			}
+			if len(rows[i]) == 0 {
+				rows[i] = []int{rng.Intn(nCols)}
+			}
+		}
+		wantCols, wantNodes, wantExact := solveCoverRef(rows, nCols)
+		gotCols, gotNodes, gotExact := sc.solve(rows, nCols)
+		if !slices.Equal(gotCols, wantCols) || gotNodes != wantNodes || gotExact != wantExact {
+			t.Fatalf("trial %d, rows %v over %d columns: got %v, %d nodes, exact %v; reference %v, %d, %v",
+				trial, rows, nCols, gotCols, gotNodes, gotExact, wantCols, wantNodes, wantExact)
+		}
+		if gotNodes > 0 {
+			branched++
+		}
+	}
+	if branched < 100 {
+		t.Errorf("only %d of 2000 matrices reached the branch-and-bound", branched)
+	}
+	t.Logf("%d of 2000 matrices reached the branch-and-bound", branched)
+}
+
+// sortCover compares literals instead of rendering each cube, and must
+// order every cover as sorting by Cube.String does.
+func TestSortCoverMatchesString(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(9)
+		var cv logic.Cover
+		for k := rng.Intn(12); k > 0; k-- {
+			c := make(logic.Cube, n)
+			for v := range c {
+				c[v] = logic.Lit(rng.Intn(3))
+			}
+			cv = append(cv, c)
+		}
+		want := slices.Clone(cv)
+		sort.Slice(want, func(i, j int) bool { return want[i].String() < want[j].String() })
+		sortCover(cv)
+		if cv.String() != logic.Cover(want).String() {
+			t.Fatalf("sortCover gave\n%s\nsorting by String gives\n%s", cv, logic.Cover(want))
+		}
+	}
 }
 
 // dhfPrimesMaskRef is the original dhfPrimesMask, kept verbatim but for
@@ -951,4 +1080,283 @@ func (ws *workspace) dhfPrimesMaskRef(seed logic.PackedCube, spec []int) (out []
 		out = append(out, c)
 	}
 	return out, nodes, !overflow
+}
+
+// solveCoverRef is the covering solver as it was before its scratch
+// moved into the workspace, kept verbatim but for its name as the
+// reference TestSolveCoverMatchesReference holds coverScratch.solve to.
+//
+// solveCover finds a minimum set of columns covering all rows:
+// essential-column extraction and row/column dominance reduce the
+// matrix to its cyclic core, a greedy pass seeds the incumbent, and
+// branch-and-bound with a maximal-independent-row-set lower bound
+// proves minimality. Everything is index-ordered and sequential, so
+// the selection is deterministic. It reports the branch-and-bound
+// node count and whether minimality was proven within bbBudget.
+func solveCoverRef(rows [][]int, nCols int) (cols []int, nodes int64, exact bool) {
+	selected := map[int]bool{}
+	// Active candidate lists, pruned in place by the reductions.
+	cands := make([][]int, len(rows))
+	for i, r := range rows {
+		cands[i] = append([]int(nil), r...)
+	}
+	active := make([]int, 0, len(rows))
+	for i := range cands {
+		active = append(active, i)
+	}
+	colRemoved := make([]bool, nCols)
+
+	dropCoveredRows := func() {
+		out := active[:0]
+		for _, i := range active {
+			done := false
+			for _, j := range cands[i] {
+				if selected[j] {
+					done = true
+					break
+				}
+			}
+			if !done {
+				out = append(out, i)
+			}
+		}
+		active = out
+	}
+	// subset reports a ⊆ b for ascending-sorted int slices.
+	subset := func(a, b []int) bool {
+		k := 0
+		for _, x := range a {
+			for k < len(b) && b[k] < x {
+				k++
+			}
+			if k == len(b) || b[k] != x {
+				return false
+			}
+		}
+		return true
+	}
+
+	// Reduction fixpoint: essentials, row dominance, column dominance.
+	for {
+		changed := false
+		// Essential columns: rows with a single live candidate.
+		for _, i := range active {
+			if len(cands[i]) == 1 && !selected[cands[i][0]] {
+				selected[cands[i][0]] = true
+				changed = true
+			}
+		}
+		if changed {
+			dropCoveredRows()
+		}
+		if len(active) == 0 {
+			break
+		}
+		// Row dominance: a row whose candidate set contains another
+		// row's is satisfied whenever the tighter row is — drop it.
+		// On identical sets the higher index is dropped.
+		dominated := map[int]bool{}
+		for ai, i := range active {
+			for bi, j := range active {
+				if ai == bi || dominated[i] || dominated[j] {
+					continue
+				}
+				if subset(cands[j], cands[i]) && (len(cands[j]) < len(cands[i]) || j < i) {
+					dominated[i] = true
+				}
+			}
+		}
+		if len(dominated) > 0 {
+			out := active[:0]
+			for _, i := range active {
+				if !dominated[i] {
+					out = append(out, i)
+				}
+			}
+			active = out
+			changed = true
+		}
+		// Column dominance: a column covering a subset of another's
+		// live rows can be replaced by the dominating column in any
+		// solution — remove it. On identical row sets the lower index
+		// is kept.
+		colRows := map[int][]int{}
+		for _, i := range active {
+			for _, j := range cands[i] {
+				colRows[j] = append(colRows[j], i)
+			}
+		}
+		liveCols := make([]int, 0, len(colRows))
+		for j := range colRows {
+			liveCols = append(liveCols, j)
+		}
+		sort.Ints(liveCols)
+		for _, j := range liveCols {
+			if colRemoved[j] {
+				continue
+			}
+			for _, k := range liveCols {
+				if j == k || colRemoved[k] {
+					continue
+				}
+				if subset(colRows[j], colRows[k]) && (len(colRows[j]) < len(colRows[k]) || k < j) {
+					colRemoved[j] = true
+					changed = true
+					break
+				}
+			}
+		}
+		if changed {
+			for _, i := range active {
+				out := cands[i][:0]
+				for _, j := range cands[i] {
+					if !colRemoved[j] {
+						out = append(out, j)
+					}
+				}
+				cands[i] = out
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+
+	exact = true
+	if len(active) > 0 {
+		// Greedy incumbent: repeatedly take the column covering the
+		// most uncovered rows (ties to the lower index). Guarantees a
+		// solution even if the branch-and-bound budget runs out.
+		greedy := make([]bool, nCols)
+		count := make([]int, nCols)
+		var best []int
+		rest := append([]int(nil), active...)
+		for len(rest) > 0 {
+			for i := range count {
+				count[i] = 0
+			}
+			for _, i := range rest {
+				for _, j := range cands[i] {
+					count[j]++
+				}
+			}
+			bestJ, bestC := -1, -1
+			for j, c := range count {
+				if c > bestC {
+					bestJ, bestC = j, c
+				}
+			}
+			greedy[bestJ] = true
+			best = append(best, bestJ)
+			out := rest[:0]
+			for _, i := range rest {
+				done := false
+				for _, j := range cands[i] {
+					if greedy[j] {
+						done = true
+						break
+					}
+				}
+				if !done {
+					out = append(out, i)
+				}
+			}
+			rest = out
+		}
+		sort.Ints(best)
+
+		// Lower bound: a set of pairwise column-disjoint rows needs
+		// one distinct column each (a maximal independent row set,
+		// built greedily in row order).
+		lbUsed := make([]bool, nCols)
+		independentLB := func(remaining []int) int {
+			for i := range lbUsed {
+				lbUsed[i] = false
+			}
+			lb := 0
+			for _, i := range remaining {
+				disjoint := true
+				for _, j := range cands[i] {
+					if lbUsed[j] {
+						disjoint = false
+						break
+					}
+				}
+				if disjoint {
+					lb++
+					for _, j := range cands[i] {
+						lbUsed[j] = true
+					}
+				}
+			}
+			return lb
+		}
+
+		overflow := false
+		var cur []int
+		// Depth-indexed scratch rows: the recursion reuses one buffer
+		// per depth instead of allocating a remaining-set per node.
+		arena := make([][]int, len(active)+1)
+		var rec func(remaining []int, depth int)
+		rec = func(remaining []int, depth int) {
+			if overflow {
+				return
+			}
+			if nodes++; nodes > bbBudget {
+				overflow = true
+				return
+			}
+			if len(remaining) == 0 {
+				if len(cur) < len(best) {
+					best = append(best[:0], cur...)
+				}
+				return
+			}
+			if len(cur)+independentLB(remaining) >= len(best) {
+				return
+			}
+			// Branch on the row with fewest candidates (ties to the
+			// lower row index).
+			bi := remaining[0]
+			for _, i := range remaining {
+				if len(cands[i]) < len(cands[bi]) {
+					bi = i
+				}
+			}
+			if arena[depth] == nil {
+				arena[depth] = make([]int, 0, len(remaining))
+			}
+			for _, j := range cands[bi] {
+				cur = append(cur, j)
+				next := arena[depth][:0]
+				for _, i := range remaining {
+					covered := false
+					for _, k := range cands[i] {
+						if k == j {
+							covered = true
+							break
+						}
+					}
+					if !covered {
+						next = append(next, i)
+					}
+				}
+				arena[depth] = next
+				rec(next, depth+1)
+				cur = cur[:len(cur)-1]
+			}
+		}
+		rec(active, 0)
+		exact = !overflow
+		sort.Ints(best)
+		for _, j := range best {
+			selected[j] = true
+		}
+	}
+	cols = make([]int, 0, len(selected))
+	for j := range selected {
+		cols = append(cols, j)
+	}
+	sort.Ints(cols)
+	return cols, nodes, exact
 }

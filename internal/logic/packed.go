@@ -303,7 +303,9 @@ func AppendKeyBytes(dst []byte, p PackedCube) []byte {
 
 // KeySet is a set of packed cubes with exact membership: fixed-size
 // comparable keys for spaces up to 256 variables, byte-string keys
-// beyond. The zero value is not usable; call NewKeySet.
+// beyond. A key depends on the space only through its word count, so
+// a set also serves the cubes of any other space with as many words.
+// The zero value is not usable; call NewKeySet.
 type KeySet struct {
 	sp      *Space
 	small   map[Key]struct{}
@@ -339,6 +341,12 @@ func (s *KeySet) Add(p PackedCube) bool {
 	}
 	s.big[string(s.scratch)] = struct{}{}
 	return true
+}
+
+// Reset empties the set and keeps its storage for reuse.
+func (s *KeySet) Reset() {
+	clear(s.small)
+	clear(s.big)
 }
 
 // Len returns the number of distinct cubes added.

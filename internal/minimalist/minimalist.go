@@ -143,6 +143,43 @@ func Synthesize(sp *bm.Spec) (*Controller, error) {
 
 // SynthesizeOpt runs the full flow on a checked specification.
 func SynthesizeOpt(sp *bm.Spec, opt Options) (*Controller, error) {
+	enc, err := newEncoder(sp)
+	if err != nil {
+		return nil, err
+	}
+	// Iterate: encode, build tables, refine on conflict.
+	for iter := 0; iter < 64; iter++ {
+		codes, nExtra := enc.codes()
+		ctrl, conflict, err := buildAndMinimize(sp, enc.inputs, enc.arcs, codes, nExtra, opt)
+		if err != nil {
+			return nil, err
+		}
+		if conflict == nil {
+			return ctrl, nil
+		}
+		if !enc.add(*conflict) {
+			return nil, fmt.Errorf("minimalist: %s: unresolvable value conflict between states %v and %v",
+				sp.Name, conflict.a, conflict.b)
+		}
+	}
+	return nil, fmt.Errorf("minimalist: %s: state assignment did not converge", sp.Name)
+}
+
+// encoder is the state assignment of one specification: the arcs'
+// input geometry, the fed-back output vector of each state and the
+// dichotomies the encoding must realize, which refinement extends.
+type encoder struct {
+	sp     *bm.Spec
+	inputs []string
+	arcs   []arcInfo
+	outVec [][]bool // per state: the output values at state entry
+	dset   map[string]dichotomy
+}
+
+// newEncoder derives the arcs' geometry and the base dichotomies:
+// pairwise state distinction, plus Tracey-style race constraints for
+// arc pairs with intersecting input cubes.
+func newEncoder(sp *bm.Spec) (*encoder, error) {
 	values, err := sp.StateValues() // fails with Check's error
 	if err != nil {
 		return nil, err
@@ -185,81 +222,76 @@ func SynthesizeOpt(sp *bm.Spec, opt Options) (*Controller, error) {
 		}
 		outVec[s] = vec
 	}
-	// separatedByOutputs reports whether some fed-back output already
-	// realizes the dichotomy (constant on each group, different
-	// between groups).
-	separatedByOutputs := func(d dichotomy) bool {
-		for z := range sp.Outputs {
-			ok := true
-			va := outVec[d.a[0]][z]
-			for _, s := range d.a {
-				if outVec[s][z] != va {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			vb := !va
-			for _, s := range d.b {
-				if outVec[s][z] != vb {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Base dichotomies: pairwise state distinction, plus Tracey-style
-	// race constraints for arc pairs with intersecting input cubes —
-	// keeping only those the fed-back outputs do not already satisfy.
-	dset := map[string]dichotomy{}
-	add := func(d dichotomy) {
-		sort.Ints(d.a)
-		sort.Ints(d.b)
-		if len(d.a) > 0 && len(d.b) > 0 && !separatedByOutputs(d) {
-			dset[d.key()] = d
-		}
-	}
+	e := &encoder{sp: sp, inputs: inputs, arcs: arcs, outVec: outVec, dset: map[string]dichotomy{}}
+	// Base dichotomies, keeping only those the fed-back outputs do not
+	// already satisfy.
 	for s := 0; s < sp.NStates; s++ {
 		for u := s + 1; u < sp.NStates; u++ {
-			add(dichotomy{a: []int{s}, b: []int{u}})
+			e.add(dichotomy{a: []int{s}, b: []int{u}})
 		}
 	}
+	add := func(d dichotomy) { e.add(d) }
 	for i := range arcs {
 		for j := i + 1; j < len(arcs); j++ {
 			addRaceDichotomy(&arcs[i], &arcs[j], add)
 		}
 	}
+	return e, nil
+}
 
-	// Iterate: encode, build tables, refine on conflict.
-	for iter := 0; iter < 64; iter++ {
-		extra := assignCodes(sp.NStates, sp.Start, dset)
-		codes := make([][]bool, sp.NStates)
-		for s := range codes {
-			code := make([]bool, 0, len(outVec[s])+len(extra[s]))
-			codes[s] = append(append(code, outVec[s]...), extra[s]...)
+// add records d unless a group is empty or the fed-back outputs
+// already realize it, and reports whether the set grew.
+func (e *encoder) add(d dichotomy) bool {
+	sort.Ints(d.a)
+	sort.Ints(d.b)
+	if len(d.a) == 0 || len(d.b) == 0 || e.separatedByOutputs(d) {
+		return false
+	}
+	before := len(e.dset)
+	e.dset[d.key()] = d
+	return len(e.dset) > before
+}
+
+// separatedByOutputs reports whether some fed-back output already
+// realizes the dichotomy (constant on each group, different between
+// groups).
+func (e *encoder) separatedByOutputs(d dichotomy) bool {
+	for z := range e.sp.Outputs {
+		ok := true
+		va := e.outVec[d.a[0]][z]
+		for _, s := range d.a {
+			if e.outVec[s][z] != va {
+				ok = false
+				break
+			}
 		}
-		ctrl, conflict, err := buildAndMinimize(sp, inputs, arcs, codes, len(extra[0]), opt)
-		if err != nil {
-			return nil, err
+		if !ok {
+			continue
 		}
-		if conflict == nil {
-			return ctrl, nil
+		vb := !va
+		for _, s := range d.b {
+			if e.outVec[s][z] != vb {
+				ok = false
+				break
+			}
 		}
-		before := len(dset)
-		add(*conflict)
-		if len(dset) == before {
-			return nil, fmt.Errorf("minimalist: %s: unresolvable value conflict between states %v and %v",
-				sp.Name, conflict.a, conflict.b)
+		if ok {
+			return true
 		}
 	}
-	return nil, fmt.Errorf("minimalist: %s: state assignment did not converge", sp.Name)
+	return false
+}
+
+// codes returns the full state codes under the current dichotomies
+// (fed-back outputs ++ extra bits) and the number of extra bits.
+func (e *encoder) codes() (codes [][]bool, nExtra int) {
+	extra := assignCodes(e.sp.NStates, e.sp.Start, e.dset)
+	codes = make([][]bool, e.sp.NStates)
+	for s := range codes {
+		code := make([]bool, 0, len(e.outVec[s])+len(extra[s]))
+		codes[s] = append(append(code, e.outVec[s]...), extra[s]...)
+	}
+	return codes, len(extra[0])
 }
 
 // addRaceDichotomy adds the Tracey constraint for two arcs whose input
@@ -414,68 +446,17 @@ type fnSpec struct {
 // would separate the clashing arcs.
 func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, codes [][]bool, nExtra int, opt Options) (*Controller, *dichotomy, error) {
 	nOut := len(sp.Outputs)
-	vars := make([]string, 0, len(inputs)+nOut+nExtra)
-	vars = append(vars, inputs...)
-	vars = append(vars, sp.Outputs...)
-	for i := 0; i < nExtra; i++ {
-		vars = append(vars, fmt.Sprintf("y%d", i))
-	}
-	point := func(x []bool, code []bool) []bool {
-		out := make([]bool, 0, len(x)+len(code))
-		out = append(out, x...)
-		out = append(out, code...)
-		return out
-	}
+	vars, fns := deriveFunctions(sp, inputs, arcs, codes, nExtra)
 	// The function at code position pos is named vars[len(inputs)+pos]:
 	// fed-back outputs are their own excitation.
 	names := vars[len(inputs):]
 
-	// Every function gets one T1 per arc and one T2 per arc whose code
-	// changes, so each list is made at its final size.
-	perFn := len(arcs)
-	for _, ai := range arcs {
-		if !sameCode(codes[ai.arc.From], codes[ai.arc.To]) {
-			perFn++
-		}
-	}
-	fns := make([][]fnSpec, len(names))
-	for pos := range fns {
-		fns[pos] = make([]fnSpec, 0, perFn)
-	}
-	addTr := func(pos, arcIdx int, start, end []bool, from, to bool) {
-		fns[pos] = append(fns[pos], fnSpec{
-			tr:   hfmin.Transition{Start: start, End: end, From: from, To: to},
-			arcA: arcIdx,
-		})
-	}
-	for i, ai := range arcs {
-		a := ai.arc
-		from, to := a.From, a.To
-		// Horizontal transition T1: the input burst, full code fixed;
-		// every code component's function moves from its entry value to
-		// its target (output burst / state change) at the end point.
-		A1 := point(ai.xStart, codes[from])
-		B1 := point(ai.xEnd, codes[from])
-		for pos := 0; pos < len(codes[from]); pos++ {
-			addTr(pos, i, A1, B1, codes[from][pos], codes[to][pos])
-		}
-		// Vertical transition T2: the code burst (outputs firing plus
-		// extra-bit changes) at the new input point; every function
-		// holds its target value throughout.
-		if !sameCode(codes[from], codes[to]) {
-			A2 := point(ai.xEnd, codes[from])
-			B2 := point(ai.xEnd, codes[to])
-			for pos := 0; pos < len(codes[from]); pos++ {
-				addTr(pos, i, A2, B2, codes[to][pos], codes[to][pos])
-			}
-		}
-	}
-
 	// Conflict pre-check with arc attribution, in deterministic
 	// function order so refinement (and thus the final encoding) is
-	// reproducible run to run.
+	// reproducible run to run. One arena serves every function.
+	var ar conflictArena
 	for _, specs := range fns {
-		if d := findConflict(specs, arcs); d != nil {
+		if d := findConflict(specs, arcs, &ar); d != nil {
 			return nil, d, nil
 		}
 	}
@@ -545,19 +526,135 @@ func buildAndMinimize(sp *bm.Spec, inputs []string, arcs []arcInfo, codes [][]bo
 	return ctrl, nil, nil
 }
 
+// deriveFunctions lists the variables (inputs, fed-back outputs, then
+// y0..y(nExtra-1)) and, per function in code order, its specified
+// transitions under the given full-state encoding.
+func deriveFunctions(sp *bm.Spec, inputs []string, arcs []arcInfo, codes [][]bool, nExtra int) (vars []string, fns [][]fnSpec) {
+	vars = make([]string, 0, len(inputs)+len(sp.Outputs)+nExtra)
+	vars = append(vars, inputs...)
+	vars = append(vars, sp.Outputs...)
+	for i := 0; i < nExtra; i++ {
+		vars = append(vars, fmt.Sprintf("y%d", i))
+	}
+	point := func(x []bool, code []bool) []bool {
+		out := make([]bool, 0, len(x)+len(code))
+		out = append(out, x...)
+		out = append(out, code...)
+		return out
+	}
+
+	// Every function gets one T1 per arc and one T2 per arc whose code
+	// changes, so each list is made at its final size.
+	perFn := len(arcs)
+	for _, ai := range arcs {
+		if !sameCode(codes[ai.arc.From], codes[ai.arc.To]) {
+			perFn++
+		}
+	}
+	fns = make([][]fnSpec, len(vars)-len(inputs))
+	for pos := range fns {
+		fns[pos] = make([]fnSpec, 0, perFn)
+	}
+	addTr := func(pos, arcIdx int, start, end []bool, from, to bool) {
+		fns[pos] = append(fns[pos], fnSpec{
+			tr:   hfmin.Transition{Start: start, End: end, From: from, To: to},
+			arcA: arcIdx,
+		})
+	}
+	for i, ai := range arcs {
+		a := ai.arc
+		from, to := a.From, a.To
+		// Horizontal transition T1: the input burst, full code fixed;
+		// every code component's function moves from its entry value to
+		// its target (output burst / state change) at the end point.
+		A1 := point(ai.xStart, codes[from])
+		B1 := point(ai.xEnd, codes[from])
+		for pos := 0; pos < len(codes[from]); pos++ {
+			addTr(pos, i, A1, B1, codes[from][pos], codes[to][pos])
+		}
+		// Vertical transition T2: the code burst (outputs firing plus
+		// extra-bit changes) at the new input point; every function
+		// holds its target value throughout.
+		if !sameCode(codes[from], codes[to]) {
+			A2 := point(ai.xEnd, codes[from])
+			B2 := point(ai.xEnd, codes[to])
+			for pos := 0; pos < len(codes[from]); pos++ {
+				addTr(pos, i, A2, B2, codes[to][pos], codes[to][pos])
+			}
+		}
+	}
+	return vars, fns
+}
+
+// conflictArena is findConflict's scratch, which one buildAndMinimize
+// call reuses across its functions: the packed region cubes of one
+// function, all in one buffer, and the regions that point into it.
+type conflictArena struct {
+	words   []uint64
+	regions []region
+}
+
+// region is a cube on which a derived transition specifies one value.
+type region struct {
+	cube logic.PackedCube
+	val  bool
+	arc  int // index of the originating arc
+}
+
 // findConflict looks for a pair of derived transitions that force
 // opposite values on a shared input point, returning the separating
-// dichotomy.
-func findConflict(specs []fnSpec, arcs []arcInfo) *dichotomy {
-	type region struct {
-		cube logic.Cube
-		val  bool
-		arc  int
+// dichotomy. Each transition specifies its value From on its
+// transition cube T less the end point, as T with one changed variable
+// held at its start value per changed variable, and To at the end
+// point; a static transition specifies From on all of T. The regions
+// are built in that order, packed into ar, and the first clashing pair
+// in (i, j) order decides. Once ar has grown, a function without a
+// separable conflict allocates nothing.
+func findConflict(specs []fnSpec, arcs []arcInfo, ar *conflictArena) *dichotomy {
+	if len(specs) == 0 {
+		return nil
 	}
-	var regions []region
+	n := len(specs[0].tr.Start)
+	w := (n + 63) / 64
+	count := 0 // cubes: T, then per dynamic transition its sub-cubes and end point
 	for _, s := range specs {
-		t := s.tr
-		T := logic.Point(t.Start).Supercube(logic.Point(t.End))
+		t := &s.tr
+		count++
+		if t.From == t.To {
+			continue
+		}
+		count++
+		for v := range t.Start {
+			if t.Start[v] != t.End[v] {
+				count++
+			}
+		}
+	}
+	if cap(ar.words) < 2*w*count {
+		ar.words = make([]uint64, 2*w*count)
+	}
+	words := ar.words[:2*w*count]
+	clear(words)
+	next := 0
+	cube := func() logic.PackedCube {
+		c := logic.PackedCube{Ones: words[next : next+w : next+w], Zeros: words[next+w : next+2*w : next+2*w]}
+		next += 2 * w
+		return c
+	}
+	regions := ar.regions[:0]
+	for _, s := range specs {
+		t := &s.tr
+		T := cube()
+		for v, b := range t.Start {
+			if b != t.End[v] {
+				continue
+			}
+			if b {
+				T.Ones[v>>6] |= 1 << uint(v&63)
+			} else {
+				T.Zeros[v>>6] |= 1 << uint(v&63)
+			}
+		}
 		if t.From == t.To {
 			regions = append(regions, region{T, t.From, s.arcA})
 			continue
@@ -567,22 +664,31 @@ func findConflict(specs []fnSpec, arcs []arcInfo) *dichotomy {
 			if t.Start[v] == t.End[v] {
 				continue
 			}
-			sub := T.Clone()
+			sub := cube()
+			sub.CopyFrom(T)
 			if t.Start[v] {
-				sub[v] = logic.One
+				sub.Ones[v>>6] |= 1 << uint(v&63)
 			} else {
-				sub[v] = logic.Zero
+				sub.Zeros[v>>6] |= 1 << uint(v&63)
 			}
 			regions = append(regions, region{sub, t.From, s.arcA})
 		}
-		regions = append(regions, region{logic.Point(t.End), t.To, s.arcA})
+		end := cube()
+		for v, b := range t.End {
+			if b {
+				end.Ones[v>>6] |= 1 << uint(v&63)
+			} else {
+				end.Zeros[v>>6] |= 1 << uint(v&63)
+			}
+		}
+		regions = append(regions, region{end, t.To, s.arcA})
 	}
+	ar.regions = regions
 	for i := range regions {
 		for j := i + 1; j < len(regions); j++ {
 			if regions[i].val != regions[j].val && regions[i].cube.Intersects(regions[j].cube) {
 				a1, a2 := arcs[regions[i].arc].arc, arcs[regions[j].arc].arc
-				set := map[int]bool{a1.From: true, a1.To: true}
-				if set[a2.From] || set[a2.To] {
+				if a2.From == a1.From || a2.From == a1.To || a2.To == a1.From || a2.To == a1.To {
 					continue // cannot separate; let hfmin report
 				}
 				return &dichotomy{

@@ -3,11 +3,15 @@ package minimalist
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"balsabm/internal/bm"
 	"balsabm/internal/ch"
 	"balsabm/internal/chtobm"
+	"balsabm/internal/core"
+	"balsabm/internal/designs"
+	"balsabm/internal/logic"
 	"balsabm/internal/parallel"
 )
 
@@ -315,4 +319,233 @@ func TestSynthesizeRejectsDoubleDeclarations(t *testing.T) {
 			t.Errorf("%q: synthesized over %v", decl, c.Vars)
 		}
 	}
+}
+
+// table3Specs compiles every component of both arms of the four Table 3
+// designs: the control netlist and its clustered form.
+func table3Specs(t *testing.T) []*bm.Spec {
+	t.Helper()
+	var specs []*bm.Spec
+	for _, d := range designs.All() {
+		n := d.Control()
+		opt, _, err := core.Optimize(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range append(append([]*ch.Program(nil), n.Components...), opt.Components...) {
+			sp, err := chtobm.Compile(c)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", d.Name, c.Name, err)
+			}
+			specs = append(specs, sp)
+		}
+	}
+	return specs
+}
+
+// randomSpecs compiles seeded random CH programs into specifications.
+// The generator obeys the Burst-Mode restrictions of Table 1 by
+// construction, so every program compiles.
+func randomSpecs(t *testing.T, seed int64, count int) []*bm.Spec {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	next := 0
+	var expr func(act ch.Activity, depth int) ch.Expr
+	expr = func(act ch.Activity, depth int) ch.Expr {
+		if depth <= 0 || rng.Intn(3) == 0 {
+			next++
+			return &ch.Chan{Kind: ch.PToP, Act: act, Name: fmt.Sprintf("c%d", next)}
+		}
+		if act == ch.Active {
+			kinds := []ch.OpKind{ch.EncEarly, ch.EncMiddle, ch.Seq, ch.SeqOv}
+			return &ch.Op{Kind: kinds[rng.Intn(len(kinds))], A: expr(ch.Active, depth-1), B: expr(ch.Active, depth-1)}
+		}
+		if rng.Intn(5) == 0 {
+			return &ch.Op{Kind: ch.Mutex, A: expr(ch.Passive, depth-1), B: expr(ch.Passive, depth-1)}
+		}
+		kinds := []ch.OpKind{ch.EncEarly, ch.EncMiddle, ch.EncLate, ch.Seq}
+		b := ch.Active
+		if rng.Intn(2) == 0 {
+			b = ch.Passive
+		}
+		return &ch.Op{Kind: kinds[rng.Intn(len(kinds))], A: expr(ch.Passive, depth-1), B: expr(b, depth-1)}
+	}
+	var specs []*bm.Spec
+	for i := 0; i < count; i++ {
+		act := ch.Active
+		if rng.Intn(2) == 0 {
+			act = ch.Passive
+		}
+		body := &ch.Rep{Body: &ch.Op{
+			Kind: ch.EncEarly,
+			A:    &ch.Chan{Kind: ch.PToP, Act: ch.Passive, Name: "act"},
+			B:    expr(act, 1+rng.Intn(4)),
+		}}
+		sp, err := chtobm.Compile(&ch.Program{Name: fmt.Sprintf("rand%d", i), Body: body})
+		if err != nil {
+			t.Fatalf("random program %d: %v\n%s", i, err, ch.Format(body))
+		}
+		specs = append(specs, sp)
+	}
+	return specs
+}
+
+// conflictRounds replays SynthesizeOpt's state-assignment refinement on
+// sp without minimizing, calling visit with every function of every
+// round in order, and returns the number of rounds. After each round
+// the first conflict visit reports refines the encoding, as in
+// SynthesizeOpt. With bare set, the replay starts from no dichotomies
+// at all, so the first round encodes each state by its outputs alone
+// and states that share an output vector clash.
+func conflictRounds(t *testing.T, sp *bm.Spec, bare bool, visit func(specs []fnSpec, arcs []arcInfo) *dichotomy) int {
+	t.Helper()
+	enc, err := newEncoder(sp)
+	if err != nil {
+		t.Fatalf("%s: %v", sp.Name, err)
+	}
+	if bare {
+		clear(enc.dset)
+	}
+	for round := 1; round <= 64; round++ {
+		codes, nExtra := enc.codes()
+		_, fns := deriveFunctions(sp, enc.inputs, enc.arcs, codes, nExtra)
+		var first *dichotomy
+		for _, specs := range fns {
+			if d := visit(specs, enc.arcs); d != nil && first == nil {
+				first = d
+			}
+		}
+		if first == nil || !enc.add(*first) {
+			return round
+		}
+	}
+	return 64
+}
+
+// TestFindConflictMatchesReference holds the arena findConflict to the
+// reference on every function of every refinement round of the 58
+// Table 3 specs and of seeded random specs: the same dichotomy, or
+// none. The base dichotomies already separate every state those specs
+// need, so their rounds meet no conflict; the bare replays, which
+// start from no dichotomy, refine through many. One arena serves every
+// call, as one serves a buildAndMinimize call, so leftovers of a
+// larger function would show.
+func TestFindConflictMatchesReference(t *testing.T) {
+	var ar conflictArena
+	sets := []struct {
+		name  string
+		specs []*bm.Spec
+	}{
+		{"table3", table3Specs(t)},
+		{"random", randomSpecs(t, 2002, 300)},
+	}
+	if got := len(sets[0].specs); got != 58 {
+		t.Fatalf("%d Table 3 specs, want 58", got)
+	}
+	for _, set := range sets {
+		for _, bare := range []bool{false, true} {
+			functions, conflicts, rounds := 0, 0, 0
+			for _, sp := range set.specs {
+				rounds += conflictRounds(t, sp, bare, func(specs []fnSpec, arcs []arcInfo) *dichotomy {
+					want := findConflictRef(specs, arcs)
+					if got := findConflict(specs, arcs, &ar); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: findConflict gives %+v, the reference %+v", sp.Name, got, want)
+					}
+					functions++
+					if want != nil {
+						conflicts++
+					}
+					return want
+				})
+			}
+			t.Logf("%s (bare %v): %d specs, %d rounds, %d functions, %d conflicts",
+				set.name, bare, len(set.specs), rounds, functions, conflicts)
+			if bare && conflicts == 0 {
+				t.Errorf("%s: no function of any bare round conflicts; the comparison never saw a dichotomy", set.name)
+			}
+		}
+	}
+}
+
+// TestFindConflictAllocs: once its arena has grown, findConflict
+// allocates nothing on a function without a separable conflict, which
+// is every function of the last round.
+func TestFindConflictAllocs(t *testing.T) {
+	var ar conflictArena
+	for _, sp := range table3Specs(t) {
+		enc, err := newEncoder(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := Synthesize(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fns := deriveFunctions(sp, enc.inputs, enc.arcs, ctrl.Codes, ctrl.StateBits)
+		for pos, specs := range fns {
+			findConflict(specs, enc.arcs, &ar)
+			if a := testing.AllocsPerRun(10, func() {
+				if findConflict(specs, enc.arcs, &ar) != nil {
+					t.Fatalf("%s: function %d of the final encoding conflicts", sp.Name, pos)
+				}
+			}); a != 0 {
+				t.Fatalf("%s: findConflict on function %d allocates %v times", sp.Name, pos, a)
+			}
+		}
+	}
+}
+
+// findConflictRef is findConflict as it was before its region cubes
+// moved into a packed arena, kept verbatim but for its name as the
+// reference TestFindConflictMatchesReference holds the arena version
+// to.
+//
+// findConflict looks for a pair of derived transitions that force
+// opposite values on a shared input point, returning the separating
+// dichotomy.
+func findConflictRef(specs []fnSpec, arcs []arcInfo) *dichotomy {
+	type region struct {
+		cube logic.Cube
+		val  bool
+		arc  int
+	}
+	var regions []region
+	for _, s := range specs {
+		t := s.tr
+		T := logic.Point(t.Start).Supercube(logic.Point(t.End))
+		if t.From == t.To {
+			regions = append(regions, region{T, t.From, s.arcA})
+			continue
+		}
+		// Value From on T minus end point, To at end point.
+		for v := range t.Start {
+			if t.Start[v] == t.End[v] {
+				continue
+			}
+			sub := T.Clone()
+			if t.Start[v] {
+				sub[v] = logic.One
+			} else {
+				sub[v] = logic.Zero
+			}
+			regions = append(regions, region{sub, t.From, s.arcA})
+		}
+		regions = append(regions, region{logic.Point(t.End), t.To, s.arcA})
+	}
+	for i := range regions {
+		for j := i + 1; j < len(regions); j++ {
+			if regions[i].val != regions[j].val && regions[i].cube.Intersects(regions[j].cube) {
+				a1, a2 := arcs[regions[i].arc].arc, arcs[regions[j].arc].arc
+				set := map[int]bool{a1.From: true, a1.To: true}
+				if set[a2.From] || set[a2.To] {
+					continue // cannot separate; let hfmin report
+				}
+				return &dichotomy{
+					a: uniqueInts(a1.From, a1.To),
+					b: uniqueInts(a2.From, a2.To),
+				}
+			}
+		}
+	}
+	return nil
 }
