@@ -588,9 +588,9 @@ func (r *runner) synthesizeNetlist(n *core.Netlist, specs []*bm.Spec, mode techm
 // checker gate: the control netlist the arm synthesized (clustered for
 // opt), the bmlint gate's spec of each component and its audit, the
 // mapped controllers, their reports and which of them are hand-library
-// circuits in component order, the netlint report of the merged
-// circuit, the hazver report of the netlists the synthesis shipped,
-// and — for the opt arm — the clustering report.
+// circuits in component order, the controllers merged into one circuit
+// and its netlint report, the hazver report of the netlists the
+// synthesis shipped, and — for the opt arm — the clustering report.
 type CheckedArm struct {
 	Netlist     *core.Netlist
 	Specs       []*bm.Spec
@@ -598,21 +598,26 @@ type CheckedArm struct {
 	Mapped      []*gates.Netlist
 	Controllers []ControllerResult
 	HandLibrary []bool
-	Netlint     netlint.Result
-	Hazver      hazver.Result
-	Report      *core.Report
+	// Merged is Mapped wired into one circuit (gates.Merge), named
+	// "<design>.<arm>": the circuit the netlint gate audits and the
+	// arm's simulation runs. Nothing writes to it once built.
+	Merged  *gates.Netlist
+	Netlint netlint.Result
+	Hazver  hazver.Result
+	Report  *core.Report
 }
 
 // checkedArm is the gated synthesis of one arm and the only synthesis
 // of a netlist, shared by both arms of runDesign, the daemon's synth
 // executor, the audit and every checker: the bmlint gate, which
 // compiles every component once, synthesis of every controller from
-// the spec the gate compiled for it, the netlint gate on the merged
-// circuit, and the hazver gate on the shipped netlists. It returns the
-// arm and a nil error on success; a failing gate's *GateError,
-// unwrapped, together with the arm as far as it got (the results of
-// every gate that ran, the failing one's included); and a nil arm for
-// any other error — a compile or synthesis error, or cancellation.
+// the spec the gate compiled for it, the arm's one merge of its
+// controllers and the netlint gate on that circuit, and the hazver
+// gate on the shipped netlists. It returns the arm and a nil error on
+// success; a failing gate's *GateError, unwrapped, together with the
+// arm as far as it got (the results of every gate that ran, the
+// failing one's included); and a nil arm for any other error — a
+// compile or synthesis error, or cancellation.
 // Non-error findings land on the metrics sink in gate order.
 func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mode) (c *CheckedArm, err error) {
 	defer func() {
@@ -632,7 +637,9 @@ func (r *runner) checkedArm(design, arm string, n *core.Netlist, mode techmap.Mo
 		return c, err
 	}
 	c.Mapped, c.Controllers, c.HandLibrary = s.mapped, s.ctrls, s.hand
-	if c.Netlint, err = NetlintGate(design, arm, s.mapped, r.opt.Lib, r.met); err != nil {
+	start := time.Now()
+	c.Merged = gates.Merge(design+"."+arm, s.mapped)
+	if c.Netlint, err = netlintGate(design, arm, c.Merged, r.opt.Lib, r.met, start); err != nil {
 		return c, err
 	}
 	c.Hazver, err = r.hazverGate(design, arm, s.units)
@@ -695,41 +702,46 @@ func (r *runner) prepare(design, arm string, n *core.Netlist) (*core.Netlist, *c
 	return cn, rep, techmap.SpeedSplit, err
 }
 
-// simulate runs one design arm: mapped controllers + datapath + bench.
-// A whole simulation is one leaf unit of pool work.
-func (r *runner) simulate(d *designs.Design, mapped []*gates.Netlist) (simTime, dpArea float64, events int64, desc string, err error) {
+// simulate runs one design arm: its merged control circuit (the
+// checked arm's Merged) + datapath + bench. A whole simulation is one
+// leaf unit of pool work.
+func (r *runner) simulate(d *designs.Design, merged *gates.Netlist) (simTime, dpArea float64, events int64, desc string, err error) {
 	err = r.pool.RunCtx(r.ctx, func() error {
 		start := time.Now()
 		defer func() { r.met.Timings.Observe("simulate", time.Since(start)) }()
-		s := sim.New(r.opt.Lib)
-		for _, nl := range mapped {
-			s.AddNetlist(nl, nl.Name, nil)
-		}
-		b := dpath.NewBuilder(s)
-		d.Datapath(b)
-		bench := d.Bench(b)
-		if err := s.Init(); err != nil {
-			return err
-		}
-		bench.Start()
-		for !bench.Done() {
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
-			if err := s.Run(r.opt.TimeLimit, r.opt.EventLimit); err != nil {
-				return fmt.Errorf("flow: %s: %w", d.Name, err)
-			}
-			if !bench.Done() && s.Quiet() {
-				return fmt.Errorf("flow: %s: deadlock at %.2f ns (benchmark incomplete)", d.Name, s.Time)
-			}
-		}
-		if err := bench.Validate(); err != nil {
-			return fmt.Errorf("flow: %s: functional check failed: %w", d.Name, err)
-		}
-		simTime, dpArea, events, desc = s.Time, b.Area, s.Events, bench.Description
-		return nil
+		var err error
+		simTime, dpArea, events, desc, err = r.runBench(d, sim.FromNetlist(r.opt.Lib, merged))
+		return err
 	})
 	return
+}
+
+// runBench adds the design's datapath and benchmark environment to s,
+// a simulator that already holds the arm's controllers, runs the
+// benchmark to completion and validates it.
+func (r *runner) runBench(d *designs.Design, s *sim.Simulator) (simTime, dpArea float64, events int64, desc string, err error) {
+	b := dpath.NewBuilder(s)
+	d.Datapath(b)
+	bench := d.Bench(b)
+	if err := s.Init(); err != nil {
+		return 0, 0, 0, "", err
+	}
+	bench.Start()
+	for !bench.Done() {
+		if err := r.ctx.Err(); err != nil {
+			return 0, 0, 0, "", err
+		}
+		if err := s.Run(r.opt.TimeLimit, r.opt.EventLimit); err != nil {
+			return 0, 0, 0, "", fmt.Errorf("flow: %s: %w", d.Name, err)
+		}
+		if !bench.Done() && s.Quiet() {
+			return 0, 0, 0, "", fmt.Errorf("flow: %s: deadlock at %.2f ns (benchmark incomplete)", d.Name, s.Time)
+		}
+	}
+	if err := bench.Validate(); err != nil {
+		return 0, 0, 0, "", fmt.Errorf("flow: %s: functional check failed: %w", d.Name, err)
+	}
+	return s.Time, b.Area, s.Events, bench.Description, nil
 }
 
 // runDesign executes both arms of the flow for one design, side by
@@ -762,7 +774,7 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 		for _, ctl := range c.Controllers {
 			res.Unopt.ControlArea += ctl.Area
 		}
-		t, dpArea, events, benchDesc, err := r.simulate(d, c.Mapped)
+		t, dpArea, events, benchDesc, err := r.simulate(d, c.Merged)
 		if err != nil {
 			return fmt.Errorf("unoptimized arm: %w", err)
 		}
@@ -793,7 +805,7 @@ func (r *runner) runDesign(d *designs.Design) (*DesignResult, error) {
 		for _, ctl := range c.Controllers {
 			res.Opt.ControlArea += ctl.Area
 		}
-		t, dpArea, events, _, err := r.simulate(d, c.Mapped)
+		t, dpArea, events, _, err := r.simulate(d, c.Merged)
 		if err != nil {
 			return fmt.Errorf("optimized arm: %w", err)
 		}

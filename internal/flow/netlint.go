@@ -8,22 +8,23 @@ import (
 	"balsabm/internal/netlint"
 )
 
-// NetlintMerged merges one arm's mapped controllers into a single
-// circuit (gates.Merge — the same wiring the simulator builds) and
-// audits it, returning diagnostics plus the static area/depth report.
-func NetlintMerged(design, arm string, mapped []*gates.Netlist, lib *cell.Library) netlint.Result {
-	return netlint.Audit(gates.Merge(design+"."+arm, mapped), lib)
-}
-
-// NetlintGate audits the merged circuit of an arm's mapped controllers
-// the way the flow's post-merge gate does: error findings abort as a
-// *GateError; warnings and the NL200 static report are recorded on the
-// metrics sink (shown by -stats, streamed on the daemon's "lint" SSE
-// stage) and never block. The full audit result is returned either way
-// so callers can report it.
+// NetlintGate merges an arm's mapped controllers into one circuit
+// (gates.Merge) and gates it as the flow's post-merge gate does:
+// error findings abort as a *GateError; warnings and the NL200 static
+// report are recorded on the metrics sink (shown by -stats, streamed
+// on the daemon's "lint" SSE stage) and never block. The full audit
+// result is returned either way so callers can report it. The flow
+// itself merges once per arm in checkedArm and gates that circuit.
 func NetlintGate(design, arm string, mapped []*gates.Netlist, lib *cell.Library, met *Metrics) (netlint.Result, error) {
 	start := time.Now()
-	res := NetlintMerged(design, arm, mapped, lib)
+	return netlintGate(design, arm, gates.Merge(design+"."+arm, mapped), lib, met, start)
+}
+
+// netlintGate audits an arm's merged circuit and splits the findings
+// by severity, charging the "netlint" stage the time since start (the
+// caller's merge included).
+func netlintGate(design, arm string, merged *gates.Netlist, lib *cell.Library, met *Metrics, start time.Time) (netlint.Result, error) {
+	res := netlint.Audit(merged, lib)
 	if met != nil {
 		met.Timings.Observe("netlint", time.Since(start))
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"balsabm/internal/cell"
 	"balsabm/internal/core"
 	"balsabm/internal/designs"
 	"balsabm/internal/gates"
@@ -19,17 +18,18 @@ import (
 
 var updateNetlint = flag.Bool("update", false, "rewrite the golden files under examples/{bmlint,netlint,hazver} and internal/hfmin/testdata/table3.hfp")
 
-// armNetlists runs one arm of a design through the checked arm (the
-// opt arm clustered with the given state limit) and returns the mapped
-// controllers, also when a netlint or hazver gate fails on them.
-func armNetlists(t *testing.T, d *designs.Design, arm string, maxStates int) []*gates.Netlist {
+// checkedArmOf runs one arm of a design through the checked arm (the
+// opt arm clustered with the given state limit) and returns it, also
+// when a netlint or hazver gate fails on it; its Netlint is the audit
+// of the arm's one merged circuit.
+func checkedArmOf(t *testing.T, d *designs.Design, arm string, maxStates int) *CheckedArm {
 	t.Helper()
 	opt := &Options{Cluster: core.Options{MaxStates: maxStates}}
 	c, err := SynthesizeCheckedCtx(context.Background(), d.Name, arm, d.Control(), opt)
-	if c == nil || c.Mapped == nil {
+	if c == nil || c.Merged == nil {
 		t.Fatalf("%s.%s: synthesis: %v", d.Name, arm, err)
 	}
-	return c.Mapped
+	return c
 }
 
 // TestNetlintGolden audits the merged circuit of every Table 3 design,
@@ -48,8 +48,7 @@ func TestNetlintGolden(t *testing.T) {
 		t.Run(d.Name, func(t *testing.T) {
 			var sb strings.Builder
 			for _, arm := range []string{"unopt", "opt"} {
-				mapped := armNetlists(t, d, arm, 0)
-				res := NetlintMerged(d.Name, arm, mapped, cell.AMS035())
+				res := checkedArmOf(t, d, arm, 0).Netlint
 				fmt.Fprintf(&sb, "== %s ==\n", res.Name)
 				fmt.Fprintf(&sb, "static: %s\n", res.Stats)
 				sb.WriteString(netlint.Format(res.Diags, res.Name))
@@ -89,8 +88,7 @@ func TestNetlintCleanAllClusterVariants(t *testing.T) {
 	}
 	for _, d := range designs.All() {
 		for _, maxStates := range []int{0, 8, 4} {
-			mapped := armNetlists(t, d, "opt", maxStates)
-			res := NetlintMerged(d.Name, fmt.Sprintf("opt%d", maxStates), mapped, cell.AMS035())
+			res := checkedArmOf(t, d, "opt", maxStates).Netlint
 			if netlint.HasErrors(res.Diags) {
 				t.Errorf("%s maxStates=%d has NL errors:\n%s",
 					d.Name, maxStates, netlint.Format(res.Diags, res.Name))

@@ -62,6 +62,14 @@ func (n *Netlist) HasNet(name string) bool {
 	return ok
 }
 
+// Lookup returns the id of the named net, if the netlist has one. It
+// only reads, so readers may share a netlist nothing writes to any
+// more: the simulator resolves names in the merged circuit it runs on.
+func (n *Netlist) Lookup(name string) (int, bool) {
+	id, ok := n.netIndex[name]
+	return id, ok
+}
+
 // Fresh creates a new unique net with the given prefix.
 func (n *Netlist) Fresh(prefix string) int {
 	return n.Net(fmt.Sprintf("%s$%d", prefix, len(n.NetNames)))

@@ -3,12 +3,13 @@ package gates
 import "fmt"
 
 // Merge wires a set of mapped netlists (the controllers of one design
-// arm) into a single circuit, with the same connection semantics as
-// the event simulator (sim.Simulator.AddNetlist): each part net takes
-// the name NameParts gives it, so port nets unify across parts — a
-// channel wire driven by one controller and read by another becomes
-// one net — while internal nets stay private (two controllers both
-// using y0 or t$5 must not short). Tied-low nets unify onto the merged
+// arm) into a single circuit: the circuit the flow's netlint gate
+// audits and its event simulation runs (sim.FromNetlist keeps its net
+// ids). Each part net takes the name NameParts gives it, so port nets
+// unify across parts — a channel wire driven by one controller and
+// read by another becomes one net — while internal nets stay private
+// (two controllers both using y0 or t$5 must not short, even when the
+// two controllers share a name). Tied-low nets unify onto the merged
 // circuit's own Const0.
 //
 // The merged primary outputs are every part's outputs in part order
@@ -16,15 +17,39 @@ import "fmt"
 // a sibling controller); the merged primary inputs are the part inputs
 // no part drives — the environment's side of the handshake.
 //
+// The parts are only read. The output is sized from them up front,
+// and its instances' input lists share one block.
+//
 // Parts must be structurally well-formed (net ids in range); run
 // netlint on the parts first when in doubt.
 func Merge(name string, parts []*Netlist) *Netlist {
-	out := New(name)
 	names := NameParts(parts)
-	isOut := map[int]bool{}
-	var partIns []int // every part input's merged net, in part order
+	var nets, insts, pins, outs, ins, widest int
+	for _, p := range parts {
+		nets += len(p.NetNames)
+		widest = max(widest, len(p.NetNames))
+		insts += len(p.Instances)
+		for i := range p.Instances {
+			pins += len(p.Instances[i].Inputs)
+		}
+		outs += len(p.Outputs)
+		ins += len(p.Inputs)
+	}
+	out := &Netlist{
+		Name:      name,
+		NetNames:  make([]string, 0, nets),
+		netIndex:  make(map[string]int, nets),
+		Outputs:   make([]int, 0, outs),
+		Instances: make([]Instance, 0, insts),
+		Const0:    -1,
+	}
+	// Every merged net is some part's net, so nets bounds the ids.
+	flags := make([]bool, 3*nets)
+	isOut, driven, isIn := flags[:nets], flags[nets:2*nets], flags[2*nets:]
+	block := make([]int, pins)
+	remap := make([]int, widest)
+	partIns := make([]int, 0, ins) // every part input's merged net, in part order
 	for pi, p := range parts {
-		remap := make([]int, len(p.NetNames))
 		for id := range p.NetNames {
 			if id == p.Const0 {
 				remap[id] = out.ConstZero()
@@ -33,11 +58,18 @@ func Merge(name string, parts []*Netlist) *Netlist {
 			}
 		}
 		for _, inst := range p.Instances {
-			ins := make([]int, len(inst.Inputs))
-			for i, in := range inst.Inputs {
-				ins[i] = remap[in]
+			var pinIDs []int
+			if k := len(inst.Inputs); k > 0 {
+				pinIDs, block = block[:k:k], block[k:]
+				for i, in := range inst.Inputs {
+					pinIDs[i] = remap[in]
+				}
 			}
-			out.AddInstance(inst.Cell, ins, remap[inst.Output], inst.Module)
+			o := remap[inst.Output]
+			driven[o] = true
+			out.Instances = append(out.Instances, Instance{
+				Cell: inst.Cell, Inputs: pinIDs, Output: o, Module: inst.Module,
+			})
 		}
 		for _, id := range p.Outputs {
 			if m := remap[id]; !isOut[m] {
@@ -49,11 +81,6 @@ func Merge(name string, parts []*Netlist) *Netlist {
 			partIns = append(partIns, remap[id])
 		}
 	}
-	driven := make(map[int]bool, len(out.Instances))
-	for _, inst := range out.Instances {
-		driven[inst.Output] = true
-	}
-	isIn := map[int]bool{}
 	for _, m := range partIns {
 		if !driven[m] && !isIn[m] && !isOut[m] {
 			isIn[m] = true

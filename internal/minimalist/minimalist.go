@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"balsabm/internal/bm"
@@ -124,8 +125,26 @@ func (c *Controller) Literals() int {
 // dichotomy requires some state bit to separate group A from group B.
 type dichotomy struct{ a, b []int }
 
+// key renders the dichotomy as fmt's "%v|%v" does, "[0 3]|[1 2]",
+// without fmt: the dichotomy set is keyed, and assignCodes sorts, by
+// exactly these bytes. Keys of up to 64 bytes build on the stack.
 func (d dichotomy) key() string {
-	return fmt.Sprintf("%v|%v", d.a, d.b)
+	var buf [64]byte
+	b := appendStates(buf[:0], d.a)
+	b = append(b, '|')
+	return string(appendStates(b, d.b))
+}
+
+// appendStates appends states the way fmt prints an []int.
+func appendStates(b []byte, states []int) []byte {
+	b = append(b, '[')
+	for i, s := range states {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(s), 10)
+	}
+	return append(b, ']')
 }
 
 // arcInfo caches per-arc geometry.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"balsabm/internal/bm"
@@ -493,6 +494,71 @@ func TestFindConflictAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDichotomyKeyMatchesSprintf holds dichotomy.key to the
+// fmt.Sprintf("%v|%v") key it replaced, byte for byte, so the
+// dichotomy set and assignCodes' sorted key order — hence every state
+// code — stay as they were: on every dichotomy of the 58 Table 3
+// specs, the base set of each encoder and each conflict of the
+// refinement rounds (from the base set and, to meet many conflicts,
+// from none), sorted as encoder.add sorts them and as found, and on
+// seeded random slices, negative and empty ones included.
+func TestDichotomyKeyMatchesSprintf(t *testing.T) {
+	checked := 0
+	check := func(d dichotomy) {
+		t.Helper()
+		checked++
+		if got, want := d.key(), fmt.Sprintf("%v|%v", d.a, d.b); got != want {
+			t.Fatalf("key(%v, %v) = %q, fmt gives %q", d.a, d.b, got, want)
+		}
+	}
+	specs := table3Specs(t)
+	if len(specs) != 58 {
+		t.Fatalf("%d Table 3 specs, want 58", len(specs))
+	}
+	for _, sp := range specs {
+		enc, err := newEncoder(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(enc.dset))
+		for k := range enc.dset {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			d := enc.dset[k]
+			if want := fmt.Sprintf("%v|%v", d.a, d.b); k != want {
+				t.Fatalf("%s: dichotomy set key %q, fmt gives %q", sp.Name, k, want)
+			}
+			check(d)
+		}
+		for _, bare := range []bool{false, true} {
+			conflictRounds(t, sp, bare, func(specs []fnSpec, arcs []arcInfo) *dichotomy {
+				d := findConflictRef(specs, arcs)
+				if d != nil {
+					check(*d)
+				}
+				return d
+			})
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	states := func() []int {
+		if rng.Intn(8) == 0 {
+			return nil
+		}
+		xs := make([]int, rng.Intn(24))
+		for i := range xs {
+			xs[i] = rng.Intn(1<<uint(rng.Intn(40))) - rng.Intn(3)
+		}
+		return xs
+	}
+	for i := 0; i < 20000; i++ {
+		check(dichotomy{a: states(), b: states()})
+	}
+	t.Logf("%d keys checked", checked)
 }
 
 // findConflictRef is findConflict as it was before its region cubes

@@ -59,8 +59,8 @@ func runStruct(nl *gates.Netlist, lib *cell.Library, r *Reporter) {
 		return // name checks below would be meaningless
 	}
 
-	byName := map[string]int{}
-	bySafe := map[string]int{}
+	byName := make(map[string]int, len(nl.NetNames))
+	bySafe := make(map[string]int, len(nl.NetNames))
 	for id, name := range nl.NetNames {
 		if prev, ok := byName[name]; ok {
 			r.Errorf(NetLoc(nl, id), "NL006",

@@ -126,12 +126,16 @@ type Watcher func(s *Simulator, net int, val bool)
 
 // Simulator is the event-driven kernel.
 type Simulator struct {
-	lib      *cell.Library
-	names    []string
+	lib *cell.Library
+	// nl is the circuit FromNetlist built the simulator on (nil for
+	// New): its net ids are the simulator's first nets, and its name
+	// index is looked up before index, which holds the nets the
+	// simulator interned itself.
+	nl       *gates.Netlist
 	index    map[string]int
 	values   []bool
 	gates    []gateInst
-	fanout   [][]int // net -> gate indices
+	fanout   [][]int // net -> gate indices; nets past its end feed no gate
 	watchers map[int][]Watcher
 	queue    eventHeap
 	seq      int64
@@ -148,16 +152,66 @@ func New(lib *cell.Library) *Simulator {
 	return &Simulator{lib: lib, index: map[string]int{}, watchers: map[int][]Watcher{}}
 }
 
-// Net interns a global net by name.
+// FromNetlist creates a simulator running one circuit, the merged
+// netlist of a design arm (gates.Merge), on its own net ids: net i of
+// nl is simulator net i, and the gates are nl's instances in order, so
+// events pop and fanout is walked exactly as AddNetlist orders the
+// same gates. Nothing is interned by name; the per-net and per-gate
+// slices are sized once and every net's fanout list is a window of one
+// counted block, so the build takes a fixed number of allocations
+// whatever the gate count. The simulator only reads nl — the gates
+// share its instances' input lists — so nl may be read elsewhere
+// meanwhile. Nets nl does not name, such as the datapath's, are
+// interned after its own.
+func FromNetlist(lib *cell.Library, nl *gates.Netlist) *Simulator {
+	nets := len(nl.NetNames)
+	s := &Simulator{
+		lib:      lib,
+		nl:       nl,
+		index:    map[string]int{},
+		watchers: map[int][]Watcher{},
+		values:   make([]bool, nets),
+		gates:    make([]gateInst, len(nl.Instances)),
+		fanout:   make([][]int, nets),
+	}
+	loads := make([]int, nets)
+	pins := 0
+	for _, inst := range nl.Instances {
+		for _, in := range inst.Inputs {
+			loads[in]++
+		}
+		pins += len(inst.Inputs)
+	}
+	// Each window's capacity is its exact load, so an AddGate that
+	// later extends a net's fanout copies it out instead of writing
+	// into its neighbour's window.
+	block := make([]int, pins)
+	for id, n := range loads {
+		s.fanout[id], block = block[:0:n], block[n:]
+	}
+	for gi, inst := range nl.Instances {
+		s.gates[gi] = newGate(lib.Get(inst.Cell), inst.Inputs, inst.Output)
+		for _, in := range inst.Inputs {
+			s.fanout[in] = append(s.fanout[in], gi)
+		}
+	}
+	return s
+}
+
+// Net interns a global net by name. A simulator built by FromNetlist
+// resolves the name in its netlist first.
 func (s *Simulator) Net(name string) int {
+	if s.nl != nil {
+		if id, ok := s.nl.Lookup(name); ok {
+			return id
+		}
+	}
 	if id, ok := s.index[name]; ok {
 		return id
 	}
-	id := len(s.names)
-	s.names = append(s.names, name)
+	id := len(s.values)
 	s.index[name] = id
 	s.values = append(s.values, false)
-	s.fanout = append(s.fanout, nil)
 	return id
 }
 
@@ -169,22 +223,51 @@ func (s *Simulator) Value(name string) bool {
 // ValueOf reads a net by id.
 func (s *Simulator) ValueOf(net int) bool { return s.values[net] }
 
-// AddGate places a library cell instance on global nets.
-func (s *Simulator) AddGate(cellName string, ins []int, out int) {
-	g := gateInst{cell: s.lib.Get(cellName), ins: append([]int(nil), ins...), out: out}
-	if tab, ok := g.cell.TruthTable(); ok && len(g.ins) == g.cell.Inputs {
+// newGate places cell c on input nets ins (kept, not copied) driving
+// out.
+func newGate(c *cell.Cell, ins []int, out int) gateInst {
+	g := gateInst{cell: c, ins: ins, out: out}
+	if tab, ok := c.TruthTable(); ok && len(ins) == c.Inputs {
 		g.tab, g.lutOK = tab, true
 	}
+	return g
+}
+
+// AddGate places a library cell instance on global nets.
+func (s *Simulator) AddGate(cellName string, ins []int, out int) {
+	g := newGate(s.lib.Get(cellName), append([]int(nil), ins...), out)
 	idx := len(s.gates)
 	s.gates = append(s.gates, g)
 	for _, in := range g.ins {
+		if in >= len(s.fanout) {
+			s.fanout = append(s.fanout, make([][]int, in+1-len(s.fanout))...)
+		}
 		s.fanout[in] = append(s.fanout[in], idx)
 	}
+}
+
+// fanoutOf returns the gates net feeds, in gate order.
+func (s *Simulator) fanoutOf(net int) []int {
+	if net < len(s.fanout) {
+		return s.fanout[net]
+	}
+	return nil
 }
 
 // AddNetlist instantiates a mapped netlist. Primary input and output
 // nets keep their own names (optionally translated via portMap);
 // internal nets are prefixed with instanceName to stay private.
+//
+// The flow runs FromNetlist on the arm's merged circuit instead.
+// AddNetlist stays for the benchmark module's replay and for tests
+// that simulate one template or controller. Adding an arm's
+// controllers one by one under their own names wires the same circuit
+// as FromNetlist(gates.Merge(...)) but for two details: parts that
+// share a name short their private nets (Merge gives the second one a
+// ".2" prefix; the flow never meets it, since chlint rejects repeated
+// component names as CH014), and each part keeps its own tied-low net,
+// "<part>.const0$", where Merge has one "const0$", which changes no
+// simulated time: a tied-low net never switches.
 func (s *Simulator) AddNetlist(nl *gates.Netlist, instanceName string, portMap map[string]string) {
 	boundary := map[int]bool{}
 	for _, n := range nl.Inputs {
@@ -270,16 +353,12 @@ func (s *Simulator) Stop() { s.stopped = true }
 // generating events (power-up evaluation), so gates whose quiescent
 // output is 1 (e.g. NAND of low inputs) start correctly.
 func (s *Simulator) Init() error {
-	// Effective per-gate delays: library delay plus fanout loading.
-	loads := make([]int, len(s.names))
-	for _, g := range s.gates {
-		for _, in := range g.ins {
-			loads[in]++
-		}
-	}
+	// Effective per-gate delays: library delay plus fanout loading,
+	// one load per gate input pin a net feeds, which is the length of
+	// its fanout list.
 	for i := range s.gates {
 		g := &s.gates[i]
-		extra := loads[g.out] - 1
+		extra := len(s.fanoutOf(g.out)) - 1
 		if extra < 0 {
 			extra = 0
 		}
@@ -335,7 +414,7 @@ func (s *Simulator) Run(until float64, maxEvents int64) error {
 		if s.Events > maxEvents {
 			return fmt.Errorf("sim: event budget %d exceeded at %.2f ns (oscillation?)", maxEvents, s.Time)
 		}
-		for _, gi := range s.fanout[e.net] {
+		for _, gi := range s.fanoutOf(e.net) {
 			s.evalGate(gi)
 		}
 		for _, w := range s.watchers[e.net] {
