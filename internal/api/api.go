@@ -10,9 +10,11 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"balsabm/internal/analysis"
 	"balsabm/internal/bmlint"
@@ -1072,14 +1074,54 @@ func FromAuditResult(a *flow.AuditResult) *AuditResultJSON {
 	}
 }
 
+// encoder is one pooled JSON writer: a buffer and an encoder that
+// indents into it. Encoder.Encode writes exactly the bytes of
+// json.MarshalIndent(v, "", "  ") plus '\n', and both the buffer and
+// the encoder's own indent buffer keep their capacity between uses.
+type encoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
+// maxPooledBytes bounds the buffer an encoder takes back into the
+// pool, so one outsized result does not stay pinned in memory.
+const maxPooledBytes = 4 << 20
+
+// EncodeWith renders v exactly as Encode does and hands the bytes to
+// use. They belong to a pooled buffer that later encodings reuse, so
+// use must not keep them, or anything sharing their memory, once it
+// returns. On an encoding error use is not called.
+func EncodeWith(v any, use func(b []byte)) error {
+	e := encoders.Get().(*encoder)
+	e.buf.Reset()
+	err := e.enc.Encode(v)
+	if err == nil {
+		use(e.buf.Bytes())
+	}
+	if e.buf.Cap() <= maxPooledBytes {
+		encoders.Put(e)
+	}
+	return err
+}
+
 // Encode renders any wire value in the canonical machine-readable
 // form: two-space-indented JSON with a trailing newline. Both the
 // server responses and the CLI's -json output go through this one
-// encoder, so equal values encode to equal bytes everywhere.
+// encoder, so equal values encode to equal bytes everywhere. The
+// result is the caller's own copy; EncodeWith lends the pooled bytes
+// instead.
 func Encode(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	var out []byte
+	err := EncodeWith(v, func(b []byte) {
+		out = make([]byte, len(b))
+		copy(out, b)
+	})
+	return out, err
 }

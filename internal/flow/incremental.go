@@ -12,6 +12,8 @@ package flow
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -86,8 +88,9 @@ func ControllerKey(mode techmap.Mode, digest string) string {
 
 // controllerBlobVersion tags the controllerBlob format inside
 // ControllerKey. v2 added the verification provenance; v3 dropped the
-// audit bit from the key, so refs written under v2 miss.
-const controllerBlobVersion = "v3"
+// audit bit from the key, so refs written under v2 miss; v4 writes each
+// distinct transition minterm once, as a shared point.
+const controllerBlobVersion = "v4"
 
 // controllerBlob is the durable form of one synthesized controller:
 // the seeding component's wires in canonical channel order (what
@@ -95,55 +98,25 @@ const controllerBlobVersion = "v3"
 // burst provenance hazver verifies that netlist against — so a
 // controller spliced in from the cache is checked exactly as a fresh
 // synthesis would be. A hand-library circuit has no provenance and
-// says so explicitly. The encoding is deterministic (JSON sorts map
-// keys), so identical syntheses dedupe in the content-addressed store.
+// says so explicitly.
+//
+// Points lists each distinct transition minterm once, as a '0'/'1'
+// string over Vars, and each function's transitions are index triples
+// into it: start point, end point, From | To<<1. minimalist gives every
+// function the same arcs, so the functions share a few points. Points
+// are in first-use order (functions by name, then transition order),
+// so the encoding is deterministic (JSON also sorts map keys) and
+// identical syntheses dedupe in the content-addressed store.
 type controllerBlob struct {
-	Wires       []string                    `json:"wires"`
-	Result      ControllerResult            `json:"result"`
-	Netlist     json.RawMessage             `json:"netlist"`
-	HandLibrary bool                        `json:"handLibrary,omitempty"`
-	Vars        []string                    `json:"vars,omitempty"`
-	Outputs     []string                    `json:"outputs,omitempty"`
-	StateBits   int                         `json:"stateBits,omitempty"`
-	Transitions map[string][]blobTransition `json:"transitions,omitempty"`
-}
-
-// blobTransition is one hfmin.Transition with its minterms written as
-// '0'/'1' strings over the controller's Vars.
-type blobTransition struct {
-	Start string `json:"start"`
-	End   string `json:"end"`
-	From  bool   `json:"from"`
-	To    bool   `json:"to"`
-}
-
-func bitString(bits []bool) string {
-	b := make([]byte, len(bits))
-	for i, v := range bits {
-		b[i] = '0'
-		if v {
-			b[i] = '1'
-		}
-	}
-	return string(b)
-}
-
-// parseBits reads a '0'/'1' string of exactly n bits.
-func parseBits(s string, n int) ([]bool, error) {
-	if len(s) != n {
-		return nil, fmt.Errorf("minterm %q has %d bits, want %d", s, len(s), n)
-	}
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		switch s[i] {
-		case '0':
-		case '1':
-			out[i] = true
-		default:
-			return nil, fmt.Errorf("minterm %q is not binary", s)
-		}
-	}
-	return out, nil
+	Wires       []string         `json:"wires"`
+	Result      ControllerResult `json:"result"`
+	Netlist     json.RawMessage  `json:"netlist"`
+	HandLibrary bool             `json:"handLibrary,omitempty"`
+	Vars        []string         `json:"vars,omitempty"`
+	Outputs     []string         `json:"outputs,omitempty"`
+	StateBits   int              `json:"stateBits,omitempty"`
+	Points      []string         `json:"points,omitempty"`
+	Transitions map[string][]int `json:"transitions,omitempty"`
 }
 
 // encodeController serializes a cache entry.
@@ -156,16 +129,52 @@ func encodeController(e *synthEntry) ([]byte, error) {
 	u := e.unit
 	if u.Netlist == nil {
 		b.HandLibrary = true
-	} else {
-		b.Vars, b.Outputs, b.StateBits = u.Vars, u.Outputs, u.StateBits
-		b.Transitions = make(map[string][]blobTransition, len(u.Transitions))
-		for fn, trs := range u.Transitions {
-			bt := make([]blobTransition, len(trs))
-			for i, t := range trs {
-				bt[i] = blobTransition{Start: bitString(t.Start), End: bitString(t.End), From: t.From, To: t.To}
+		return json.Marshal(b)
+	}
+	b.Vars, b.Outputs, b.StateBits = u.Vars, u.Outputs, u.StateBits
+	fns := make([]string, 0, len(u.Transitions))
+	n := 0
+	for fn, trs := range u.Transitions {
+		fns = append(fns, fn)
+		n += len(trs)
+	}
+	sort.Strings(fns)
+	index := map[string]int{}
+	bits := make([]byte, 0, len(u.Vars))
+	point := func(m []bool) int {
+		bits = bits[:0]
+		for _, v := range m {
+			c := byte('0')
+			if v {
+				c = '1'
 			}
-			b.Transitions[fn] = bt
+			bits = append(bits, c)
 		}
+		if p, ok := index[string(bits)]; ok {
+			return p
+		}
+		s := string(bits)
+		index[s] = len(b.Points)
+		b.Points = append(b.Points, s)
+		return len(b.Points) - 1
+	}
+	// One block holds every function's triples; each function's entry
+	// is a window of it.
+	ints := make([]int, 0, 3*n)
+	b.Transitions = make(map[string][]int, len(fns))
+	for _, fn := range fns {
+		first := len(ints)
+		for _, t := range u.Transitions[fn] {
+			v := 0
+			if t.From {
+				v |= 1
+			}
+			if t.To {
+				v |= 2
+			}
+			ints = append(ints, point(t.Start), point(t.End), v)
+		}
+		b.Transitions[fn] = ints[first:len(ints):len(ints)]
 	}
 	return json.Marshal(b)
 }
@@ -173,9 +182,13 @@ func encodeController(e *synthEntry) ([]byte, error) {
 // decodeController rebuilds a cache entry from its blob. Besides the
 // netlist decode's own validation, a minimized controller's blob must
 // carry its verification provenance: variables, and transitions for
-// exactly the functions Outputs + y0..y(StateBits-1), every minterm
-// over all the variables. A blob failing any check is an error; the
-// caller counts it as corrupt and resynthesizes.
+// exactly the functions Outputs + y0..y(StateBits-1), each a whole
+// number of triples whose indexes name points and whose value is 0–3,
+// every point over all the variables. A hand-library blob carries
+// none of it. A blob failing any check is an error; the caller counts
+// it as corrupt and resynthesizes. Everything the decode allocates is
+// bounded by the blob's length, and the decoded transitions share the
+// point slices read-only.
 func decodeController(data []byte) (*synthEntry, error) {
 	var b controllerBlob
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -187,7 +200,7 @@ func decodeController(data []byte) (*synthEntry, error) {
 	}
 	e := &synthEntry{wires: b.Wires, netlist: nl, res: b.Result}
 	if b.HandLibrary {
-		if len(b.Vars)+len(b.Outputs)+b.StateBits+len(b.Transitions) > 0 {
+		if b.StateBits != 0 || len(b.Vars)+len(b.Outputs)+len(b.Points)+len(b.Transitions) > 0 {
 			return nil, fmt.Errorf("flow: decode controller: hand-library blob carries burst provenance")
 		}
 		return e, nil
@@ -200,31 +213,68 @@ func decodeController(data []byte) (*synthEntry, error) {
 	if b.StateBits < 0 || b.StateBits > len(b.Transitions) {
 		return nil, fmt.Errorf("flow: decode controller: %d state bits for %d transition entries", b.StateBits, len(b.Transitions))
 	}
-	fns := make(map[string]bool, len(b.Outputs)+b.StateBits)
-	for _, o := range b.Outputs {
-		fns[o] = true
-	}
+	names := make([]string, 0, len(b.Outputs)+b.StateBits)
+	names = append(names, b.Outputs...)
 	for i := 0; i < b.StateBits; i++ {
-		fns[fmt.Sprintf("y%d", i)] = true
+		names = append(names, "y"+strconv.Itoa(i))
 	}
-	if len(fns) != len(b.Outputs)+b.StateBits || len(b.Transitions) != len(fns) {
+	fns := make(map[string]bool, len(names))
+	for _, fn := range names {
+		fns[fn] = true
+	}
+	if len(fns) != len(names) || len(b.Transitions) != len(fns) {
 		return nil, fmt.Errorf("flow: decode controller: transitions cover %d functions, want %d outputs + %d state bits",
 			len(b.Transitions), len(b.Outputs), b.StateBits)
 	}
-	trs := make(map[string][]hfmin.Transition, len(b.Transitions))
-	for fn, bts := range b.Transitions {
-		if !fns[fn] {
-			return nil, fmt.Errorf("flow: decode controller: transitions for unknown function %q", fn)
+	// The lengths come first: once every point is known to have one bit
+	// per variable, the block below is no larger than the blob.
+	nv := len(b.Vars)
+	for i, p := range b.Points {
+		if len(p) != nv {
+			return nil, fmt.Errorf("flow: decode controller: point %d has %d bits, want %d", i, len(p), nv)
 		}
-		ts := make([]hfmin.Transition, len(bts))
-		for i, bt := range bts {
-			ts[i] = hfmin.Transition{From: bt.From, To: bt.To}
-			if ts[i].Start, err = parseBits(bt.Start, len(b.Vars)); err == nil {
-				ts[i].End, err = parseBits(bt.End, len(b.Vars))
+	}
+	block := make([]bool, len(b.Points)*nv)
+	points := make([][]bool, len(b.Points))
+	for i, p := range b.Points {
+		m := block[i*nv : (i+1)*nv : (i+1)*nv]
+		for k := 0; k < nv; k++ {
+			switch p[k] {
+			case '0':
+			case '1':
+				m[k] = true
+			default:
+				return nil, fmt.Errorf("flow: decode controller: point %q is not binary", p)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("flow: decode controller: %s: %w", fn, err)
+		}
+		points[i] = m
+	}
+	total := 0
+	for _, fn := range names {
+		ints, ok := b.Transitions[fn]
+		if !ok {
+			return nil, fmt.Errorf("flow: decode controller: no transitions for function %q", fn)
+		}
+		if len(ints)%3 != 0 {
+			return nil, fmt.Errorf("flow: decode controller: %s: %d ints are not whole transitions", fn, len(ints))
+		}
+		total += len(ints) / 3
+	}
+	all := make([]hfmin.Transition, total)
+	trs := make(map[string][]hfmin.Transition, len(names))
+	for _, fn := range names {
+		ints := b.Transitions[fn]
+		ts := all[: len(ints)/3 : len(ints)/3]
+		all = all[len(ints)/3:]
+		for i := range ts {
+			start, end, v := ints[3*i], ints[3*i+1], ints[3*i+2]
+			if start < 0 || start >= len(points) || end < 0 || end >= len(points) {
+				return nil, fmt.Errorf("flow: decode controller: %s: transition %d names points %d and %d of %d", fn, i, start, end, len(points))
 			}
+			if v < 0 || v > 3 {
+				return nil, fmt.Errorf("flow: decode controller: %s: transition %d has value %d, want 0-3", fn, i, v)
+			}
+			ts[i] = hfmin.Transition{Start: points[start], End: points[end], From: v&1 != 0, To: v&2 != 0}
 		}
 		trs[fn] = ts
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
@@ -12,7 +13,9 @@ import (
 
 	"balsabm/internal/ch"
 	"balsabm/internal/core"
+	"balsabm/internal/designs"
 	"balsabm/internal/gates"
+	"balsabm/internal/hfmin"
 	"balsabm/internal/techmap"
 )
 
@@ -295,7 +298,41 @@ func rejectedBlobs(t testing.TB, good []byte) map[string][]byte {
 		"short minterm":                tamper(func(b map[string]any) { b["vars"] = append(b["vars"].([]any), "extra") }),
 		"hand library with provenance": tamper(func(b map[string]any) { b["handLibrary"] = true }),
 		"negative state bits":          tamper(func(b map[string]any) { b["stateBits"] = -1 }),
+		"start point out of range": tamper(func(b map[string]any) {
+			firstTriple(b, firstOutput)[0] = len(b["points"].([]any))
+		}),
+		"end point out of range": tamper(func(b map[string]any) {
+			firstTriple(b, firstOutput)[1] = len(b["points"].([]any))
+		}),
+		"negative start point": tamper(func(b map[string]any) { firstTriple(b, firstOutput)[0] = -1 }),
+		"negative end point":   tamper(func(b map[string]any) { firstTriple(b, firstOutput)[1] = -1 }),
+		"value 4":              tamper(func(b map[string]any) { firstTriple(b, firstOutput)[2] = 4 }),
+		"partial triple": tamper(func(b map[string]any) {
+			trs := b["transitions"].(map[string]any)
+			trs[firstOutput] = append(trs[firstOutput].([]any), 0)
+		}),
+		"non-binary point": tamper(func(b map[string]any) {
+			pts := b["points"].([]any)
+			pts[0] = "2" + pts[0].(string)[1:]
+		}),
+		"point one bit short": tamper(func(b map[string]any) {
+			pts := b["points"].([]any)
+			pts[0] = pts[0].(string)[1:]
+		}),
+		"hand library with points": tamper(func(b map[string]any) {
+			b["handLibrary"] = true
+			delete(b, "vars")
+			delete(b, "outputs")
+			delete(b, "stateBits")
+			delete(b, "transitions")
+		}),
 	}
+}
+
+// firstTriple returns the first transition triple of function fn in a
+// blob's JSON object, for tampering in place.
+func firstTriple(b map[string]any, fn string) []any {
+	return b["transitions"].(map[string]any)[fn].([]any)[:3]
 }
 
 // stateBitsBlob is a minimized controller's blob, small and otherwise
@@ -408,8 +445,9 @@ func TestControllerBlobHandLibrary(t *testing.T) {
 }
 
 // Blobs written under the previous key formats (no blob version tag,
-// and v2 with its audit bit) are never looked up: an old ctlrefs/
-// entry is a miss, not a decode failure.
+// v2 with its audit bit, and v3 with a minterm string per transition)
+// are never looked up: an old ctlrefs/ entry is a miss, not a decode
+// failure.
 func TestControllerKeyVersionedMiss(t *testing.T) {
 	n := parseIncr(t, incrSource)
 	ctl := NewMemoryControllerCache()
@@ -421,6 +459,7 @@ func TestControllerKeyVersionedMiss(t *testing.T) {
 		for _, oldKey := range []string{
 			fmt.Sprintf("ctl|%s|audit=%t|%s", techmap.SpeedSplit, true, canon.Digest()),
 			fmt.Sprintf("ctl|v2|%s|audit=%t|%s", techmap.SpeedSplit, true, canon.Digest()),
+			fmt.Sprintf("ctl|v3|%s|%s", techmap.SpeedSplit, canon.Digest()),
 		} {
 			ctl.PutController(oldKey, []byte(`{"wires":[],"result":{},"netlist":{}}`))
 		}
@@ -461,6 +500,122 @@ func TestControllerBlobRoundTrip(t *testing.T) {
 	if !bytes.Equal(blob, again) {
 		t.Fatal("blob encoding is not stable across a round trip")
 	}
+}
+
+// stackBlobs returns the controller blobs a cold run of the stack
+// design writes, both arms, in key order.
+func stackBlobs(tb testing.TB) [][]byte {
+	tb.Helper()
+	d, err := designs.ByName("stack")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctl := NewMemoryControllerCache()
+	if _, err := RunDesign(d, &Options{Controllers: ctl}); err != nil {
+		tb.Fatal(err)
+	}
+	keys := make([]string, 0, ctl.Len())
+	for k := range ctl.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	blobs := make([][]byte, len(keys))
+	for i, k := range keys {
+		blobs[i] = ctl.m[k]
+	}
+	return blobs
+}
+
+// largestMinimized returns the largest blob of a minimized controller.
+func largestMinimized(tb testing.TB, blobs [][]byte) []byte {
+	tb.Helper()
+	var largest []byte
+	for _, blob := range blobs {
+		if !bytes.Contains(blob, []byte(`"handLibrary":true`)) && len(blob) > len(largest) {
+			largest = blob
+		}
+	}
+	if largest == nil {
+		tb.Fatal("no minimized controller blob")
+	}
+	return largest
+}
+
+// Each transition minterm is written once, as a shared point. The
+// stack's largest minimized blob, a clustered controller with 17
+// functions over 26 variables, took 68,935 bytes when every transition
+// carried its start and end minterms as strings.
+func TestControllerBlobSize(t *testing.T) {
+	blob := largestMinimized(t, stackBlobs(t))
+	if len(blob) > 16<<10 {
+		t.Fatalf("largest stack blob is %d bytes, want at most %d", len(blob), 16<<10)
+	}
+	e, err := decodeController(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.unit.Transitions); n != 17 {
+		t.Fatalf("largest stack blob has %d functions, want 17", n)
+	}
+}
+
+// Points are numbered in first use over the functions sorted by name,
+// so the encoding does not depend on the order a transition map was
+// built in.
+func TestControllerBlobDeterministic(t *testing.T) {
+	blob := largestMinimized(t, stackBlobs(t))
+	e, err := decodeController(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fns := make([]string, 0, len(e.unit.Transitions))
+	for fn := range e.unit.Transitions {
+		fns = append(fns, fn)
+	}
+	sort.Strings(fns)
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 50; trial++ {
+		rng.Shuffle(len(fns), func(i, j int) { fns[i], fns[j] = fns[j], fns[i] })
+		trs := make(map[string][]hfmin.Transition, len(fns))
+		for _, fn := range fns {
+			trs[fn] = e.unit.Transitions[fn]
+		}
+		c := *e
+		c.unit.Transitions = trs
+		got, err := encodeController(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, blob) {
+			t.Fatalf("trial %d: insertion order %v changed the encoding", trial, fns)
+		}
+	}
+}
+
+// BenchmarkControllerBlob is the serialization the warm edit loop pays
+// per cached controller: a decode and an encode of each of the stack's
+// blobs.
+func BenchmarkControllerBlob(b *testing.B) {
+	blobs := stackBlobs(b)
+	size := 0
+	for _, blob := range blobs {
+		size += len(blob)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, blob := range blobs {
+			e, err := decodeController(blob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := encodeController(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(blobs)), "blobs")
+	b.ReportMetric(float64(size), "blob-bytes")
 }
 
 // Two rename-isomorphic components in one netlist share a memo entry;

@@ -8,6 +8,7 @@ package gates
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -266,60 +267,154 @@ func (n *Netlist) CellCounts() map[string]int {
 	return out
 }
 
-// verilogIdent maps the net-name characters Verilog identifiers may
-// not hold; a Replacer is safe for concurrent use.
-var verilogIdent = strings.NewReplacer("$", "_", "+", "p", "-", "m", ".", "_")
+// identBytes maps each byte of a net name to the byte its Verilog
+// identifier holds: identifiers may not hold '$', '+', '-' or '.'. The
+// rewrite keeps a name's length.
+var identBytes = func() (t [256]byte) {
+	for i := range t {
+		t[i] = byte(i)
+	}
+	t['$'], t['+'], t['-'], t['.'] = '_', 'p', 'm', '_'
+	return t
+}()
 
 // VerilogIdent returns the identifier Netlist.Verilog prints for a net
 // name. Distinct names can map to one identifier; netlint reports that
 // as NL007.
-func VerilogIdent(name string) string { return verilogIdent.Replace(name) }
+func VerilogIdent(name string) string {
+	for i := 0; i < len(name); i++ {
+		if identBytes[name[i]] != name[i] {
+			var sb strings.Builder
+			sb.Grow(len(name))
+			writeIdent(&sb, name)
+			return sb.String()
+		}
+	}
+	return name
+}
+
+// writeIdent appends name's Verilog identifier to sb.
+func writeIdent(sb *strings.Builder, name string) {
+	for i := 0; i < len(name); i++ {
+		sb.WriteByte(identBytes[name[i]])
+	}
+}
 
 // Verilog renders the netlist as a structural Verilog module.
 func (n *Netlist) Verilog(lib *cell.Library) string {
 	var sb strings.Builder
-	safe := func(net int) string { return VerilogIdent(n.NetNames[net]) }
-	var ports []string
-	for _, in := range n.Inputs {
-		ports = append(ports, safe(in))
+	n.WriteVerilog(&sb, lib)
+	return sb.String()
+}
+
+// WriteVerilog appends the text Verilog returns to sb, growing it once
+// to the module's size. Each net's identifier is computed once, as a
+// window of one string holding them all.
+func (n *Netlist) WriteVerilog(sb *strings.Builder, lib *cell.Library) {
+	var all strings.Builder
+	total := 0
+	for _, name := range n.NetNames {
+		total += len(name)
 	}
-	for _, out := range n.Outputs {
-		ports = append(ports, safe(out))
+	all.Grow(total)
+	for _, name := range n.NetNames {
+		writeIdent(&all, name)
 	}
-	fmt.Fprintf(&sb, "module %s (%s);\n", strings.ReplaceAll(n.Name, "-", "_"), strings.Join(ports, ", "))
-	for _, in := range n.Inputs {
-		fmt.Fprintf(&sb, "  input %s;\n", safe(in))
+	idents := all.String()
+	ids := make([]string, len(n.NetNames))
+	for id, name := range n.NetNames {
+		ids[id], idents = idents[:len(name)], idents[len(name):]
 	}
-	for _, out := range n.Outputs {
-		fmt.Fprintf(&sb, "  output %s;\n", safe(out))
-	}
-	declared := map[int]bool{}
+	declared := make([]bool, len(n.NetNames))
 	for _, in := range n.Inputs {
 		declared[in] = true
 	}
 	for _, out := range n.Outputs {
 		declared[out] = true
 	}
-	var wires []string
-	for id := range n.NetNames {
-		if !declared[id] {
-			wires = append(wires, safe(id))
+	wires := make([]string, 0, len(n.NetNames))
+	for id, d := range declared {
+		if !d {
+			wires = append(wires, ids[id])
 		}
 	}
 	sort.Strings(wires)
+
+	var num [20]byte
+	size := len("module  ();\n") + len(n.Name) + len("endmodule\n")
+	for _, in := range n.Inputs {
+		size += len(", ") + len("  input ;\n") + 2*len(ids[in])
+	}
+	for _, out := range n.Outputs {
+		size += len(", ") + len("  output ;\n") + 2*len(ids[out])
+	}
 	for _, w := range wires {
-		fmt.Fprintf(&sb, "  wire %s;\n", w)
+		size += len("  wire ;\n") + len(w)
 	}
 	if n.Const0 >= 0 {
-		fmt.Fprintf(&sb, "  assign %s = 1'b0;\n", safe(n.Const0))
+		size += len("  assign  = 1'b0;\n") + len(ids[n.Const0])
 	}
 	for i, inst := range n.Instances {
-		args := []string{safe(inst.Output)}
+		size += len("   g (); // module \n") + len(inst.Cell) + len(ids[inst.Output]) +
+			len(strconv.AppendInt(num[:0], int64(i), 10)) + len(strconv.AppendInt(num[:0], int64(inst.Module), 10))
 		for _, in := range inst.Inputs {
-			args = append(args, safe(in))
+			size += len(", ") + len(ids[in])
 		}
-		fmt.Fprintf(&sb, "  %s g%d (%s); // module %d\n", inst.Cell, i, strings.Join(args, ", "), inst.Module)
+	}
+	sb.Grow(size)
+
+	sb.WriteString("module ")
+	for i := 0; i < len(n.Name); i++ {
+		if c := n.Name[i]; c == '-' {
+			sb.WriteByte('_')
+		} else {
+			sb.WriteByte(c)
+		}
+	}
+	sb.WriteString(" (")
+	sep := ""
+	for _, ports := range [][]int{n.Inputs, n.Outputs} {
+		for _, p := range ports {
+			sb.WriteString(sep)
+			sb.WriteString(ids[p])
+			sep = ", "
+		}
+	}
+	sb.WriteString(");\n")
+	for _, in := range n.Inputs {
+		sb.WriteString("  input ")
+		sb.WriteString(ids[in])
+		sb.WriteString(";\n")
+	}
+	for _, out := range n.Outputs {
+		sb.WriteString("  output ")
+		sb.WriteString(ids[out])
+		sb.WriteString(";\n")
+	}
+	for _, w := range wires {
+		sb.WriteString("  wire ")
+		sb.WriteString(w)
+		sb.WriteString(";\n")
+	}
+	if n.Const0 >= 0 {
+		sb.WriteString("  assign ")
+		sb.WriteString(ids[n.Const0])
+		sb.WriteString(" = 1'b0;\n")
+	}
+	for i, inst := range n.Instances {
+		sb.WriteString("  ")
+		sb.WriteString(inst.Cell)
+		sb.WriteString(" g")
+		sb.Write(strconv.AppendInt(num[:0], int64(i), 10))
+		sb.WriteString(" (")
+		sb.WriteString(ids[inst.Output])
+		for _, in := range inst.Inputs {
+			sb.WriteString(", ")
+			sb.WriteString(ids[in])
+		}
+		sb.WriteString("); // module ")
+		sb.Write(strconv.AppendInt(num[:0], int64(inst.Module), 10))
+		sb.WriteString("\n")
 	}
 	sb.WriteString("endmodule\n")
-	return sb.String()
 }

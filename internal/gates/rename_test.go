@@ -5,6 +5,7 @@ package gates_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -150,5 +151,49 @@ func TestDecodeRejectsCorruptShapes(t *testing.T) {
 	// -1 (absent const0, undriven marker) stays legal.
 	if _, err := gates.DecodeJSON([]byte(`{"name":"x","netNames":["a"],"inputs":[-1],"outputs":[],"instances":[],"const0":-1}`)); err != nil {
 		t.Errorf("-1 net reference rejected: %v", err)
+	}
+}
+
+// A dangling instance pin names the instance, the pin kind, the net and
+// the net count, as before the message was formatted lazily.
+func TestDecodeJSONErrorText(t *testing.T) {
+	const insts = `[{"Cell":"INV","Inputs":[0],"Output":1,"Module":1},` +
+		`{"Cell":"NAND2","Inputs":[0,%s],"Output":%s,"Module":2}]`
+	for _, tc := range []struct{ in, out, want string }{
+		{"7", "2", "gates: decode netlist x: instance 1 input references net 7 of 3"},
+		{"1", "-2", "gates: decode netlist x: instance 1 output references net -2 of 3"},
+	} {
+		blob := fmt.Sprintf(`{"name":"x","netNames":["a","b","c"],"inputs":[0],"outputs":[2],"instances":`+insts+`,"const0":-1}`, tc.in, tc.out)
+		_, err := gates.DecodeJSON([]byte(blob))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("pins %s/%s: error %v, want %q", tc.in, tc.out, err, tc.want)
+		}
+	}
+}
+
+// Checking a valid netlist's pins formats no message: decoding
+// allocates fewer than four times per instance, the three being its
+// cell name, its input list and its output net's name, plus the
+// slices' growth. Formatting both pin messages made it five.
+func TestDecodeJSONAllocs(t *testing.T) {
+	decodeAllocs := func(insts int) float64 {
+		nl := gates.New("x")
+		a := nl.Net("a")
+		for i := 0; i < insts; i++ {
+			nl.AddInstance("INV", []int{a}, nl.Fresh("t"), 1)
+		}
+		blob, err := gates.EncodeJSON(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := gates.DecodeJSON(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := decodeAllocs(10), decodeAllocs(210)
+	if per := (large - small) / 200; per >= 4 {
+		t.Errorf("decoding allocates %.2f times per instance, want fewer than 4", per)
 	}
 }

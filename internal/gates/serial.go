@@ -55,33 +55,32 @@ func DecodeJSON(data []byte) (*Netlist, error) {
 		}
 		n.netIndex[name] = id
 	}
-	check := func(net int, what string) error {
-		if net < -1 || net >= len(n.NetNames) {
-			return fmt.Errorf("gates: decode netlist %s: %s references net %d of %d", n.Name, what, net, len(n.NetNames))
-		}
-		return nil
+	// The message is formatted only for a reference that fails.
+	bad := func(net int) bool { return net < -1 || net >= len(n.NetNames) }
+	fail := func(net int, what string) error {
+		return fmt.Errorf("gates: decode netlist %s: %s references net %d of %d", n.Name, what, net, len(n.NetNames))
 	}
-	if err := check(n.Const0, "const0"); err != nil {
-		return nil, err
+	if bad(n.Const0) {
+		return nil, fail(n.Const0, "const0")
 	}
 	for _, in := range n.Inputs {
-		if err := check(in, "input"); err != nil {
-			return nil, err
+		if bad(in) {
+			return nil, fail(in, "input")
 		}
 	}
 	for _, out := range n.Outputs {
-		if err := check(out, "output"); err != nil {
-			return nil, err
+		if bad(out) {
+			return nil, fail(out, "output")
 		}
 	}
 	for i, inst := range n.Instances {
 		for _, in := range inst.Inputs {
-			if err := check(in, fmt.Sprintf("instance %d input", i)); err != nil {
-				return nil, err
+			if bad(in) {
+				return nil, fail(in, fmt.Sprintf("instance %d input", i))
 			}
 		}
-		if err := check(inst.Output, fmt.Sprintf("instance %d output", i)); err != nil {
-			return nil, err
+		if bad(inst.Output) {
+			return nil, fail(inst.Output, fmt.Sprintf("instance %d output", i))
 		}
 	}
 	return n, nil

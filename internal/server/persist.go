@@ -146,18 +146,22 @@ func (m *Manager) loadResult(key string) *api.JobResult {
 // api.Encode bytes, so a disk-served result is byte-identical to a
 // fresh one) into the artifact cache, the completion record into the
 // journal, and the job's now-superseded checkpoints out of the way.
+// The blob is the encoder's pooled buffer: PutResult hashes and writes
+// it and keeps no reference.
 func (m *Manager) journalDone(j *Job, res *api.JobResult) {
 	if m.store == nil {
 		return
 	}
-	blob, err := api.Encode(res)
-	if err != nil {
+	hash := ""
+	api.EncodeWith(res, func(blob []byte) {
+		if ch, err := m.store.PutResult(j.Key, blob); err == nil {
+			hash = ch
+		}
+	})
+	if hash == "" {
 		return
 	}
-	if _, err := m.store.PutResult(j.Key, blob); err != nil {
-		return
-	}
-	m.store.AppendDone(j.ID, store.ContentHash(blob), m.stamp(m.cfg.Clock()))
+	m.store.AppendDone(j.ID, hash, m.stamp(m.cfg.Clock()))
 	m.store.DeleteCheckpoints(j.Key)
 }
 

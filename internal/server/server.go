@@ -84,16 +84,17 @@ func (s *Server) Manager() *Manager { return s.mgr }
 // Close stops the manager; outstanding jobs are cancelled.
 func (s *Server) Close() { s.mgr.Close() }
 
-// writeJSON encodes v through the canonical api encoder.
+// writeJSON encodes v through the canonical api encoder, writing the
+// pooled bytes straight to the response.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := api.Encode(v)
+	err := api.EncodeWith(v, func(b []byte) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		w.Write(b)
+	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(b)
 }
 
 // errorJSON is the uniform error body.

@@ -12,16 +12,18 @@
 //	                             written on create, checked on Open so
 //	                             a future format change fails loudly
 //	                             instead of silently mis-reading
-//	artifacts/<hh>/<sha256>      result blobs, named by the sha256 of
-//	                             their content (hh = first two hex
-//	                             digits); verified on read by re-hashing
+//	artifacts/<hh>/<sha256>      result and controller blobs, named by
+//	                             the sha256 of their content (hh =
+//	                             first two hex digits); verified on
+//	                             read by re-hashing
 //	refs/<sha256(key)>           one line: the content hash a canonical
 //	                             job key resolves to
 //	ctlrefs/<sha256(key)>        same indirection at controller grain:
 //	                             the content hash a canonical controller
-//	                             subtree key (mode, audit flag, subtree
-//	                             sha256) resolves to — the durable tier
-//	                             behind incremental resynthesis
+//	                             subtree key (blob format version, mode,
+//	                             subtree sha256) resolves to — the
+//	                             durable tier behind incremental
+//	                             resynthesis
 //	checkpoints/<sha256(key)>/<stage>
 //	                             per-stage checkpoint payloads of
 //	                             in-flight jobs, deleted on completion
@@ -30,9 +32,9 @@
 //
 // Every write is atomic (temp file + rename, fsync before rename), so
 // a crash mid-write never corrupts an existing entry; at worst it
-// leaves a stray temp file, swept on open. Blobs are exactly the
-// api.Encode bytes of a job result, which is what makes a disk-served
-// result byte-identical to a freshly computed one.
+// leaves a stray temp file, swept on open. Result blobs are exactly
+// the api.Encode bytes of a job result, which is what makes a
+// disk-served result byte-identical to a freshly computed one.
 package store
 
 import (

@@ -685,19 +685,23 @@ func ModuleAreas(nl *gates.Netlist, lib *cell.Library) map[int]float64 {
 // reflected in the Module tags).
 func VerilogModules(nl *gates.Netlist, lib *cell.Library) string {
 	var sb strings.Builder
-	sb.WriteString("// level 1 cells: ")
+	size := len("// level 1 cells: \n// level 2 cells: \n")
 	for _, inst := range nl.Instances {
-		if inst.Module == 1 {
-			sb.WriteString(inst.Cell + " ")
+		if inst.Module == 1 || inst.Module == 2 {
+			size += len(inst.Cell) + 1
 		}
 	}
-	sb.WriteString("\n// level 2 cells: ")
-	for _, inst := range nl.Instances {
-		if inst.Module == 2 {
-			sb.WriteString(inst.Cell + " ")
+	sb.Grow(size)
+	for level, prefix := range []string{"// level 1 cells: ", "\n// level 2 cells: "} {
+		sb.WriteString(prefix)
+		for _, inst := range nl.Instances {
+			if inst.Module == level+1 {
+				sb.WriteString(inst.Cell)
+				sb.WriteByte(' ')
+			}
 		}
 	}
 	sb.WriteString("\n")
-	sb.WriteString(nl.Verilog(lib))
+	nl.WriteVerilog(&sb, lib)
 	return sb.String()
 }
